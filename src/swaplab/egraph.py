@@ -59,10 +59,19 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_point_cloud(path) -> PointCloud:
-    """Read a CSV point cloud: one point per row, ``dim`` float columns,
-    optional single header row.  Ragged or non-numeric rows are rejected
-    with row/column diagnostics."""
+    """Read a CSV point cloud: one point per row, ``dim`` float columns, and
+    an optional single header row whose cells are all non-numeric.  Ragged
+    rows and cells that are not finite numbers, in a part-numeric first row
+    too, are rejected with row/column diagnostics."""
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as fh:
@@ -72,12 +81,8 @@ def load_point_cloud(path) -> PointCloud:
                 continue
             if width is None:
                 width = len(cells)
-                try:
-                    rows.append([float(c) for c in cells])
-                    continue
-                except ValueError:
-                    # single header row
-                    continue
+                if not any(map(_is_number, cells)):
+                    continue  # header row
             if len(cells) != width:
                 raise ValueError(
                     f"{path}: row {lineno} has {len(cells)} columns, expected {width}"
@@ -85,12 +90,15 @@ def load_point_cloud(path) -> PointCloud:
             parsed = []
             for col, cell in enumerate(cells, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ValueError(
                         f"{path}: row {lineno}, column {col}: "
-                        f"not a number: {cell!r}"
-                    ) from None
+                        f"not a finite number: {cell!r}"
+                    )
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -151,225 +159,131 @@ def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     return EpsilonGraph(n, eps, frozenset(edges))
 
 
+LEAF_SIZE = 32
+
+# Relative margin, per dimension, by which a box's squared gap must exceed
+# radius**2 before the box is pruned.  It covers the rounding of any
+# summation order, so a pruned box never holds a point that the leaf test
+# (numpy's own summation order) would accept.
+_PRUNE_SLACK = 4.0 * np.finfo(float).eps
+
+
 class KDTree:
-    """Balanced kd-tree: median split on cycling axes, duplicates to the
-    right subtree.  Instrumented with per-query visited-node counters."""
+    """Bucketed kd-tree held in flat arrays.
+
+    Median splits on cycling axes stop at leaves of at most ``LEAF_SIZE``
+    points.  ``order`` permutes the point indices, ``pts`` is the permuted
+    copy of the points, and row k of ``nodes`` is node k's
+    (start, stop, left, right, level): it owns ``pts[start:stop]``, whose
+    bounding box is ``lo[k]``, ``hi[k]``.  Node 0 is the root and a leaf has
+    children -1.  Per query, ``last_visited`` counts the nodes whose box was
+    tested; ``queries`` and ``total_visited`` sum over queries.
+    """
 
     def __init__(self, cloud: PointCloud):
-        pts = cloud.points
+        points = cloud.points
         self.dim = cloud.dim
         self.n = len(cloud)
-        # one record per node:
-        #   (point index, coords, axis, left, right, seg_lo, seg_hi, bb_lo, bb_hi)
-        # children are node ids or -1; [seg_lo, seg_hi) is the subtree's slice
-        # of the pre-order point array _flat; bb_lo/bb_hi bound the subtree.
-        self._nodes: list[tuple] = []
-        self._flat: list[int] = []
+        self.order = np.arange(self.n)
+        nodes: list[list[int]] = []
+
+        def build(start: int, stop: int, level: int) -> int:
+            node = len(nodes)
+            nodes.append([start, stop, -1, -1, level])
+            if stop - start > LEAF_SIZE:
+                seg = self.order[start:stop]
+                seg[:] = seg[np.argsort(points[seg, level % self.dim], kind="stable")]
+                mid = (start + stop) // 2
+                nodes[node][2] = build(start, mid, level + 1)
+                nodes[node][3] = build(mid, stop, level + 1)
+            return node
+
+        if self.n:
+            build(0, self.n, 0)
+        self.nodes = np.array(nodes, dtype=np.intp).reshape(-1, 5)
+        self.pts = points[self.order]
+        slices = [self.pts[s:e] for s, e, *_ in nodes]
+        self.lo = np.array([s.min(axis=0) for s in slices]).reshape(-1, self.dim)
+        self.hi = np.array([s.max(axis=0) for s in slices]).reshape(-1, self.dim)
+        # Python-side copies for the walk, which reads one node at a time;
+        # a leaf also carries its slots, the indices of its rows in pts
+        self._walk = [
+            (lo, hi, left, right, np.arange(s, e) if left < 0 else None)
+            for lo, hi, (s, e, left, right, _) in zip(
+                self.lo.tolist(), self.hi.tolist(), nodes
+            )
+        ]
         self.queries = 0
         self.total_visited = 0
         self.last_visited = 0
-        if self.n:
-            self._build(np.arange(self.n), pts, 0)
-
-    def _build(self, idx: np.ndarray, pts: np.ndarray, depth: int) -> int:
-        if idx.size == 0:
-            return -1
-        axis = depth % self.dim
-        order = idx[np.argsort(pts[idx, axis], kind="stable")]
-        mid = order.size // 2
-        p_idx = int(order[mid])
-        node = len(self._nodes)
-        self._nodes.append(None)  # reserve slot; children are built below
-        seg_lo = len(self._flat)
-        self._flat.append(p_idx)
-        left = self._build(order[:mid], pts, depth + 1)
-        right = self._build(order[mid + 1 :], pts, depth + 1)
-        sub = pts[idx]
-        self._nodes[node] = (
-            p_idx,
-            tuple(pts[p_idx]),
-            axis,
-            left,
-            right,
-            seg_lo,
-            len(self._flat),
-            tuple(sub.min(axis=0)),
-            tuple(sub.max(axis=0)),
-        )
-        return node
 
     def depth(self) -> int:
-        if not self._nodes:
-            return 0
-        best = 1
-        stack = [(0, 1)]
-        while stack:
-            node, d = stack.pop()
-            best = max(best, d)
-            for child in self._nodes[node][3:5]:
-                if child >= 0:
-                    stack.append((child, d + 1))
-        return best
+        return int(self.nodes[:, 4].max()) + 1 if self.n else 0
 
     def __len__(self) -> int:
         return self.n
 
     def in_order(self) -> Iterable[int]:
-        """In-order traversal of the stored point indices."""
-        stack: list[tuple[int, bool]] = [(0, False)] if self._nodes else []
-        while stack:
-            node, expanded = stack.pop()
-            if node < 0:
-                continue
-            if expanded:
-                yield self._nodes[node][0]
-            else:
-                rec = self._nodes[node]
-                stack.append((rec[4], False))
-                stack.append((node, True))
-                stack.append((rec[3], False))
+        """The stored point indices, leaf by leaf from left to right."""
+        return self.order.tolist()
 
     def range_query(self, center: Sequence[float], radius: float) -> list[int]:
         """Indices of the points at strict distance < radius from center.
 
-        Subtrees whose splitting slab lies at distance >= radius are pruned
-        (safe under the strict inequality); a subtree whose bounding box sits
-        strictly inside the query ball is accepted wholesale, and one whose
-        box lies entirely at distance >= radius is rejected without descent.
+        A depth-first walk prunes every node whose box lies at distance
+        >= radius (by the margin of ``_PRUNE_SLACK``), then tests the points
+        of the surviving leaves in one expression, the squared-distance form
+        brute_force_egraph uses, so the two constructors decide every pair
+        alike.
         """
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
-        center = tuple(float(c) for c in center)
-        if len(center) != self.dim:
+        c = np.asarray(center, dtype=float).reshape(-1)
+        if c.size != self.dim:
             raise ValueError(
-                f"query point has dimension {len(center)}, tree has {self.dim}"
+                f"query point has dimension {c.size}, tree has {self.dim}"
             )
         r_sq = radius * radius
-        nodes = self._nodes
-        flat = self._flat
-        dim = self.dim
-        found: list[int] = []
+        prune_sq = r_sq * (1.0 + _PRUNE_SLACK * self.dim)
+        coords = c.tolist()
+        walk = self._walk
+        leaves = []
+        stack = [0] if self.n else []
         visited = 0
-        stack = [0] if nodes else []
-        # box accept/reject only pays off for subtrees of some size
-        min_seg = 16
-        if dim == 2:
-            c0, c1 = center
-            while stack:
-                visited += 1
-                p_idx, pt, axis, left, right, s0, s1, blo, bhi = nodes[stack.pop()]
-                if s1 - s0 >= min_seg:
-                    d1 = c0 - blo[0]
-                    d2 = bhi[0] - c0
-                    far0 = d1 if d1 > d2 else d2
-                    gap0 = -d1 if d1 < 0.0 else (-d2 if d2 < 0.0 else 0.0)
-                    d1 = c1 - blo[1]
-                    d2 = bhi[1] - c1
-                    far1 = d1 if d1 > d2 else d2
-                    gap1 = -d1 if d1 < 0.0 else (-d2 if d2 < 0.0 else 0.0)
-                    if far0 * far0 + far1 * far1 < r_sq:
-                        found.extend(flat[s0:s1])
-                        continue
-                    if gap0 * gap0 + gap1 * gap1 >= r_sq:
-                        continue
-                da = pt[0] - c0
-                db = pt[1] - c1
-                if da * da + db * db < r_sq:
-                    found.append(p_idx)
-                delta = (c0 - pt[0]) if axis == 0 else (c1 - pt[1])
-                near, far = (left, right) if delta < 0 else (right, left)
-                if near >= 0:
-                    stack.append(near)
-                if far >= 0 and delta * delta < r_sq:
-                    stack.append(far)
-        elif dim == 3:
-            c0, c1, c2 = center
-            while stack:
-                visited += 1
-                p_idx, pt, axis, left, right, s0, s1, blo, bhi = nodes[stack.pop()]
-                if s1 - s0 >= min_seg:
-                    far_sq = 0.0
-                    gap_sq = 0.0
-                    for ca, lo, hi in zip(center, blo, bhi):
-                        d1 = ca - lo
-                        d2 = hi - ca
-                        far = d1 if d1 > d2 else d2
-                        far_sq += far * far
-                        gap = -d1 if d1 < 0.0 else (-d2 if d2 < 0.0 else 0.0)
-                        gap_sq += gap * gap
-                    if far_sq < r_sq:
-                        found.extend(flat[s0:s1])
-                        continue
-                    if gap_sq >= r_sq:
-                        continue
-                da = pt[0] - c0
-                db = pt[1] - c1
-                dc = pt[2] - c2
-                if da * da + db * db + dc * dc < r_sq:
-                    found.append(p_idx)
-                delta = center[axis] - pt[axis]
-                near, far = (left, right) if delta < 0 else (right, left)
-                if near >= 0:
-                    stack.append(near)
-                if far >= 0 and delta * delta < r_sq:
-                    stack.append(far)
-        else:
-            while stack:
-                visited += 1
-                p_idx, pt, axis, left, right, s0, s1, blo, bhi = nodes[stack.pop()]
-                if s1 - s0 >= min_seg:
-                    far_sq = 0.0
-                    gap_sq = 0.0
-                    for ca, lo, hi in zip(center, blo, bhi):
-                        d1 = ca - lo
-                        d2 = hi - ca
-                        far = d1 if d1 > d2 else d2
-                        far_sq += far * far
-                        gap = -d1 if d1 < 0.0 else (-d2 if d2 < 0.0 else 0.0)
-                        gap_sq += gap * gap
-                    if far_sq < r_sq:
-                        found.extend(flat[s0:s1])
-                        continue
-                    if gap_sq >= r_sq:
-                        continue
-                d_sq = 0.0
-                for a, b in zip(pt, center):
-                    diff = a - b
-                    d_sq += diff * diff
-                if d_sq < r_sq:
-                    found.append(p_idx)
-                delta = center[axis] - pt[axis]
-                near, far = (left, right) if delta < 0 else (right, left)
-                if near >= 0:
-                    stack.append(near)
-                if far >= 0 and delta * delta < r_sq:
-                    stack.append(far)
+        while stack:
+            node = stack.pop()
+            visited += 1
+            lo, hi, left, right, leaf_slots = walk[node]
+            gap_sq = 0.0
+            for x, a, b in zip(coords, lo, hi):
+                if x < a:
+                    gap_sq += (a - x) * (a - x)
+                elif x > b:
+                    gap_sq += (x - b) * (x - b)
+            if gap_sq >= prune_sq:
+                continue
+            if left < 0:
+                leaves.append(leaf_slots)
+            else:
+                stack.append(right)
+                stack.append(left)
+        slots = np.concatenate(leaves) if leaves else np.zeros(0, dtype=np.intp)
+        hit = ((self.pts[slots] - c) ** 2).sum(axis=1) < r_sq
         self.queries += 1
         self.last_visited = visited
         self.total_visited += visited
-        return found
-
-
-def kdtree_build(cloud: PointCloud) -> KDTree:
-    return KDTree(cloud)
-
-
-def kdtree_range_query(
-    index: KDTree, center: Sequence[float], radius: float
-) -> list[int]:
-    return index.range_query(center, radius)
+        return self.order[slots[hit]].tolist()
 
 
 def kdtree_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
-    """Same edge set as brute_force_egraph, built with pruned range queries."""
+    """Same edge set as brute_force_egraph, built with one range query per
+    point, keeping the hits j > i."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     tree = KDTree(cloud)
-    edges = set()
-    for i in range(len(cloud)):
-        for j in tree.range_query(cloud.points[i], eps):
-            if j != i:
-                edges.add((min(i, j), max(i, j)))
+    edges = []
+    for i, point in enumerate(cloud.points):
+        edges.extend((i, j) for j in tree.range_query(point, eps) if j > i)
     return EpsilonGraph(len(cloud), eps, frozenset(edges))
 
 
@@ -436,7 +350,12 @@ def quantum_egraph(
         shots = int(shots)
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
-    encoded = [encode_point(p) for p in cloud.points]
+    encoded = []
+    for i, point in enumerate(cloud.points):
+        try:
+            encoded.append(encode_point(point))
+        except ValueError as exc:
+            raise ValueError(f"point {i}: {exc}") from None
     n = len(encoded)
     if n < 2:
         return EpsilonGraph(n, eps, frozenset()), []

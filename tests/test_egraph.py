@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swaplab import egraph as eg
 from swaplab import statevec as sv
@@ -53,6 +54,31 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="row 2, column 2"):
             eg.load_point_cloud(path)
 
+    def test_csv_part_numeric_first_row_is_data(self, tmp_path):
+        # a first row with some numeric cells is a bad data row, not a header
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,abc\n2,3\n4,5\n")
+        with pytest.raises(ValueError, match="row 1, column 2: not a finite number: 'abc'"):
+            eg.load_point_cloud(path)
+
+    def test_csv_non_finite_cell_diagnostics(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n1,2\n3,nan\n")
+        with pytest.raises(ValueError, match="row 3, column 2: not a finite number: 'nan'"):
+            eg.load_point_cloud(path)
+
+    def test_csv_part_numeric_header_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,2\n2,3\n4,5\n")
+        with pytest.raises(ValueError, match="row 1, column 1"):
+            eg.load_point_cloud(path)
+
+    def test_csv_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("\nx,y,z\n1,2,3\n4,5,6\n7,8,9\n")
+        cloud = eg.load_point_cloud(path)
+        assert np.array_equal(cloud.points, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
 
 class TestBruteForce:
     def test_collinear(self):
@@ -90,42 +116,42 @@ class TestBruteForce:
 
 class TestKDTree:
     def test_single_point(self):
-        tree = eg.kdtree_build(eg.PointCloud(np.zeros((1, 2))))
+        tree = eg.KDTree(eg.PointCloud(np.zeros((1, 2))))
         assert tree.depth() == 1
         assert list(tree.in_order()) == [0]
 
     def test_eight_collinear_depth(self):
-        tree = eg.kdtree_build(eg.PointCloud(np.arange(8.0).reshape(-1, 1)))
+        tree = eg.KDTree(eg.PointCloud(np.arange(8.0).reshape(-1, 1)))
         assert tree.depth() <= 4
 
     def test_depth_bound_random(self):
         rng = np.random.default_rng(0)
         n = 200
-        tree = eg.kdtree_build(eg.PointCloud(rng.uniform(0, 1, (n, 3))))
+        tree = eg.KDTree(eg.PointCloud(rng.uniform(0, 1, (n, 3))))
         assert tree.depth() <= math.ceil(math.log2(n)) + 1
 
     def test_in_order_recovers_every_point(self):
         rng = np.random.default_rng(5)
         cloud = eg.PointCloud(rng.normal(size=(137, 4)))
-        tree = eg.kdtree_build(cloud)
+        tree = eg.KDTree(cloud)
         assert sorted(tree.in_order()) == list(range(137))
 
     def test_query_at_data_point_tiny_radius(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, (50, 3))
-        tree = eg.kdtree_build(eg.PointCloud(pts))
+        tree = eg.KDTree(eg.PointCloud(pts))
         assert tree.range_query(pts[17], 1e-12) == [17]
 
     def test_radius_beyond_diameter_returns_all(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(0, 1, (64, 2))
-        tree = eg.kdtree_build(eg.PointCloud(pts))
+        tree = eg.KDTree(eg.PointCloud(pts))
         assert sorted(tree.range_query([0.5, 0.5], 10.0)) == list(range(64))
 
     def test_random_queries_match_brute_scan(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1, (1000, 3))
-        tree = eg.kdtree_build(eg.PointCloud(pts))
+        tree = eg.KDTree(eg.PointCloud(pts))
         for _ in range(50):
             center = rng.uniform(-0.1, 1.1, 3)
             radius = float(rng.uniform(0.05, 0.9))
@@ -135,11 +161,11 @@ class TestKDTree:
 
     def test_duplicates_supported(self):
         pts = np.array([[0.5, 0.5]] * 5 + [[0.1, 0.1]])
-        tree = eg.kdtree_build(eg.PointCloud(pts))
+        tree = eg.KDTree(eg.PointCloud(pts))
         assert sorted(tree.range_query([0.5, 0.5], 0.01)) == [0, 1, 2, 3, 4]
 
     def test_dimension_mismatch(self):
-        tree = eg.kdtree_build(eg.PointCloud(np.zeros((4, 2))))
+        tree = eg.KDTree(eg.PointCloud(np.zeros((4, 2))))
         with pytest.raises(ValueError):
             tree.range_query([0.0, 0.0, 0.0], 1.0)
 
@@ -161,11 +187,39 @@ class TestKDTree:
             [rng.normal(0, 0.05, (500, 3)), rng.normal(100, 0.05, (500, 3))]
         )
         cloud = eg.PointCloud(pts)
-        tree = eg.kdtree_build(cloud)
+        tree = eg.KDTree(cloud)
         for i in range(0, 1000, 37):
             tree.range_query(pts[i], 0.05)
         avg_visited = tree.total_visited / tree.queries
         assert avg_visited < len(cloud) / 4
+
+
+@st.composite
+def lattice_cloud_and_tie_eps(draw):
+    """Integer-lattice cloud in dims 1-5 (small sides make duplicates), with
+    n around the leaf size, and eps equal to one of its pairwise distances,
+    so some pairs sit exactly on the strict-< boundary."""
+    dim = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([31, 32, 33, 64, 65, 66, 130])))
+    side = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.integers(0, side + 1, (n, dim)).astype(float)
+    d_sq = sorted({int(v) for v in ((pts[:, None] - pts[None]) ** 2).sum(axis=2).ravel()})
+    eps = math.sqrt(draw(st.sampled_from([v for v in d_sq if v > 0] or [1])))
+    return pts, eps
+
+
+class TestKDTreeTies:
+    @given(lattice_cloud_and_tie_eps())
+    @settings(max_examples=150, deadline=None)
+    def test_kdtree_matches_brute_force_at_ties(self, case):
+        pts, eps = case
+        cloud = eg.PointCloud(pts)
+        assert eg.kdtree_egraph(cloud, eps).edges == eg.brute_force_egraph(cloud, eps).edges
+        tree = eg.KDTree(cloud)
+        for center in pts[:: max(1, len(pts) // 8)]:
+            want = np.nonzero(((pts - center) ** 2).sum(axis=1) < eps * eps)[0]
+            assert sorted(tree.range_query(center, eps)) == want.tolist()
 
 
 class TestEncodePoint:
@@ -344,6 +398,12 @@ class TestQuantumEgraphSampled:
         assert abs(freq - xi) <= 4 * sigma
         assert stats.chernoff_lower(N, alpha, p_pair) - 4 * sigma <= freq
         assert freq <= stats.chernoff_upper(N, alpha, p_pair) + 4 * sigma
+
+    def test_zero_point_is_named(self):
+        pts = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 0.0], [0.0, 1.0]])
+        for mode in ("standard", "multi"):
+            with pytest.raises(ValueError, match="point 2: cannot encode"):
+                eg.quantum_egraph(eg.PointCloud(pts), 0.7, 100, mode, 0)
 
     def test_shots_validation(self):
         cloud = ring_cloud(4)

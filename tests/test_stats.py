@@ -169,6 +169,9 @@ class TestFalseNegativeExact:
             (200, 0.95, 0.99),
             (1000, 0.5, 0.9),
             (10**5, 0.5, 0.52),
+            (10**5, 0.05, 0.07),
+            (10**5, 0.3, 0.34),
+            (10**5, 0.4, 0.44),
             (10**6, 0.5, 0.506),
         ],
     )
@@ -176,7 +179,9 @@ class TestFalseNegativeExact:
         N, alpha, p = cell
         got = stats.false_negative_exact(N, alpha, p)
         want = float(xi_mpmath(N, alpha, p))
-        assert got == pytest.approx(want, rel=1e-12)
+        # abs=0: pytest's default 1e-12 absolute floor would pass any tail
+        # below 1e-12, and every N = 10^5 cell here is below 1e-36
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_threshold_exact_rational_ceiling(self):
         # N*(1-alpha) meant to be integral must not ceil upward through float fuzz
@@ -196,6 +201,12 @@ class TestFalseNegativeExact:
     def test_monotone_in_alpha(self):
         values = [stats.false_negative_exact(25, a, 0.9) for a in (0.2, 0.4, 0.6, 0.8)]
         assert values == sorted(values)
+
+    def test_bd0_series_cap_raises(self, monkeypatch):
+        # x near m takes the series branch, which needs more than one term
+        monkeypatch.setattr(stats, "_BD0_MAX_TERMS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            stats._bd0(np.array([100.0]), 101.0)
 
 
 class TestBoundPair:
