@@ -172,12 +172,10 @@ class KDTree:
     """Bucketed kd-tree held in flat arrays.
 
     Median splits on cycling axes stop at leaves of at most ``LEAF_SIZE``
-    points.  ``order`` permutes the point indices, ``pts`` is the permuted
-    copy of the points, and row k of ``nodes`` is node k's
-    (start, stop, left, right, level): it owns ``pts[start:stop]``, whose
-    bounding box is ``lo[k]``, ``hi[k]``.  Node 0 is the root and a leaf has
-    children -1.  Per query, ``last_visited`` counts the nodes whose box was
-    tested; ``queries`` and ``total_visited`` sum over queries.
+    points.  ``order`` permutes the point indices and ``pts`` is the
+    permuted copy of the points; each node owns a slice of ``pts`` and keeps
+    its bounding box.  Per query, ``last_visited`` counts the nodes whose
+    box was tested; ``queries`` and ``total_visited`` sum over queries.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -185,40 +183,40 @@ class KDTree:
         self.dim = cloud.dim
         self.n = len(cloud)
         self.order = np.arange(self.n)
-        nodes: list[list[int]] = []
+        self._depth = 0
+        # per node (lo, hi, left, right, slots), node 0 the root, held as
+        # Python values for the walk, which reads one node at a time; a leaf
+        # has children -1 and its slots, the indices of its rows in pts
+        self._nodes: list[tuple] = []
 
         def build(start: int, stop: int, level: int) -> int:
-            node = len(nodes)
-            nodes.append([start, stop, -1, -1, level])
+            self._depth = max(self._depth, level + 1)
+            node = len(self._nodes)
+            self._nodes.append(())
+            left = right = -1
+            slots = None
             if stop - start > LEAF_SIZE:
                 seg = self.order[start:stop]
                 seg[:] = seg[np.argsort(points[seg, level % self.dim], kind="stable")]
                 mid = (start + stop) // 2
-                nodes[node][2] = build(start, mid, level + 1)
-                nodes[node][3] = build(mid, stop, level + 1)
+                left = build(start, mid, level + 1)
+                right = build(mid, stop, level + 1)
+            else:
+                slots = np.arange(start, stop)
+            box = points[self.order[start:stop]]
+            lo, hi = box.min(axis=0).tolist(), box.max(axis=0).tolist()
+            self._nodes[node] = (lo, hi, left, right, slots)
             return node
 
         if self.n:
             build(0, self.n, 0)
-        self.nodes = np.array(nodes, dtype=np.intp).reshape(-1, 5)
         self.pts = points[self.order]
-        slices = [self.pts[s:e] for s, e, *_ in nodes]
-        self.lo = np.array([s.min(axis=0) for s in slices]).reshape(-1, self.dim)
-        self.hi = np.array([s.max(axis=0) for s in slices]).reshape(-1, self.dim)
-        # Python-side copies for the walk, which reads one node at a time;
-        # a leaf also carries its slots, the indices of its rows in pts
-        self._walk = [
-            (lo, hi, left, right, np.arange(s, e) if left < 0 else None)
-            for lo, hi, (s, e, left, right, _) in zip(
-                self.lo.tolist(), self.hi.tolist(), nodes
-            )
-        ]
         self.queries = 0
         self.total_visited = 0
         self.last_visited = 0
 
     def depth(self) -> int:
-        return int(self.nodes[:, 4].max()) + 1 if self.n else 0
+        return self._depth
 
     def __len__(self) -> int:
         return self.n
@@ -246,14 +244,14 @@ class KDTree:
         r_sq = radius * radius
         prune_sq = r_sq * (1.0 + _PRUNE_SLACK * self.dim)
         coords = c.tolist()
-        walk = self._walk
+        nodes = self._nodes
         leaves = []
         stack = [0] if self.n else []
         visited = 0
         while stack:
             node = stack.pop()
             visited += 1
-            lo, hi, left, right, leaf_slots = walk[node]
+            lo, hi, left, right, leaf_slots = nodes[node]
             gap_sq = 0.0
             for x, a, b in zip(coords, lo, hi):
                 if x < a:

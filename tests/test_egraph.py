@@ -191,7 +191,10 @@ class TestKDTree:
         for i in range(0, 1000, 37):
             tree.range_query(pts[i], 0.05)
         avg_visited = tree.total_visited / tree.queries
-        assert avg_visited < len(cloud) / 4
+        # a ball that holds every box visits every node; the far cluster
+        # alone is half of them
+        tree.range_query(pts[0], 1e6)
+        assert avg_visited < tree.last_visited / 2
 
 
 @st.composite
