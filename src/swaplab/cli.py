@@ -1,14 +1,18 @@
 """Command-line entry point.
 
 Subcommands: swap-test, pair-map, eq1-audit, bounds, lemma1, scaling,
-gatecount, egraph.  All configuration is explicit flags; no environment
-variables are consulted.  Reruns with identical flags and seed produce
-byte-identical output files.
+gatecount, egraph.  Each subparser binds its runner in ``harness`` and names
+its flags' destinations after that runner's keyword arguments, so ``main``
+calls the runner with the parsed flags as they are.  ``--seed`` is accepted
+everywhere and passed on only to the runners that take one.  All
+configuration is explicit flags; no environment variables are consulted.
+Reruns with identical flags and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import harness
@@ -41,19 +45,13 @@ def _parse_shots(text: str):
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, runner) -> None:
+    parser.set_defaults(runner=runner)
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--out", default=None, help="output path (stdout if omitted)")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
-
-
-def _emit(records, metadata, args) -> None:
-    if args.out is None:
-        harness.write_records(records, sys.stdout, args.format, metadata)
-    else:
-        harness.write_records(records, args.out, args.format, metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,44 +72,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vec2", type=_parse_float_list, default=None)
     p.add_argument("--shots", type=_parse_shots, default=EXACT_SHOTS,
                    help="repetitions, or 'inf' for exact decisions")
-    _add_common(p)
+    _add_common(p, harness.run_swap_test)
 
     p = sub.add_parser("pair-map", help="outcome-to-pair map of the n-state circuit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=1)
     p.add_argument("--dump-circuit", default=None,
                    help="also write the circuit JSON dump to this path")
-    _add_common(p)
+    _add_common(p, harness.run_pair_map)
 
     p = sub.add_parser("eq1-audit", help="audit the per-pair probability law")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--trials", type=int, default=10)
-    _add_common(p)
+    _add_common(p, harness.run_eq1_audit)
 
     p = sub.add_parser("bounds", help="exact tail vs the bound pair on a grid")
-    p.add_argument("--n-list", type=_parse_int_list, default=list(range(1, 51)),
+    p.add_argument("--n-list", dest="n_values", metavar="N_LIST",
+                   type=_parse_int_list, default=list(range(1, 51)),
                    help="N values, e.g. '1..200' or '10,20,50'")
-    p.add_argument("--alpha-grid", type=_parse_float_list, default=None)
-    p.add_argument("--p-grid", type=_parse_float_list, default=None)
-    _add_common(p)
+    p.add_argument("--alpha-grid", dest="alphas", metavar="ALPHA_GRID",
+                   type=_parse_float_list, default=None)
+    p.add_argument("--p-grid", dest="ps", metavar="P_GRID",
+                   type=_parse_float_list, default=None)
+    _add_common(p, harness.run_bounds_sweep)
 
     p = sub.add_parser("lemma1", help="worked sharpness example at (0.5, 0.9)")
-    _add_common(p)
+    _add_common(p, harness.run_lemma1_example)
 
     p = sub.add_parser("scaling", help="repetition-count curves against n")
     p.add_argument("--n-list", type=_parse_int_list,
                    default=[4, 8, 16, 32, 64, 128, 256, 512, 1024])
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, harness.run_scaling_curves)
 
     p = sub.add_parser("gatecount", help="resource counts per circuit design")
     p.add_argument("--n-list", type=_parse_int_list, default=[4, 8, 16, 32])
     p.add_argument("--w", type=int, default=1)
-    _add_common(p)
+    _add_common(p, harness.run_gatecount_report)
 
     p = sub.add_parser("egraph", help="classical vs quantum epsilon-graph trial")
-    p.add_argument("--points", required=True, help="CSV point cloud, one row per point")
+    p.add_argument("--points", dest="points_path", metavar="POINTS", required=True,
+                   help="CSV point cloud, one row per point")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument(
         "--mode",
@@ -119,63 +121,29 @@ def build_parser() -> argparse.ArgumentParser:
         default="brute",
     )
     p.add_argument("--shots", type=_parse_shots, default=EXACT_SHOTS)
-    _add_common(p)
+    _add_common(p, harness.run_egraph_trial)
 
     return parser
 
 
-def _config_params(args) -> dict:
-    if args.subcommand == "swap-test":
-        return {
-            "theta1": args.theta1, "phi1": args.phi1,
-            "theta2": args.theta2, "phi2": args.phi2,
-            "vec1": args.vec1, "vec2": args.vec2,
-            "shots": args.shots, "seed": args.seed,
-        }
-    if args.subcommand == "pair-map":
-        return {"n": args.n, "w": args.w}
-    if args.subcommand == "eq1-audit":
-        return {"n": args.n, "trials": args.trials, "seed": args.seed}
-    if args.subcommand == "bounds":
-        return {
-            "n_values": args.n_list,
-            "alphas": args.alpha_grid,
-            "ps": args.p_grid,
-        }
-    if args.subcommand == "lemma1":
-        return {}
-    if args.subcommand == "scaling":
-        return {"n_list": args.n_list, "gamma": args.gamma, "eps": args.eps}
-    if args.subcommand == "gatecount":
-        return {"n_list": args.n_list, "w": args.w}
-    raise ValueError(args.subcommand)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    kwargs = vars(build_parser().parse_args(argv))
+    subcommand = kwargs.pop("subcommand")
+    runner = kwargs.pop("runner")
+    out = kwargs.pop("out")
+    fmt = kwargs.pop("format")
+    if "seed" not in inspect.signature(runner).parameters:
+        del kwargs["seed"]
 
-    if args.subcommand == "egraph":
-        out_dir = args.out or "egraph-out"
-        _, _, diff = harness.run_egraph_trial(
-            args.points, args.eps, args.mode, args.shots, args.seed,
-            out_dir, args.format,
-        )
+    if subcommand == "egraph":
+        out_dir = out or "egraph-out"
+        _, _, diff = runner(out_dir=out_dir, fmt=fmt, **kwargs)
         print(f"false negatives: {diff.fn_count}, false positives: {diff.fp_count} "
               f"(outputs in {out_dir})")
         return 0
 
-    config = harness.ExperimentConfig(args.subcommand, _config_params(args))
-    records, meta = harness.run_config(config)
-    if args.subcommand == "pair-map" and args.dump_circuit:
-        import json
-
-        from . import circuits
-
-        with open(args.dump_circuit, "w") as fh:
-            json.dump(circuits.circuit_to_json(circuits.build_un(args.n, args.w)),
-                      fh, indent=2)
-            fh.write("\n")
-    _emit(records, meta, args)
+    records, meta = runner(**kwargs)
+    harness.write_records(records, sys.stdout if out is None else out, fmt, meta)
     return 0
 
 

@@ -312,11 +312,6 @@ def _is_exact(shots) -> bool:
     return not math.isfinite(shots)
 
 
-def _swap_test_state(a: StateVector, b: StateVector) -> StateVector:
-    circuit = circuits.build_swap_test(a.num_qubits)
-    return circuits.simulate(circuit, [a, b])
-
-
 def quantum_egraph(
     cloud: PointCloud,
     eps: float,
@@ -361,10 +356,12 @@ def quantum_egraph(
         return _multi_egraph(cloud, encoded, eps, shots, seed)
 
     alpha = stats.alpha_eps_standard(eps)
+    # every point of a cloud has the same dimension, hence the same width
+    circuit = circuits.build_swap_test(encoded[0].num_qubits)
     edges = set()
     estimates = []
     for i, j in combinations(range(n), 2):
-        state = _swap_test_state(encoded[i], encoded[j])
+        state = circuits.simulate(circuit, [encoded[i], encoded[j]])
         if _is_exact(shots):
             p_hat = statevec.exact_marginal(state, [0])[(0,)]
             est = stats.estimate_from_probability(p_hat, "standard", pair=(i, j))

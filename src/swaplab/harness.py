@@ -1,10 +1,13 @@
 """Experiment runners and report writers.
 
-Every runner returns (records, metadata): records are flat dicts (one per
-experiment unit, deterministically ordered by parameter tuple), metadata
-names the source formula behind each theory column.  CSV is the canonical
-output format (header row, '.' decimal separator, 17 significant digits for
-reals); JSON mirrors the records and carries the metadata.
+Every table runner returns (records, metadata): records are flat dicts (one
+per experiment unit, deterministically ordered by parameter tuple), metadata
+names the source formula behind each theory column.  run_egraph_trial writes
+a whole output directory instead.  CSV is the canonical output format
+(header row, '.' decimal separator, 17 significant digits for reals); JSON
+mirrors the records and carries the metadata.  The CLI calls each runner
+with its parsed flags as keyword arguments, so a runner's keyword names are
+its flags' destinations.
 
 Reproducibility: a runner re-invoked with the same parameters and seed
 produces byte-identical output files.  Per-trial RNG streams are derived
@@ -19,7 +22,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -85,47 +87,6 @@ def write_records(records: Sequence[Record], path_or_file, fmt: str = "csv",
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Subcommand name plus its explicit parameters; fully serializable so a
-    replay with the same seed reproduces byte-identical outputs.  Non-finite
-    shot counts serialize as the string "inf"."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        params = {k: _jsonable(v) for k, v in self.params.items()}
-        return json.dumps(
-            {"subcommand": self.subcommand, "params": params}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        return cls(raw["subcommand"], raw["params"])
-
-
-def run_config(config: ExperimentConfig) -> tuple[list[Record], dict]:
-    """Dispatch a table-producing config to its runner (egraph trials write
-    whole directories and go through run_egraph_trial instead)."""
-    runners = {
-        "swap-test": run_swap_test,
-        "pair-map": run_pair_map,
-        "eq1-audit": run_eq1_audit,
-        "bounds": run_bounds_sweep,
-        "lemma1": run_lemma1_example,
-        "scaling": run_scaling_curves,
-        "gatecount": run_gatecount_report,
-    }
-    if config.subcommand not in runners:
-        raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    params = dict(config.params)
-    if isinstance(params.get("shots"), str):
-        params["shots"] = float(params["shots"])
-    return runners[config.subcommand](**params)
-
-
 def _random_qubit_states(rng: np.random.Generator, count: int):
     thetas = rng.uniform(0.0, math.pi, count)
     phis = rng.uniform(0.0, 2.0 * math.pi, count)
@@ -184,9 +145,13 @@ def run_swap_test(
     return [record], metadata
 
 
-def run_pair_map(n: int, w: int = 1) -> tuple[list[Record], dict]:
+def run_pair_map(
+    n: int, w: int = 1, dump_circuit=None
+) -> tuple[list[Record], dict]:
     """Outcome -> pair table of the n-state circuit, one row per mid-ancilla
-    outcome, plus per-pair multiplicities and calibration constants."""
+    outcome, plus per-pair multiplicities and calibration constants.  With
+    ``dump_circuit`` set, the circuit U_n of width ``w`` is also written to
+    that path as JSON."""
     pm = circuits.derive_pair_map(n)
     records = []
     for bits in sorted(pm.entries):
@@ -209,6 +174,11 @@ def run_pair_map(n: int, w: int = 1) -> tuple[list[Record], dict]:
         "nominal_constant": 8.0 / float(n) ** 3,
         "w": w,
     }
+    if dump_circuit:
+        dump = circuits.circuit_to_json(circuits.build_un(n, w))
+        with open(dump_circuit, "w") as fh:
+            json.dump(dump, fh, indent=2)
+            fh.write("\n")
     return records, metadata
 
 
@@ -493,7 +463,7 @@ def run_egraph_trial(
     reference = egraph.brute_force_egraph(cloud, eps)
     estimates: list[stats.OverlapEstimate] = []
     if mode == "brute":
-        estimate = egraph.brute_force_egraph(cloud, eps)
+        estimate = reference
     elif mode == "kdtree":
         estimate = egraph.kdtree_egraph(cloud, eps)
     elif mode in ("quantum-standard", "quantum-naive", "quantum-multi"):

@@ -73,14 +73,6 @@ class StateVector:
             )
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One row of an exact outcome table: measured bits and their probability."""
-
-    bits: tuple[int, ...]
-    probability: float
-
-
 def make_basis_state(num_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on ``num_qubits`` qubits."""
     _check_num_qubits(num_qubits)
@@ -137,14 +129,12 @@ def apply_cswap(state: StateVector, control: int, a: int, b: int) -> StateVector
     if len({control, a, b}) != 3:
         raise ValueError(f"cswap qubits must be distinct, got {(control, a, b)}")
     n = state.num_qubits
-    sc = n - 1 - control
-    sa = n - 1 - a
-    sb = n - 1 - b
-    idx = np.arange(2**n)
-    swap_mask = ((idx >> sc) & 1).astype(bool) & (((idx >> sa) ^ (idx >> sb)) & 1).astype(bool)
-    perm = idx.copy()
-    perm[swap_mask] ^= (1 << sa) | (1 << sb)
-    return StateVector(n, state.amplitudes[perm])
+    amps = state.amplitudes.reshape((2,) * n)
+    out = amps.copy()
+    on = (slice(None),) * control + (1,)
+    # the control=1 slice drops the control axis, so later axes shift down
+    out[on] = np.swapaxes(amps[on], a - (a > control), b - (b > control))
+    return StateVector(n, out.reshape(-1))
 
 
 def exact_marginal(
@@ -177,16 +167,6 @@ def exact_marginal(
         bits = tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
         table[bits] = float(flat[outcome])
     return table
-
-
-def marginal_outcomes(
-    state: StateVector, qubits: Sequence[int]
-) -> list[MeasurementOutcome]:
-    """exact_marginal() as a list of MeasurementOutcome rows."""
-    return [
-        MeasurementOutcome(bits, prob)
-        for bits, prob in exact_marginal(state, qubits).items()
-    ]
 
 
 def sample_outcomes(

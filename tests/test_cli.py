@@ -1,9 +1,14 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from swaplab.cli import main
+from swaplab.cli import build_parser, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -71,13 +76,8 @@ class TestSubcommands:
         assert len(out.read_text().strip().splitlines()) == 3
 
     def test_egraph(self, tmp_path):
-        cloud = tmp_path / "cloud.csv"
-        angles = [math.radians(15 * k) for k in range(5)]
-        cloud.write_text(
-            "\n".join(f"{math.cos(a)!r},{math.sin(a)!r}" for a in angles) + "\n"
-        )
         out = tmp_path / "run"
-        run_cli(["egraph", "--points", str(cloud), "--eps", "0.6",
+        run_cli(["egraph", "--points", str(_cloud(tmp_path)), "--eps", "0.6",
                  "--mode", "kdtree", "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fn_count"] == 0 and summary["fp_count"] == 0
@@ -85,6 +85,79 @@ class TestSubcommands:
     def test_bad_shots(self):
         with pytest.raises(SystemExit):
             main(["swap-test", "--shots", "0"])
+
+    def test_unknown_subcommand(self):
+        with pytest.raises(SystemExit):
+            main(["mystery"])
+
+
+def _readme_cli_lines():
+    """The ``swaplab ...`` commands of the README's CLI code block, with
+    backslash continuations joined."""
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("swaplab ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_parse(line):
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert callable(args.runner)
+
+
+def _cloud(tmp_path):
+    cloud = tmp_path / "cloud.csv"
+    angles = [math.radians(15 * k) for k in range(5)]
+    cloud.write_text(
+        "\n".join(f"{math.cos(a)!r},{math.sin(a)!r}" for a in angles) + "\n"
+    )
+    return cloud
+
+
+def _output_bytes(args, out):
+    """Run the CLI writing to ``out`` and return the bytes it wrote (every
+    file of the output directory, for egraph)."""
+    run_cli(args + ["--out", str(out)])
+    if out.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return out.read_bytes()
+
+
+UNSEEDED = [
+    ["pair-map", "--n", "4"],
+    ["bounds", "--n-list", "1..3"],
+    ["lemma1"],
+    ["scaling", "--n-list", "4,8"],
+    ["gatecount", "--n-list", "4"],
+]
+SEEDED = [
+    ["swap-test", "--theta2", "1.0", "--shots", "100"],
+    ["eq1-audit", "--n", "4", "--trials", "1"],
+    ["egraph", "--eps", "0.6", "--mode", "quantum-standard", "--shots", "100"],
+]
+
+
+class TestSeedFlag:
+    def test_every_subcommand_is_covered(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1)
+        assert {args[0] for args in UNSEEDED + SEEDED} == set(listed.split(","))
+
+    @pytest.mark.parametrize("args", UNSEEDED, ids=lambda a: a[0])
+    def test_unseeded_output_ignores_seed(self, tmp_path, args):
+        plain = _output_bytes(args, tmp_path / "plain")
+        seeded = _output_bytes(args + ["--seed", "5"], tmp_path / "seeded")
+        assert plain == seeded
+
+    @pytest.mark.parametrize("args", SEEDED, ids=lambda a: a[0])
+    def test_seed_reaches_seeded_runner(self, tmp_path, args):
+        if args[0] == "egraph":
+            args = args + ["--points", str(_cloud(tmp_path))]
+        one = _output_bytes(args + ["--seed", "1"], tmp_path / "one")
+        two = _output_bytes(args + ["--seed", "2"], tmp_path / "two")
+        assert one != two
 
 
 class TestDeterminism:

@@ -33,32 +33,6 @@ class TestWriters:
         with pytest.raises(ValueError):
             harness.write_records([], tmp_path / "x", "yaml")
 
-    def test_config_round_trip(self):
-        cfg = harness.ExperimentConfig("bounds", {"n_values": [1, 2], "ps": [0.9]})
-        assert harness.ExperimentConfig.from_json(cfg.to_json()) == cfg
-
-    def test_config_replay_reproduces_records(self):
-        cfg = harness.ExperimentConfig(
-            "eq1-audit", {"n": 4, "trials": 3, "seed": 77}
-        )
-        first, _ = harness.run_config(cfg)
-        replay, _ = harness.run_config(harness.ExperimentConfig.from_json(cfg.to_json()))
-        assert first == replay
-
-    def test_config_infinite_shots_round_trip(self):
-        cfg = harness.ExperimentConfig(
-            "swap-test", {"theta2": 1.0, "shots": float("inf"), "seed": 0}
-        )
-        restored = harness.ExperimentConfig.from_json(cfg.to_json())
-        assert restored.params["shots"] == "inf"
-        first, _ = harness.run_config(cfg)
-        replay, _ = harness.run_config(restored)
-        assert first == replay
-
-    def test_config_unknown_subcommand(self):
-        with pytest.raises(ValueError):
-            harness.run_config(harness.ExperimentConfig("mystery", {}))
-
 
 class TestSwapTestRunner:
     def test_exact_identical(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -120,6 +121,22 @@ class TestCswap:
         state = random_state(rng, 4)
         twice = sv.apply_cswap(sv.apply_cswap(state, 2, 0, 3), 2, 0, 3)
         assert np.array_equal(twice.amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize("control,a,b", list(itertools.permutations(range(4), 3)))
+    def test_matches_bit_loop_oracle(self, control, a, b):
+        # per basis index: where the control bit is 1, the amplitude moves to
+        # the index with bits a and b exchanged (qubit 0 is the top bit)
+        n = 4
+        state = random_state(np.random.default_rng(5), n)
+        expected = np.empty_like(state.amplitudes)
+        for idx in range(2**n):
+            bit = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+            if bit[control]:
+                bit[a], bit[b] = bit[b], bit[a]
+            target = sum(v << (n - 1 - q) for q, v in enumerate(bit))
+            expected[target] = state.amplitudes[idx]
+        out = sv.apply_cswap(state, control, a, b)
+        assert np.array_equal(out.amplitudes, expected)
 
     def test_duplicate_indices(self):
         state = sv.make_basis_state(3, 0)
