@@ -22,7 +22,6 @@ from .circuits import (
     build_multiswap_full,
     build_naive_multiswap,
     build_swap_test,
-    build_u4,
     build_un,
     circuit_to_json,
     count_resources,
@@ -31,7 +30,6 @@ from .circuits import (
     simulate,
 )
 from .stats import (
-    BoundsQuery,
     OverlapEstimate,
     alpha_eps_multi,
     alpha_eps_standard,

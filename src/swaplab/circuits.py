@@ -237,11 +237,6 @@ def build_un(n: int, w: int = 1) -> CircuitSpec:
     return _make_spec(layout, gates)
 
 
-def build_u4(w: int = 1) -> CircuitSpec:
-    """The four-state base circuit: 3 mid ancillas, 3*w CSWAPs."""
-    return build_un(4, w)
-
-
 def build_multiswap_full(n: int, w: int = 1) -> CircuitSpec:
     """U_n plus the final swap test between registers 1 and 2.
 
@@ -313,14 +308,6 @@ class PairMap:
         P(pair, top=0) = coeff * (1 + |<phi_i|phi_j>|^2)."""
         key = (min(i, j), max(i, j))
         return self.multiplicity[key] / 2.0 ** (self.d + 1)
-
-    def outcomes_for(self, i: int, j: int) -> list[tuple[int, ...]]:
-        key = (min(i, j), max(i, j))
-        return [
-            bits
-            for bits, (a, b) in self.entries.items()
-            if (min(a, b), max(a, b)) == key
-        ]
 
 
 def derive_pair_map(n: int) -> PairMap:

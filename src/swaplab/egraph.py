@@ -3,8 +3,11 @@
 Three routes produce the same graph object: exact brute force over all
 n(n-1)/2 distances, a kd-tree fixed-radius search (identical edge set,
 different work pattern, instrumented with visited-node counters), and the
-simulated quantum pipeline (per-pair swap tests, the naive battery, or the
-recursive multi-state circuit).
+quantum pipeline.  Its standard and naive modes (per-pair swap tests, the
+naive battery) decide each pair from the closed-form swap-test law
+p = (1 + |<a|b>|^2)/2 over one Gram product of the encodings; the multi mode
+still simulates the recursive multi-state circuit on the state vector, as do
+the ``swap-test`` and ``eq1-audit`` runners.
 
 Edges use the strict inequality distance < eps.  The quantum routes operate
 on amplitude-encoded *normalized* points and estimate sqrt(2*(1-|u.w|)), so
@@ -22,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -221,10 +224,6 @@ class KDTree:
     def __len__(self) -> int:
         return self.n
 
-    def in_order(self) -> Iterable[int]:
-        """The stored point indices, leaf by leaf from left to right."""
-        return self.order.tolist()
-
     def range_query(self, center: Sequence[float], radius: float) -> list[int]:
         """Indices of the points at strict distance < radius from center.
 
@@ -321,9 +320,12 @@ def quantum_egraph(
 ) -> tuple[EpsilonGraph, list[stats.OverlapEstimate]]:
     """Build the epsilon graph by simulated quantum distance estimation.
 
-    standard/naive: one swap-test circuit per pair, ``shots`` repetitions
-    each, edge iff p_hat > alpha_eps_standard(eps) (strictly).  The two modes
-    share the decision path; they differ only in gate-count accounting.
+    standard/naive: one swap test per pair, ``shots`` repetitions each, edge
+    iff p_hat > alpha_eps_standard(eps) (strictly).  No circuit is simulated:
+    the ancilla-0 probability p_ij = (1 + G_ij)/2 comes from one Gram product
+    G = |A* A^T|^2 of the stacked encodings, clipped to [0, 1], and a sampled
+    pair draws Binomial(shots, p_ij) from its own stream.  The two modes share
+    the decision path; they differ only in gate-count accounting.
 
     multi: one padded multi-state circuit, ``shots`` total executions; counts
     of (top=0, mid outcome) are aggregated per pair through the derived
@@ -356,21 +358,20 @@ def quantum_egraph(
         return _multi_egraph(cloud, encoded, eps, shots, seed)
 
     alpha = stats.alpha_eps_standard(eps)
-    # every point of a cloud has the same dimension, hence the same width
-    circuit = circuits.build_swap_test(encoded[0].num_qubits)
+    # swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the
+    # clip catches duplicate points, whose |G|^2 can round a hair above 1
+    amps = np.stack([state.amplitudes for state in encoded])
+    probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
     edges = set()
     estimates = []
     for i, j in combinations(range(n), 2):
-        state = circuits.simulate(circuit, [encoded[i], encoded[j]])
+        p = float(probs[i, j])
         if _is_exact(shots):
-            p_hat = statevec.exact_marginal(state, [0])[(0,)]
-            est = stats.estimate_from_probability(p_hat, "standard", pair=(i, j))
+            est = stats.estimate_from_probability(p, "standard", pair=(i, j))
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-            counts = statevec.sample_outcomes(state, [0], shots, rng)
-            est = stats.estimate_from_counts(
-                counts[(0,)], shots, "standard", pair=(i, j)
-            )
+            hits = int(rng.binomial(shots, p))
+            est = stats.estimate_from_counts(hits, shots, "standard", pair=(i, j))
         estimates.append(est)
         if est.p_hat > alpha:
             edges.add((i, j))

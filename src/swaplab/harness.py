@@ -104,10 +104,16 @@ def run_swap_test(
     seed: int = 0,
 ) -> tuple[list[Record], dict]:
     """Single two-state swap test: exact ancilla law plus (optionally
-    sampled) estimates.  Inputs are either Bloch angles or raw vectors."""
+    sampled) estimates.  Inputs are either Bloch angles or two raw vectors
+    of one length."""
     if (vec1 is None) != (vec2 is None):
         raise ValueError("provide both vectors or neither")
     if vec1 is not None:
+        if len(vec1) != len(vec2):
+            raise ValueError(
+                f"vec1 has {len(vec1)} entries and vec2 has {len(vec2)}: "
+                f"the swap test compares vectors of one length"
+            )
         a = egraph.encode_point(vec1)
         b = egraph.encode_point(vec2)
     else:

@@ -289,38 +289,6 @@ def proposition1_lower(n: int, gamma_t: float) -> float:
 
 
 @dataclass(frozen=True)
-class BoundsQuery:
-    """One (alpha, p, N, gamma) cell of the bound machinery; requires the
-    false-negative regime 0 < alpha < p < 1."""
-
-    alpha: float
-    p: float
-    N: int
-    gamma: float
-
-    def __post_init__(self):
-        _check_ordering(self.alpha, self.p)
-        _check_open_unit("gamma", self.gamma)
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-
-    def kl(self) -> float:
-        return kl_bernoulli(self.alpha, self.p)
-
-    def xi_exact(self) -> float:
-        return false_negative_exact(self.N, self.alpha, self.p)
-
-    def upper(self) -> float:
-        return chernoff_upper(self.N, self.alpha, self.p)
-
-    def lower(self) -> float:
-        return chernoff_lower(self.N, self.alpha, self.p)
-
-    def n_gamma(self) -> float:
-        return n_gamma(self.gamma, self.alpha, self.p)
-
-
-@dataclass(frozen=True)
 class OverlapEstimate:
     """Per-pair estimate assembled from measurement counts.
 

@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's own code paths: the binomial tail is
 summed term by term (exact rationals for small N, arbitrary precision with a
-ratio recurrence for large N), and thresholds are recomputed from scratch.
+ratio recurrence for large N), thresholds are recomputed from scratch, and
+the per-pair swap-test statistics of the quantum egraph come from simulating
+each pair's circuit on the state vector instead of the closed-form law.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import mpmath as mp
+import numpy as np
+
+from swaplab import circuits, egraph, statevec
 
 
 def oracle_threshold(N: int, alpha: float) -> int:
@@ -66,3 +72,22 @@ def xi_mpmath(N: int, alpha: float, p: float, dps: int = 50) -> mp.mpf:
             if term < total * cutoff:
                 break
         return 1 - total
+
+
+def per_pair_swap_tests(cloud, shots, seed=0):
+    """The swap-test ancilla-0 statistic of every pair i < j by state-vector
+    simulation: each pair's circuit is simulated, then read exactly (the
+    probability, for shots = inf) or sampled with ``shots`` shots from the
+    stream SeedSequence([seed, i, j]) (the hit count).  Returns
+    {(i, j): probability or hits}."""
+    encoded = [egraph.encode_point(point) for point in cloud.points]
+    circuit = circuits.build_swap_test(encoded[0].num_qubits)
+    table = {}
+    for i, j in combinations(range(len(encoded)), 2):
+        state = circuits.simulate(circuit, [encoded[i], encoded[j]])
+        if shots == float("inf"):
+            table[(i, j)] = statevec.exact_marginal(state, [0])[(0,)]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+            table[(i, j)] = statevec.sample_outcomes(state, [0], shots, rng)[(0,)]
+    return table

@@ -92,11 +92,11 @@ class TestNaiveBattery:
 
 class TestUnCounts:
     def test_u4(self):
-        c = qc.build_u4(1)
+        c = qc.build_un(4, 1)
         assert qc.count_resources(c) == (3, 3, 7)
 
     def test_u4_w2(self):
-        assert qc.build_u4(2).cswap_count == 6
+        assert qc.build_un(4, 2).cswap_count == 6
 
     def test_u8(self):
         assert qc.count_resources(qc.build_un(8, 1)) == (9, 6, 14)
@@ -290,7 +290,11 @@ class TestJointProbabilityLaw:
         state = qc.simulate(circuit, inputs)
         table = sv.exact_marginal(state, circuit.layout.measured_qubits)
         for (i, j), mult in pm.multiplicity.items():
-            agg = sum(table[(0,) + bits] for bits in pm.outcomes_for(i, j))
+            agg = sum(
+                table[(0,) + bits]
+                for bits, (a, b) in pm.entries.items()
+                if {a, b} == {i, j}
+            )
             ovl = abs(sv.inner_product(inputs[i - 1], inputs[j - 1])) ** 2
             assert agg == pytest.approx(mult * (1 + ovl) / 2 ** (pm.d + 1), abs=1e-12)
             assert agg == pytest.approx(

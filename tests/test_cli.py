@@ -1,14 +1,19 @@
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import swaplab
 from swaplab.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SRC = pathlib.Path(swaplab.__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -38,6 +43,20 @@ class TestSubcommands:
         header, row = out.read_text().strip().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
         assert abs(float(cols["p_hat"]) - 0.75) < 0.05
+
+    @pytest.mark.parametrize("vec2", ["1,1,0,0", "1,1"])
+    def test_swap_test_vectors_of_different_lengths(self, vec2):
+        # the 4-vector encodes to the 3-vector's width, the 2-vector does not;
+        # both must fail and name the two lengths
+        proc = subprocess.run(
+            [sys.executable, "-m", "swaplab.cli", "swap-test",
+             "--vec1", "1,0,0", "--vec2", vec2],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode != 0 and not proc.stdout
+        length = len(vec2.split(","))
+        assert f"vec1 has 3 entries and vec2 has {length}" in proc.stderr
 
     def test_pair_map_with_circuit_dump(self, tmp_path):
         out = tmp_path / "pm.csv"

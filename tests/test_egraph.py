@@ -1,13 +1,18 @@
 import math
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swaplab import circuits
 from swaplab import egraph as eg
 from swaplab import statevec as sv
 from swaplab import stats
+
+from oracles import per_pair_swap_tests
 
 
 def ring_cloud(num, step_deg=12.0):
@@ -80,6 +85,47 @@ class TestPointCloud:
         assert np.array_equal(cloud.points, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
 
+def _not_a_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def cloud_csv(draw):
+    """A finite point cloud and its CSV text: .17g cells, and with or
+    without a header row of non-numeric cells."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 4))
+    values = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=n * dim, max_size=n * dim,
+        )
+    )
+    points = np.array(values).reshape(n, dim)
+    lines = [",".join(format(v, ".17g") for v in row) for row in points]
+    names = st.text(st.characters(whitelist_categories=("L",)), min_size=1,
+                    max_size=5).filter(_not_a_number)
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(draw(st.lists(names, min_size=dim, max_size=dim))))
+    return points, "\n".join(lines) + "\n"
+
+
+@given(cloud_csv())
+@settings(max_examples=200, deadline=None)
+def test_load_point_cloud_round_trip(case):
+    points, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cloud.csv"
+        path.write_text(text)
+        loaded = eg.load_point_cloud(path).points
+    assert loaded.shape == points.shape
+    assert np.array_equal(loaded, points)
+
+
 class TestBruteForce:
     def test_collinear(self):
         cloud = eg.PointCloud(np.array([[0.0], [1.0], [2.0]]))
@@ -118,7 +164,7 @@ class TestKDTree:
     def test_single_point(self):
         tree = eg.KDTree(eg.PointCloud(np.zeros((1, 2))))
         assert tree.depth() == 1
-        assert list(tree.in_order()) == [0]
+        assert tree.order.tolist() == [0]
 
     def test_eight_collinear_depth(self):
         tree = eg.KDTree(eg.PointCloud(np.arange(8.0).reshape(-1, 1)))
@@ -134,7 +180,7 @@ class TestKDTree:
         rng = np.random.default_rng(5)
         cloud = eg.PointCloud(rng.normal(size=(137, 4)))
         tree = eg.KDTree(cloud)
-        assert sorted(tree.in_order()) == list(range(137))
+        assert sorted(tree.order.tolist()) == list(range(137))
 
     def test_query_at_data_point_tiny_radius(self):
         rng = np.random.default_rng(7)
@@ -381,8 +427,6 @@ class TestQuantumEgraphSampled:
         """Designed neighbour pair at aligned threshold: the observed
         false-negative frequency over 10^4 sampled trials stays inside
         [lower - 4 sigma, upper + 4 sigma]."""
-        from swaplab import circuits
-
         alpha = stats.alpha_eps_standard(1.0)  # 0.625
         a = sv.make_qubit_state(0.0, 0.0)
         b = sv.make_qubit_state(math.pi / 2, 0.0)
@@ -414,6 +458,58 @@ class TestQuantumEgraphSampled:
             eg.quantum_egraph(cloud, 0.7, 0, "standard", 0)
         with pytest.raises(ValueError):
             eg.quantum_egraph(cloud, 0.7, 100, "bogus", 0)
+
+
+def unit_cloud(dim, seed, num=14, duplicates=False):
+    """Seeded unit-norm cloud of non-negative points with every third point
+    negated, so <a|b> takes both signs.  With ``duplicates``, copies of four
+    points and rescaled copies of four more are appended: pairs whose
+    |<a|b>|^2 rounds a hair above 1."""
+    rng = np.random.default_rng(seed)
+    pts = np.abs(rng.normal(size=(num, dim)))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[::3] *= -1.0
+    if duplicates:
+        pts = np.vstack([pts, pts[:4], 3.0 * pts[4:8]])
+    return eg.PointCloud(pts)
+
+
+class TestQuantumEgraphClosedForm:
+    """The standard and naive modes against the per-pair state-vector route."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])  # register widths 1, 2, 3
+    @pytest.mark.parametrize("mode", ["standard", "naive"])
+    @pytest.mark.parametrize("shots", [eg.EXACT_SHOTS, 1000])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_matches_per_pair_simulation(self, dim, mode, shots, duplicates):
+        cloud = unit_cloud(dim, seed=dim, duplicates=duplicates)
+        eps, seed = 0.8, 17
+        graph, estimates = eg.quantum_egraph(cloud, eps, shots, mode, seed)
+        oracle = per_pair_swap_tests(cloud, shots, seed)
+        assert [est.pair for est in estimates] == list(oracle)
+        for est in estimates:
+            if shots == eg.EXACT_SHOTS:
+                assert abs(est.p_hat - oracle[est.pair]) <= 1e-15
+            else:
+                assert est.hits == oracle[est.pair]
+        alpha = stats.alpha_eps_standard(eps)
+        p_oracle = {
+            pair: value if shots == eg.EXACT_SHOTS else value / shots
+            for pair, value in oracle.items()
+        }
+        assert graph.edges == {pair for pair, p in p_oracle.items() if p > alpha}
+        assert 0 < len(graph.edges) < len(oracle)
+
+    @pytest.mark.parametrize("mode", ["standard", "naive"])
+    @pytest.mark.parametrize("shots", [eg.EXACT_SHOTS, 50])
+    def test_no_circuit_is_simulated(self, monkeypatch, mode, shots):
+        def refuse(*args, **kwargs):
+            raise AssertionError("circuits.simulate called")
+
+        monkeypatch.setattr(circuits, "simulate", refuse)
+        cloud = unit_cloud(3, seed=0, duplicates=True)
+        _, estimates = eg.quantum_egraph(cloud, 0.8, shots, mode, seed=1)
+        assert len(estimates) == len(cloud) * (len(cloud) - 1) // 2
 
 
 class TestCompareGraphs:

@@ -349,10 +349,11 @@ class TestEstimates:
 
     def test_bounds_query_validation(self):
         with pytest.raises(ValueError):
-            stats.BoundsQuery(alpha=0.9, p=0.5, N=10, gamma=0.1)
-        q = stats.BoundsQuery(alpha=0.5, p=0.9, N=10, gamma=0.1)
-        assert q.xi_exact() == pytest.approx(XI_10_05_09, rel=1e-9)
-        assert q.lower() <= q.xi_exact() <= q.upper()
+            stats.chernoff_upper(10, 0.9, 0.5)
+        xi = stats.false_negative_exact(10, 0.5, 0.9)
+        assert xi == pytest.approx(XI_10_05_09, rel=1e-9)
+        lower = stats.chernoff_lower(10, 0.5, 0.9)
+        assert lower <= xi <= stats.chernoff_upper(10, 0.5, 0.9)
 
 
 class TestSandwich:
