@@ -213,6 +213,18 @@ def un_register_swaps(n: int) -> list[tuple[int, int, int]]:
     return _register_swaps(list(range(n)), list(range(d)))
 
 
+def _un_gates(layout: RegisterLayout) -> list[Gate]:
+    """U_n on ``layout``: a Hadamard on every mid ancilla, then the register
+    swap schedule expanded into one CSWAP per register qubit."""
+    gates = [hadamard(q) for q in layout.mid_ancillas]
+    for anc, ra, rb in un_register_swaps(layout.n):
+        gates += [
+            cswap(layout.mid_ancillas[anc], layout.inputs[ra][k], layout.inputs[rb][k])
+            for k in range(layout.w)
+        ]
+    return gates
+
+
 def build_un(n: int, w: int = 1) -> CircuitSpec:
     """The recursive n-state pairing circuit U_n (no final swap test).
 
@@ -228,13 +240,7 @@ def build_un(n: int, w: int = 1) -> CircuitSpec:
         mid_ancillas=tuple(range(d)),
         inputs=_input_registers(d, n, w),
     )
-    gates = [hadamard(q) for q in layout.mid_ancillas]
-    for anc, ra, rb in un_register_swaps(n):
-        gates += [
-            cswap(layout.mid_ancillas[anc], layout.inputs[ra][k], layout.inputs[rb][k])
-            for k in range(w)
-        ]
-    return _make_spec(layout, gates)
+    return _make_spec(layout, _un_gates(layout))
 
 
 def build_multiswap_full(n: int, w: int = 1) -> CircuitSpec:
@@ -254,13 +260,7 @@ def build_multiswap_full(n: int, w: int = 1) -> CircuitSpec:
         mid_ancillas=tuple(range(1, d + 1)),
         inputs=_input_registers(1 + d, n, w),
     )
-    gates = [hadamard(0)]
-    gates += [hadamard(q) for q in layout.mid_ancillas]
-    for anc, ra, rb in un_register_swaps(n):
-        gates += [
-            cswap(layout.mid_ancillas[anc], layout.inputs[ra][k], layout.inputs[rb][k])
-            for k in range(w)
-        ]
+    gates = [hadamard(0)] + _un_gates(layout)
     gates += [cswap(0, layout.inputs[0][k], layout.inputs[1][k]) for k in range(w)]
     gates.append(hadamard(0))
     return _make_spec(layout, gates)

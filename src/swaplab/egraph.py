@@ -1,13 +1,19 @@
 """Point clouds, their quantum encodings, and epsilon-graph constructors.
 
 Three routes produce the same graph object: exact brute force over all
-n(n-1)/2 distances, a kd-tree fixed-radius search (identical edge set,
-different work pattern, instrumented with visited-node counters), and the
-quantum pipeline.  Its standard and naive modes (per-pair swap tests, the
-naive battery) decide each pair from the closed-form swap-test law
-p = (1 + |<a|b>|^2)/2 over one Gram product of the encodings; the multi mode
-still simulates the recursive multi-state circuit on the state vector, as do
-the ``swap-test`` and ``eq1-audit`` runners.
+n(n-1)/2 distances, one row of squared distances at a time, a kd-tree
+fixed-radius search (identical edge set, different work pattern,
+instrumented with visited-node counters), and the quantum pipeline.  A graph
+holds its edges as one sorted int64 array of pair codes i*n + j with i < j.
+
+The quantum modes reduce every pair to a value (a hit count, or an exact
+probability at infinite shots) and a constant c, and one rule decides all of
+them: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive
+modes (per-pair swap tests, the naive battery) take c = 1/2 and read each
+pair's probability from the closed-form swap-test law p = (1 + |<a|b>|^2)/2
+over one Gram product of the encodings; the multi mode takes the pair's
+calibrated constant and still simulates the recursive multi-state circuit on
+the state vector, as do the ``swap-test`` and ``eq1-audit`` runners.
 
 Edges use the strict inequality distance < eps.  The quantum routes operate
 on amplitude-encoded *normalized* points and estimate sqrt(2*(1-|u.w|)), so
@@ -38,7 +44,6 @@ class PointCloud:
     """Finite set of d-dimensional real points (rows of ``points``)."""
 
     points: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -48,10 +53,6 @@ class PointCloud:
             raise ValueError("points must have dimension >= 1")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must have finite coordinates")
-        if self.labels is not None and len(self.labels) != pts.shape[0]:
-            raise ValueError(
-                f"{len(self.labels)} labels for {pts.shape[0]} points"
-            )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -108,19 +109,39 @@ def load_point_cloud(path) -> PointCloud:
     return PointCloud(np.array(rows))
 
 
-@dataclass(frozen=True)
+def _pair_set(codes: np.ndarray, n: int) -> frozenset[tuple[int, int]]:
+    i, j = np.divmod(codes, n)
+    return frozenset(zip(i.tolist(), j.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class EpsilonGraph:
     """Undirected graph with edges exactly between points at distance < eps.
-    Edges are stored canonically as (i, j) with i < j."""
+
+    ``codes`` holds each edge (i, j), i < j, once as the pair code i*n + j,
+    in increasing order; it is kept as a read-only int64 array."""
 
     n: int
     eps: float
-    edges: frozenset[tuple[int, int]]
+    codes: np.ndarray
 
     def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i}, {j}) invalid for n={self.n}")
+        codes = np.asarray(self.codes, dtype=np.int64).view()
+        if codes.ndim != 1:
+            raise ValueError(f"edge codes must be 1-D, got shape {codes.shape}")
+        i, j = np.divmod(codes, max(self.n, 1))
+        bad = np.flatnonzero((codes < 0) | (i >= j))  # i >= j takes codes >= n^2
+        if bad.size:
+            raise ValueError(f"edge code {codes[bad[0]]} invalid for n={self.n}")
+        if np.any(np.diff(codes) <= 0):
+            raise ValueError("edge codes must be strictly increasing")
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (i, j) pairs with i < j."""
+        return _pair_set(self.codes, self.n)
 
 
 @dataclass(frozen=True)
@@ -141,25 +162,19 @@ class GraphDiff:
 
 
 def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
-    """All n(n-1)/2 squared distances against eps^2, strict inequality."""
+    """All n(n-1)/2 squared distances against eps^2, strict inequality, one
+    row at a time so memory stays linear in n.  Row i's hits j > i come out
+    in order, so the codes are sorted as emitted."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     pts = cloud.points
     n = len(cloud)
     eps_sq = eps * eps
-    if n <= 2000:
-        ii, jj = np.triu_indices(n, 1)
-        d_sq = ((pts[ii] - pts[jj]) ** 2).sum(axis=1)
-        mask = d_sq < eps_sq
-        edges = frozenset(zip(ii[mask].tolist(), jj[mask].tolist()))
-        return EpsilonGraph(n, eps, edges)
-    # row-by-row variant keeps memory linear for large clouds
-    edges = set()
+    codes = [np.zeros(0, dtype=np.int64)]
     for i in range(n):
         d_sq = np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1)
-        hits = np.nonzero(d_sq < eps_sq)[0]
-        edges.update(zip([i] * hits.size, (hits + i + 1).tolist()))
-    return EpsilonGraph(n, eps, frozenset(edges))
+        codes.append(np.flatnonzero(d_sq < eps_sq) + (i * n + i + 1))
+    return EpsilonGraph(n, eps, np.concatenate(codes))
 
 
 LEAF_SIZE = 32
@@ -278,10 +293,11 @@ def kdtree_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     tree = KDTree(cloud)
-    edges = []
+    n = len(cloud)
+    codes = []
     for i, point in enumerate(cloud.points):
-        edges.extend((i, j) for j in tree.range_query(point, eps) if j > i)
-    return EpsilonGraph(len(cloud), eps, frozenset(edges))
+        codes.extend(i * n + j for j in tree.range_query(point, eps) if j > i)
+    return EpsilonGraph(n, eps, np.sort(np.array(codes, dtype=np.int64)))
 
 
 def encode_point(v: Sequence[float]) -> StateVector:
@@ -320,28 +336,34 @@ def quantum_egraph(
 ) -> tuple[EpsilonGraph, list[stats.OverlapEstimate]]:
     """Build the epsilon graph by simulated quantum distance estimation.
 
-    standard/naive: one swap test per pair, ``shots`` repetitions each, edge
-    iff p_hat > alpha_eps_standard(eps) (strictly).  No circuit is simulated:
-    the ancilla-0 probability p_ij = (1 + G_ij)/2 comes from one Gram product
+    Every mode yields, per pair, a value (hits out of ``shots``, or the exact
+    probability) and a constant c with p = c * (1 + |<a|b>|^2); the pair is
+    an edge iff p_hat > c * ((1 - eps^2/2)^2 + 1), strictly.  eps must lie in
+    (0, sqrt(2)], the range of the estimated distance sqrt(2*(1 - |<a|b>|)).
+
+    standard/naive: one swap test per pair, ``shots`` repetitions each, and
+    c = 1/2, so the threshold is alpha_eps_standard(eps).  No circuit is
+    simulated: p_ij = (1 + G_ij)/2 comes from one Gram product
     G = |A* A^T|^2 of the stacked encodings, clipped to [0, 1], and a sampled
-    pair draws Binomial(shots, p_ij) from its own stream.  The two modes share
-    the decision path; they differ only in gate-count accounting.
+    pair draws Binomial(shots, p_ij) from its own stream.  The two modes
+    differ only in gate-count accounting.
 
     multi: one padded multi-state circuit, ``shots`` total executions; counts
     of (top=0, mid outcome) are aggregated per pair through the derived
-    outcome map and compared against the pair's own calibrated threshold
-    pair_constant * ((1-eps^2/2)^2 + 1), so the infinite-shot limit
-    reproduces the brute-force graph regardless of outcome multiplicities.
-    Pairs involving padding registers are discarded.
+    outcome map, and c is the pair's calibrated pair_constant, so the
+    infinite-shot limit reproduces the brute-force graph regardless of
+    outcome multiplicities.  Pairs involving padding registers are discarded.
 
     Pass shots = math.inf for exact (infinite-shot) decisions.  Deterministic
     for a given seed.
     """
     if mode not in ("standard", "naive", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not _is_exact(shots):
+    # 2 * alpha_eps_standard is the law's scale (1 - eps^2/2)^2 + 1; the
+    # call rejects eps outside (0, sqrt(2)]
+    scale = 2.0 * stats.alpha_eps_standard(eps)
+    exact = _is_exact(shots)
+    if not exact:
         shots = int(shots)
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
@@ -353,32 +375,39 @@ def quantum_egraph(
             raise ValueError(f"point {i}: {exc}") from None
     n = len(encoded)
     if n < 2:
-        return EpsilonGraph(n, eps, frozenset()), []
-    if mode == "multi":
-        return _multi_egraph(cloud, encoded, eps, shots, seed)
+        return EpsilonGraph(n, eps, []), []
+    pair_values = _multi_values if mode == "multi" else _swap_test_values
 
-    alpha = stats.alpha_eps_standard(eps)
-    # swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the
-    # clip catches duplicate points, whose |G|^2 can round a hair above 1
+    codes = []
+    estimates = []
+    for i, j, value, c in pair_values(encoded, shots, seed):
+        if exact:
+            est = stats.estimate_from_probability(float(value), c, pair=(i, j))
+        else:
+            est = stats.estimate_from_counts(int(value), shots, c, pair=(i, j))
+        estimates.append(est)
+        if est.p_hat > c * scale:
+            codes.append(i * n + j)
+    return EpsilonGraph(n, eps, codes), estimates
+
+
+def _swap_test_values(encoded, shots, seed):
+    """(i, j, value, 1/2) per pair i < j in order, from the swap-test law
+    p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the clip catches
+    duplicate points, whose |G|^2 can round a hair above 1."""
     amps = np.stack([state.amplitudes for state in encoded])
     probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
-    edges = set()
-    estimates = []
-    for i, j in combinations(range(n), 2):
-        p = float(probs[i, j])
+    for i, j in combinations(range(len(encoded)), 2):
         if _is_exact(shots):
-            est = stats.estimate_from_probability(p, "standard", pair=(i, j))
+            yield i, j, probs[i, j], 0.5
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-            hits = int(rng.binomial(shots, p))
-            est = stats.estimate_from_counts(hits, shots, "standard", pair=(i, j))
-        estimates.append(est)
-        if est.p_hat > alpha:
-            edges.add((i, j))
-    return EpsilonGraph(n, eps, frozenset(edges)), estimates
+            yield i, j, rng.binomial(shots, probs[i, j]), 0.5
 
 
-def _multi_egraph(cloud, encoded, eps, shots, seed):
+def _multi_values(encoded, shots, seed):
+    """(i, j, value, pair_constant) per pair of real inputs that the
+    multi-state circuit's (top=0) outcomes reach, in order."""
     w = encoded[0].num_qubits
     padded = circuits.pad_inputs(encoded, w)
     m = len(padded)
@@ -391,14 +420,12 @@ def _multi_egraph(cloud, encoded, eps, shots, seed):
     pair_map = circuits.derive_pair_map(m)
     state = circuits.simulate(circuit, padded)
     measured = circuit.layout.measured_qubits
-    threshold_scale = (1.0 - eps * eps / 2.0) ** 2 + 1.0
     if _is_exact(shots):
         table = statevec.exact_marginal(state, measured)
     else:
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         table = statevec.sample_outcomes(state, measured, shots, rng)
 
-    n = len(cloud)
     hits_by_pair: dict[tuple[int, int], float] = {}
     for bits, value in table.items():
         if bits[0] != 0:
@@ -406,29 +433,12 @@ def _multi_egraph(cloud, encoded, eps, shots, seed):
         a, b = pair_map.entries[bits[1:]]
         key = (min(a, b), max(a, b))
         hits_by_pair[key] = hits_by_pair.get(key, 0.0) + value
-
-    edges = set()
-    estimates = []
-    for a, b in sorted(hits_by_pair):
-        i, j = a - 1, b - 1  # register labels are 1-based
-        if j >= n:
-            continue  # padding register
-        c_pair = pair_map.pair_constant(a, b)
-        alpha_pair = c_pair * threshold_scale
-        if _is_exact(shots):
-            p_hat = hits_by_pair[(a, b)]
-            est = stats.estimate_from_probability(
-                p_hat, "multi", n=m, constant=c_pair, pair=(i, j)
-            )
-        else:
-            hits = int(hits_by_pair[(a, b)])
-            est = stats.estimate_from_counts(
-                hits, shots, "multi", n=m, constant=c_pair, pair=(i, j)
-            )
-        estimates.append(est)
-        if est.p_hat > alpha_pair:
-            edges.add((i, j))
-    return EpsilonGraph(n, eps, frozenset(edges)), estimates
+    # register labels are 1-based; labels past the inputs are padding
+    return [
+        (a - 1, b - 1, value, pair_map.pair_constant(a, b))
+        for (a, b), value in sorted(hits_by_pair.items())
+        if b <= len(encoded)
+    ]
 
 
 def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff:
@@ -438,9 +448,10 @@ def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff
         raise ValueError(
             f"graphs have different vertex counts: {reference.n} vs {estimate.n}"
         )
+    ref, est, n = reference.codes, estimate.codes, reference.n
     return GraphDiff(
-        false_negatives=frozenset(reference.edges - estimate.edges),
-        false_positives=frozenset(estimate.edges - reference.edges),
+        false_negatives=_pair_set(np.setdiff1d(ref, est, assume_unique=True), n),
+        false_positives=_pair_set(np.setdiff1d(est, ref, assume_unique=True), n),
     )
 
 
@@ -450,13 +461,15 @@ def write_edge_list(
     estimates: Sequence[stats.OverlapEstimate] = (),
 ) -> None:
     """CSV edge list: columns i, j, distance_estimate (empty when no
-    estimate exists for the pair, as in the classical modes)."""
-    by_pair = {est.pair: est for est in estimates if est.pair is not None}
+    estimate exists for the pair, as in the classical modes), with the CRLF
+    line ends of the csv module, formatted from the codes in one write."""
+    n = graph.n
+    distance = {
+        est.pair[0] * n + est.pair[1]: format(est.distance_hat, ".17g")
+        for est in estimates
+    }
+    cells = [distance.get(code, "") for code in graph.codes.tolist()]
+    i, j = np.divmod(graph.codes, n)
+    rows = map("{},{},{}\r\n".format, i.tolist(), j.tolist(), cells)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "distance_estimate"])
-        for i, j in sorted(graph.edges):
-            est = by_pair.get((i, j))
-            writer.writerow(
-                [i, j, "" if est is None else f"{est.distance_hat:.17g}"]
-            )
+        fh.write("i,j,distance_estimate\r\n" + "".join(rows))

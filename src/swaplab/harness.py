@@ -128,9 +128,9 @@ def run_swap_test(
         counts = statevec.sample_outcomes(
             state, [0], shots, np.random.default_rng(np.random.SeedSequence([seed]))
         )
-        est = stats.estimate_from_counts(counts[(0,)], shots, "standard")
+        est = stats.estimate_from_counts(counts[(0,)], shots)
     else:
-        est = stats.estimate_from_probability(p_exact, "standard")
+        est = stats.estimate_from_probability(p_exact)
     record = {
         "w": a.num_qubits,
         "shots": float(shots) if not math.isfinite(shots) else shots,

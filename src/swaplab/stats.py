@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 from scipy.special import logsumexp
@@ -307,24 +306,8 @@ class OverlapEstimate:
     clamped: bool = False
 
 
-EstimateMode = Literal["standard", "multi"]
-
-
-def _estimate_fields(
-    p_hat: float, mode: EstimateMode, n: int | None, constant: float | None
-) -> tuple[float, float, bool]:
-    if mode == "standard":
-        raw = 2.0 * p_hat - 1.0
-    elif mode == "multi":
-        if constant is not None:
-            c = constant
-        else:
-            if n is None:
-                raise ValueError("multi mode needs n (or an explicit constant)")
-            c = 8.0 / float(n) ** 3
-        raw = p_hat / c - 1.0
-    else:
-        raise ValueError(f"unknown estimate mode {mode!r}")
+def _estimate_fields(p_hat: float, constant: float) -> tuple[float, float, bool]:
+    raw = p_hat / constant - 1.0
     overlap_sq = min(1.0, max(0.0, raw))
     clamped = not (0.0 <= raw <= 1.0)
     distance = overlap_to_distance(math.sqrt(overlap_sq))
@@ -334,36 +317,30 @@ def _estimate_fields(
 def estimate_from_counts(
     hits: int,
     shots: int,
-    mode: EstimateMode,
-    n: int | None = None,
-    constant: float | None = None,
+    constant: float = 0.5,
     pair: tuple[int, int] | None = None,
 ) -> OverlapEstimate:
-    """Turn qualifying-outcome counts into an overlap/distance estimate.
-
-    standard: p_hat inverted through p = (1 + o^2)/2.
-    multi: p_hat inverted through p = constant * (1 + o^2), where constant
-    defaults to the nominal 2^3/n^3 and may be overridden with a calibrated
-    per-pair coefficient (circuits.PairMap.pair_constant).
+    """Turn qualifying-outcome counts into an overlap/distance estimate by
+    inverting p = constant * (1 + o^2).  The default 1/2 is the standard
+    swap test; a multi-state pair passes its calibrated coefficient
+    (circuits.PairMap.pair_constant).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= hits <= shots:
         raise ValueError(f"hits must lie in [0, {shots}], got {hits}")
     p_hat = hits / shots
-    overlap_sq, distance, clamped = _estimate_fields(p_hat, mode, n, constant)
+    overlap_sq, distance, clamped = _estimate_fields(p_hat, constant)
     return OverlapEstimate(pair, shots, hits, p_hat, overlap_sq, distance, clamped)
 
 
 def estimate_from_probability(
     p: float,
-    mode: EstimateMode,
-    n: int | None = None,
-    constant: float | None = None,
+    constant: float = 0.5,
     pair: tuple[int, int] | None = None,
 ) -> OverlapEstimate:
     """Infinite-shot variant of estimate_from_counts (shots_total = 0)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    overlap_sq, distance, clamped = _estimate_fields(p, mode, n, constant)
+    overlap_sq, distance, clamped = _estimate_fields(p, constant)
     return OverlapEstimate(pair, 0, 0, p, overlap_sq, distance, clamped)

@@ -58,6 +58,20 @@ class TestSubcommands:
         length = len(vec2.split(","))
         assert f"vec1 has 3 entries and vec2 has {length}" in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["quantum-standard", "quantum-naive", "quantum-multi"])
+    def test_egraph_eps_beyond_sqrt2(self, tmp_path, mode):
+        points = tmp_path / "quarter.csv"
+        points.write_text("1,0\n0.8,0.6\n0.6,0.8\n0,1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "swaplab.cli", "egraph", "--points", str(points),
+             "--eps", "2.0", "--mode", mode, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode != 0 and not proc.stdout
+        assert "eps must lie in (0, sqrt(2)], got 2.0" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_pair_map_with_circuit_dump(self, tmp_path):
         out = tmp_path / "pm.csv"
         dump = tmp_path / "circuit.json"

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tempfile
 from itertools import combinations
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
 from swaplab import circuits
 from swaplab import egraph as eg
@@ -146,18 +149,18 @@ class TestBruteForce:
         assert not eg.brute_force_egraph(cloud, 1.0).edges
         assert eg.brute_force_egraph(cloud, 1.0 + 1e-9).edges
 
-    def test_large_small_paths_agree(self):
-        # the vectorized and row-by-row variants must match
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(0, 1, (150, 3))
-        small = eg.brute_force_egraph(eg.PointCloud(pts), 0.4)
-        big = eg.EpsilonGraph  # row path forced via a large-n clone
-        edges = set()
-        for i in range(150):
-            d_sq = np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1)
-            for off in np.nonzero(d_sq < 0.16)[0]:
-                edges.add((i, i + 1 + int(off)))
-        assert small.edges == frozenset(edges)
+    @pytest.mark.parametrize("n", [1, 2, 150, 2100])
+    def test_matches_pdist_at_mid_gap_eps(self, n):
+        # eps halfway between two neighbouring distinct distances, so no
+        # pair sits within rounding of the threshold
+        pts = np.random.default_rng(n).uniform(0, 1, (n, 3))
+        dist = pdist(pts)
+        gaps = np.unique(np.concatenate([dist, [0.0, 2.0]]))
+        k = gaps.size // 2
+        eps = (gaps[k - 1] + gaps[k]) / 2
+        ii, jj = np.triu_indices(n, 1)
+        graph = eg.brute_force_egraph(eg.PointCloud(pts), eps)
+        assert np.array_equal(graph.codes, (ii * n + jj)[dist < eps])
 
 
 class TestKDTree:
@@ -452,6 +455,16 @@ class TestQuantumEgraphSampled:
             with pytest.raises(ValueError, match="point 2: cannot encode"):
                 eg.quantum_egraph(eg.PointCloud(pts), 0.7, 100, mode, 0)
 
+    @pytest.mark.parametrize("mode", ["standard", "naive", "multi"])
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, 2.0])
+    def test_eps_beyond_sqrt2_is_rejected(self, mode, eps):
+        # past sqrt(2) the threshold law no longer decides distance < eps:
+        # at eps = 2 brute force joins all six pairs of this quarter circle,
+        # while p_hat > c * ((1 - eps^2/2)^2 + 1) joins none
+        cloud = eg.PointCloud(np.array([[1, 0], [0.8, 0.6], [0.6, 0.8], [0, 1]]))
+        with pytest.raises(ValueError, match=rf"eps .*{eps}"):
+            eg.quantum_egraph(cloud, eps, eg.EXACT_SHOTS, mode, 0)
+
     def test_shots_validation(self):
         cloud = ring_cloud(4)
         with pytest.raises(ValueError):
@@ -514,48 +527,68 @@ class TestQuantumEgraphClosedForm:
 
 class TestCompareGraphs:
     def test_identical(self):
-        g = eg.EpsilonGraph(3, 1.0, frozenset({(0, 1)}))
+        g = eg.EpsilonGraph(3, 1.0, [1])  # (0, 1)
         diff = eg.compare_graphs(g, g)
         assert diff.fn_count == 0 and diff.fp_count == 0
 
     def test_false_negative(self):
-        ref = eg.EpsilonGraph(2, 1.0, frozenset({(0, 1)}))
-        est = eg.EpsilonGraph(2, 1.0, frozenset())
+        ref = eg.EpsilonGraph(2, 1.0, [1])
+        est = eg.EpsilonGraph(2, 1.0, [])
         diff = eg.compare_graphs(ref, est)
         assert diff.false_negatives == {(0, 1)} and diff.fp_count == 0
 
     def test_false_positive(self):
-        ref = eg.EpsilonGraph(2, 1.0, frozenset())
-        est = eg.EpsilonGraph(2, 1.0, frozenset({(0, 1)}))
+        ref = eg.EpsilonGraph(2, 1.0, [])
+        est = eg.EpsilonGraph(2, 1.0, [1])
         diff = eg.compare_graphs(ref, est)
         assert diff.false_positives == {(0, 1)} and diff.fn_count == 0
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             eg.compare_graphs(
-                eg.EpsilonGraph(2, 1.0, frozenset()),
-                eg.EpsilonGraph(3, 1.0, frozenset()),
+                eg.EpsilonGraph(2, 1.0, []),
+                eg.EpsilonGraph(3, 1.0, []),
             )
 
     def test_edge_validation(self):
-        with pytest.raises(ValueError):
-            eg.EpsilonGraph(2, 1.0, frozenset({(1, 0)}))
+        # n = 3: unsorted, duplicate, i > j, i = j, negative, n^2, beyond n^2
+        for codes in ([5, 1], [1, 1], [3], [4], [-1], [9], [1, 10]):
+            with pytest.raises(ValueError):
+                eg.EpsilonGraph(3, 1.0, codes)
+
+    def test_edges_view(self):
+        graph = eg.EpsilonGraph(3, 1.0, [1, 2, 5])
+        assert graph.edges == {(0, 1), (0, 2), (1, 2)}
+        assert graph.codes.dtype == np.int64 and not graph.codes.flags.writeable
+
+
+def csv_edge_list(rows):
+    """The edge-list bytes that the csv module writes for ``rows``."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["i", "j", "distance_estimate"], *rows])
+    return buf.getvalue().encode()
 
 
 class TestEdgeListOutput:
     def test_classical_rows_have_empty_estimate(self, tmp_path):
-        graph = eg.EpsilonGraph(3, 1.0, frozenset({(0, 1), (1, 2)}))
+        graph = eg.EpsilonGraph(3, 1.0, [1, 5])  # (0, 1), (1, 2)
         path = tmp_path / "edges.csv"
         eg.write_edge_list(path, graph)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "i,j,distance_estimate"
-        assert lines[1] == "0,1,"
+        assert path.read_bytes() == b"i,j,distance_estimate\r\n0,1,\r\n1,2,\r\n"
+        assert path.read_bytes() == csv_edge_list([[0, 1, ""], [1, 2, ""]])
+
+    def test_empty_graph(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        eg.write_edge_list(path, eg.EpsilonGraph(4, 1.0, []))
+        assert path.read_bytes() == b"i,j,distance_estimate\r\n"
 
     def test_quantum_rows_carry_estimates(self, tmp_path):
         cloud = ring_cloud(4)
-        graph, estimates = eg.quantum_egraph(cloud, 0.9, eg.EXACT_SHOTS, "standard", 0)
+        # eps between the 24- and 36-degree chords: some pairs are not edges
+        graph, estimates = eg.quantum_egraph(cloud, 0.5, eg.EXACT_SHOTS, "standard", 0)
         path = tmp_path / "edges.csv"
         eg.write_edge_list(path, graph, estimates)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(graph.edges)
-        assert all(line.split(",")[2] for line in lines[1:])
+        distance = {est.pair: est.distance_hat for est in estimates}
+        rows = [[i, j, f"{distance[i, j]:.17g}"] for i, j in sorted(graph.edges)]
+        assert 0 < len(rows) < len(estimates)
+        assert path.read_bytes() == csv_edge_list(rows)

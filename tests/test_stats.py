@@ -315,36 +315,36 @@ class TestScalingCurves:
 
 class TestEstimates:
     def test_standard_parallel(self):
-        est = stats.estimate_from_counts(100, 100, "standard")
+        est = stats.estimate_from_counts(100, 100)
         assert est.p_hat == 1.0 and est.overlap_sq_hat == 1.0 and est.distance_hat == 0.0
 
     def test_standard_orthogonal(self):
-        est = stats.estimate_from_counts(50, 100, "standard")
+        est = stats.estimate_from_counts(50, 100)
         assert est.overlap_sq_hat == 0.0
         assert est.distance_hat == pytest.approx(math.sqrt(2))
 
     def test_multi_inversion_n4(self):
-        est = stats.estimate_from_counts(25, 100, "multi", n=4)
+        est = stats.estimate_from_counts(25, 100, constant=8 / 4**3)
         assert est.p_hat == 0.25
         assert est.overlap_sq_hat == pytest.approx(1.0)
         assert est.distance_hat == pytest.approx(0.0, abs=1e-7)
 
     def test_multi_custom_constant(self):
-        est = stats.estimate_from_counts(30, 100, "multi", constant=0.2)
+        est = stats.estimate_from_counts(30, 100, constant=0.2)
         assert est.overlap_sq_hat == pytest.approx(0.5)
 
     def test_clamping_flag(self):
-        est = stats.estimate_from_counts(10, 100, "standard")
+        est = stats.estimate_from_counts(10, 100)
         assert est.clamped and est.overlap_sq_hat == 0.0
-        est = stats.estimate_from_counts(90, 100, "standard")
+        est = stats.estimate_from_counts(90, 100)
         assert not est.clamped
 
     def test_hits_exceed_shots(self):
         with pytest.raises(ValueError):
-            stats.estimate_from_counts(101, 100, "standard")
+            stats.estimate_from_counts(101, 100)
 
     def test_exact_probability_variant(self):
-        est = stats.estimate_from_probability(0.75, "standard", pair=(0, 1))
+        est = stats.estimate_from_probability(0.75, pair=(0, 1))
         assert est.shots_total == 0 and est.overlap_sq_hat == pytest.approx(0.5)
 
     def test_bounds_query_validation(self):
