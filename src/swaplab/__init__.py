@@ -35,8 +35,7 @@ from .stats import (
     alpha_eps_standard,
     chernoff_lower,
     chernoff_upper,
-    estimate_from_counts,
-    estimate_from_probability,
+    estimate_overlaps,
     false_negative_exact,
     gamma_tilde,
     kl_bernoulli,

@@ -20,13 +20,16 @@ from .egraph import EXACT_SHOTS
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers; "a..b" expands to the inclusive range."""
+    """Comma-separated integers; "a..b" expands to the inclusive range,
+    which must not be empty."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("..", 1))
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"empty range {part}: {lo} > {hi}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out

@@ -6,9 +6,10 @@ fixed-radius search (identical edge set, different work pattern,
 instrumented with visited-node counters), and the quantum pipeline.  A graph
 holds its edges as one sorted int64 array of pair codes i*n + j with i < j.
 
-The quantum modes reduce every pair to a value (a hit count, or an exact
-probability at infinite shots) and a constant c, and one rule decides all of
-them: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive
+The quantum modes reduce their pairs to columns (i, j, a hit count or an
+exact probability at infinite shots, and a constant c), which one estimate
+table carries to both output files; one mask decides every pair: edge iff
+p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive
 modes (per-pair swap tests, the naive battery) take c = 1/2 and read each
 pair's probability from the closed-form swap-test law p = (1 + |<a|b>|^2)/2
 over one Gram product of the encodings; the multi mode takes the pair's
@@ -30,7 +31,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Literal, Sequence
 
 import numpy as np
@@ -165,8 +165,8 @@ def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     """All n(n-1)/2 squared distances against eps^2, strict inequality, one
     row at a time so memory stays linear in n.  Row i's hits j > i come out
     in order, so the codes are sorted as emitted."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     pts = cloud.points
     n = len(cloud)
     eps_sq = eps * eps
@@ -248,8 +248,8 @@ class KDTree:
         brute_force_egraph uses, so the two constructors decide every pair
         alike.
         """
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {radius}")
         c = np.asarray(center, dtype=float).reshape(-1)
         if c.size != self.dim:
             raise ValueError(
@@ -290,8 +290,8 @@ class KDTree:
 def kdtree_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     """Same edge set as brute_force_egraph, built with one range query per
     point, keeping the hits j > i."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     tree = KDTree(cloud)
     n = len(cloud)
     codes = []
@@ -323,23 +323,21 @@ GraphMode = Literal["standard", "naive", "multi"]
 EXACT_SHOTS = math.inf
 
 
-def _is_exact(shots) -> bool:
-    return not math.isfinite(shots)
-
-
 def quantum_egraph(
     cloud: PointCloud,
     eps: float,
     shots,
     mode: GraphMode = "standard",
     seed: int = 0,
-) -> tuple[EpsilonGraph, list[stats.OverlapEstimate]]:
-    """Build the epsilon graph by simulated quantum distance estimation.
+) -> tuple[EpsilonGraph, stats.OverlapEstimate]:
+    """Build the epsilon graph by simulated quantum distance estimation;
+    return it with its stats.OverlapEstimate table (``pairs`` set).
 
-    Every mode yields, per pair, a value (hits out of ``shots``, or the exact
-    probability) and a constant c with p = c * (1 + |<a|b>|^2); the pair is
-    an edge iff p_hat > c * ((1 - eps^2/2)^2 + 1), strictly.  eps must lie in
-    (0, sqrt(2)], the range of the estimated distance sqrt(2*(1 - |<a|b>|)).
+    Every mode yields columns (i, j, value, c) in pair order: hits out of
+    ``shots`` or the exact probability, and c with p = c * (1 + |<a|b>|^2).
+    One mask decides all pairs: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1),
+    strictly.  eps must lie in (0, sqrt(2)], the range of the estimated
+    distance sqrt(2*(1 - |<a|b>|)).
 
     standard/naive: one swap test per pair, ``shots`` repetitions each, and
     c = 1/2, so the threshold is alpha_eps_standard(eps).  No circuit is
@@ -362,8 +360,7 @@ def quantum_egraph(
     # 2 * alpha_eps_standard is the law's scale (1 - eps^2/2)^2 + 1; the
     # call rejects eps outside (0, sqrt(2)]
     scale = 2.0 * stats.alpha_eps_standard(eps)
-    exact = _is_exact(shots)
-    if not exact:
+    if math.isfinite(shots):
         shots = int(shots)
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
@@ -375,39 +372,34 @@ def quantum_egraph(
             raise ValueError(f"point {i}: {exc}") from None
     n = len(encoded)
     if n < 2:
-        return EpsilonGraph(n, eps, []), []
+        return EpsilonGraph(n, eps, []), stats.estimate_overlaps([], shots, pairs=[])
     pair_values = _multi_values if mode == "multi" else _swap_test_values
-
-    codes = []
-    estimates = []
-    for i, j, value, c in pair_values(encoded, shots, seed):
-        if exact:
-            est = stats.estimate_from_probability(float(value), c, pair=(i, j))
-        else:
-            est = stats.estimate_from_counts(int(value), shots, c, pair=(i, j))
-        estimates.append(est)
-        if est.p_hat > c * scale:
-            codes.append(i * n + j)
+    i, j, values, c = pair_values(encoded, shots, seed)
+    estimates = stats.estimate_overlaps(values, shots, c, np.column_stack([i, j]))
+    codes = (i * n + j)[estimates.p_hat > c * scale]
     return EpsilonGraph(n, eps, codes), estimates
 
 
 def _swap_test_values(encoded, shots, seed):
-    """(i, j, value, 1/2) per pair i < j in order, from the swap-test law
-    p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the clip catches
-    duplicate points, whose |G|^2 can round a hair above 1."""
+    """Columns (i, j, value, 1/2) over the pairs i < j in order, from the
+    swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the
+    clip catches duplicate points, whose |G|^2 can round a hair above 1."""
     amps = np.stack([state.amplitudes for state in encoded])
     probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
-    for i, j in combinations(range(len(encoded)), 2):
-        if _is_exact(shots):
-            yield i, j, probs[i, j], 0.5
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-            yield i, j, rng.binomial(shots, probs[i, j]), 0.5
+    i, j = np.triu_indices(len(encoded), 1)
+    values = probs[i, j]
+    if math.isfinite(shots):
+        pair_seeds = ([seed, a, b] for a, b in zip(i.tolist(), j.tolist()))
+        values = np.array([
+            np.random.default_rng(np.random.SeedSequence(key)).binomial(shots, p)
+            for key, p in zip(pair_seeds, values.tolist())
+        ])
+    return i, j, values, 0.5
 
 
 def _multi_values(encoded, shots, seed):
-    """(i, j, value, pair_constant) per pair of real inputs that the
-    multi-state circuit's (top=0) outcomes reach, in order."""
+    """Columns (i, j, value, pair_constant) over the pairs of real inputs
+    that the multi-state circuit's (top=0) outcomes reach, in order."""
     w = encoded[0].num_qubits
     padded = circuits.pad_inputs(encoded, w)
     m = len(padded)
@@ -420,25 +412,23 @@ def _multi_values(encoded, shots, seed):
     pair_map = circuits.derive_pair_map(m)
     state = circuits.simulate(circuit, padded)
     measured = circuit.layout.measured_qubits
-    if _is_exact(shots):
-        table = statevec.exact_marginal(state, measured)
-    else:
+    if math.isfinite(shots):
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         table = statevec.sample_outcomes(state, measured, shots, rng)
+    else:
+        table = statevec.exact_marginal(state, measured)
 
     hits_by_pair: dict[tuple[int, int], float] = {}
     for bits, value in table.items():
-        if bits[0] != 0:
-            continue
-        a, b = pair_map.entries[bits[1:]]
-        key = (min(a, b), max(a, b))
-        hits_by_pair[key] = hits_by_pair.get(key, 0.0) + value
-    # register labels are 1-based; labels past the inputs are padding
-    return [
-        (a - 1, b - 1, value, pair_map.pair_constant(a, b))
-        for (a, b), value in sorted(hits_by_pair.items())
-        if b <= len(encoded)
-    ]
+        a, b = sorted(pair_map.entries[bits[1:]])
+        # register labels are 1-based; labels past the inputs are padding
+        if bits[0] == 0 and b <= len(encoded):
+            hits_by_pair[a, b] = hits_by_pair.get((a, b), 0.0) + value
+    pairs = sorted(hits_by_pair)
+    a, b = np.array(pairs, dtype=np.int64).T
+    values = np.array([hits_by_pair[key] for key in pairs])
+    constants = np.array([pair_map.pair_constant(*key) for key in pairs])
+    return a - 1, b - 1, values, constants
 
 
 def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff:
@@ -458,18 +448,27 @@ def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff
 def write_edge_list(
     path,
     graph: EpsilonGraph,
-    estimates: Sequence[stats.OverlapEstimate] = (),
+    estimates: stats.OverlapEstimate | None = None,
 ) -> None:
-    """CSV edge list: columns i, j, distance_estimate (empty when no
-    estimate exists for the pair, as in the classical modes), with the CRLF
-    line ends of the csv module, formatted from the codes in one write."""
+    """CSV edge list: columns i, j, distance_estimate, with the CRLF line
+    ends of the csv module, formatted from the codes in one write.  The
+    distance is empty without ``estimates`` (classical modes), else read
+    from the table row of the edge's pair; an edge without one raises."""
     n = graph.n
-    distance = {
-        est.pair[0] * n + est.pair[1]: format(est.distance_hat, ".17g")
-        for est in estimates
-    }
-    cells = [distance.get(code, "") for code in graph.codes.tolist()]
     i, j = np.divmod(graph.codes, n)
-    rows = map("{},{},{}\r\n".format, i.tolist(), j.tolist(), cells)
+    if estimates is None:
+        rows = map("{},{},\r\n".format, i.tolist(), j.tolist())
+    else:
+        pairs = estimates.pairs
+        found, row, _ = np.intersect1d(
+            pairs[:, 0] * n + pairs[:, 1], graph.codes, return_indices=True
+        )
+        if found.size < graph.codes.size:
+            missing = np.setdiff1d(graph.codes, found)[0]
+            raise ValueError(
+                f"edge ({missing // n}, {missing % n}) has no row in the estimates"
+            )
+        distance = estimates.distance_hat[row].tolist()
+        rows = map("{},{},{:.17g}\r\n".format, i.tolist(), j.tolist(), distance)
     with open(path, "w", newline="") as fh:
         fh.write("i,j,distance_estimate\r\n" + "".join(rows))

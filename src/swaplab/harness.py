@@ -123,25 +123,24 @@ def run_swap_test(
     state = circuits.simulate(circuit, [a, b])
     p_exact = statevec.exact_marginal(state, [0])[(0,)]
     overlap_sq_true = abs(statevec.inner_product(a, b)) ** 2
+    value = p_exact
     if math.isfinite(shots):
         shots = int(shots)
-        counts = statevec.sample_outcomes(
+        value = statevec.sample_outcomes(
             state, [0], shots, np.random.default_rng(np.random.SeedSequence([seed]))
-        )
-        est = stats.estimate_from_counts(counts[(0,)], shots)
-    else:
-        est = stats.estimate_from_probability(p_exact)
+        )[(0,)]
+    est = stats.estimate_overlaps(value, shots)
     record = {
         "w": a.num_qubits,
         "shots": float(shots) if not math.isfinite(shots) else shots,
         "seed": seed,
         "p_exact": p_exact,
-        "p_hat": est.p_hat,
+        "p_hat": est.p_hat.item(),
         "overlap_sq_true": overlap_sq_true,
-        "overlap_sq_hat": est.overlap_sq_hat,
+        "overlap_sq_hat": est.overlap_sq_hat.item(),
         "distance_true": stats.overlap_to_distance(math.sqrt(overlap_sq_true)),
-        "distance_hat": est.distance_hat,
-        "clamped": est.clamped,
+        "distance_hat": est.distance_hat.item(),
+        "clamped": est.clamped.item(),
     }
     metadata = {
         "p_exact": "ancilla-0 probability (1 + |<a|b>|^2)/2 from exact simulation",
@@ -467,7 +466,7 @@ def run_egraph_trial(
     failure."""
     cloud = egraph.load_point_cloud(points_path)
     reference = egraph.brute_force_egraph(cloud, eps)
-    estimates: list[stats.OverlapEstimate] = []
+    estimates = None
     if mode == "brute":
         estimate = reference
     elif mode == "kdtree":
@@ -484,20 +483,21 @@ def run_egraph_trial(
     egraph.write_edge_list(
         os.path.join(out_dir, "estimate_edges.csv"), estimate, estimates
     )
-    est_records = [
-        {
-            "i": est.pair[0],
-            "j": est.pair[1],
-            "shots": est.shots_total,
-            "hits": est.hits,
-            "p_hat": est.p_hat,
-            "overlap_sq_hat": est.overlap_sq_hat,
-            "distance_hat": est.distance_hat,
-            "clamped": est.clamped,
+    if estimates is not None and estimates.p_hat.size:
+        # Python scalars from .tolist(): _fmt_cell writes bools as true/false
+        # and json.dump rejects numpy bools
+        columns = {
+            "i": estimates.pairs[:, 0],
+            "j": estimates.pairs[:, 1],
+            "shots": estimates.shots_total,
+            "hits": estimates.hits,
+            "p_hat": estimates.p_hat,
+            "overlap_sq_hat": estimates.overlap_sq_hat,
+            "distance_hat": estimates.distance_hat,
+            "clamped": estimates.clamped,
         }
-        for est in estimates
-    ]
-    if est_records:
+        rows = zip(*(column.tolist() for column in columns.values()))
+        est_records = [dict(zip(columns, row)) for row in rows]
         write_records(
             est_records,
             os.path.join(out_dir, f"estimates.{fmt}"),

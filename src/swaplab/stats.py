@@ -287,60 +287,58 @@ def proposition1_lower(n: int, gamma_t: float) -> float:
     return float(n) ** 3 * math.log(1.0 / gamma_t) / math.log(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapEstimate:
-    """Per-pair estimate assembled from measurement counts.
+    """Overlap/distance estimates as equal-length columns, one entry per
+    estimated statistic (per pair, in pair order, when ``pairs`` is set).
 
     p_hat is exactly hits/shots_total; overlap_sq_hat and distance_hat are
-    clamped to their valid domains, with ``clamped`` flagging records whose
-    raw inversion fell outside.  Exact-probability records (infinite-shot
-    mode) carry shots_total = 0 and hits = 0 with p_hat set directly.
+    clamped to their valid domains, with ``clamped`` flagging entries whose
+    raw inversion fell outside.  Exact-probability entries (infinite shots)
+    carry shots_total = 0 and hits = 0 with p_hat set directly.  ``pairs``
+    is an optional (k, 2) int64 array of the (i, j) each entry belongs to.
     """
 
-    pair: tuple[int, int] | None
-    shots_total: int
-    hits: int
-    p_hat: float
-    overlap_sq_hat: float
-    distance_hat: float
-    clamped: bool = False
+    shots_total: np.ndarray
+    hits: np.ndarray
+    p_hat: np.ndarray
+    overlap_sq_hat: np.ndarray
+    distance_hat: np.ndarray
+    clamped: np.ndarray
+    pairs: np.ndarray | None = None
 
 
-def _estimate_fields(p_hat: float, constant: float) -> tuple[float, float, bool]:
+def estimate_overlaps(values, shots, constant=0.5, pairs=None) -> OverlapEstimate:
+    """Invert p = constant * (1 + o^2) for every entry of ``values``: hit
+    counts out of ``shots``, or exact probabilities when shots is infinite.
+    ``constant`` is a scalar or one value per entry; the default 1/2 is the
+    standard swap test, and a multi-state pair passes its calibrated
+    coefficient (circuits.PairMap.pair_constant).  Every entry is validated.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if math.isfinite(shots):
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        shots = int(shots)
+        bad = ~((values >= 0) & (values <= shots) & (values == np.floor(values)))
+        what = f"hits must be whole numbers in [0, {shots}]"
+    else:
+        shots = 0
+        bad = ~((values >= 0.0) & (values <= 1.0))
+        what = "probability must lie in [0, 1]"
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{what}, got {values[k]} at entry {k}")
+    hits = values.astype(np.int64) if shots else np.zeros(values.size, dtype=np.int64)
+    p_hat = hits / shots if shots else values
     raw = p_hat / constant - 1.0
-    overlap_sq = min(1.0, max(0.0, raw))
-    clamped = not (0.0 <= raw <= 1.0)
-    distance = overlap_to_distance(math.sqrt(overlap_sq))
-    return overlap_sq, distance, clamped
-
-
-def estimate_from_counts(
-    hits: int,
-    shots: int,
-    constant: float = 0.5,
-    pair: tuple[int, int] | None = None,
-) -> OverlapEstimate:
-    """Turn qualifying-outcome counts into an overlap/distance estimate by
-    inverting p = constant * (1 + o^2).  The default 1/2 is the standard
-    swap test; a multi-state pair passes its calibrated coefficient
-    (circuits.PairMap.pair_constant).
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if not 0 <= hits <= shots:
-        raise ValueError(f"hits must lie in [0, {shots}], got {hits}")
-    p_hat = hits / shots
-    overlap_sq, distance, clamped = _estimate_fields(p_hat, constant)
-    return OverlapEstimate(pair, shots, hits, p_hat, overlap_sq, distance, clamped)
-
-
-def estimate_from_probability(
-    p: float,
-    constant: float = 0.5,
-    pair: tuple[int, int] | None = None,
-) -> OverlapEstimate:
-    """Infinite-shot variant of estimate_from_counts (shots_total = 0)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    overlap_sq, distance, clamped = _estimate_fields(p, constant)
-    return OverlapEstimate(pair, 0, 0, p, overlap_sq, distance, clamped)
+    overlap_sq = np.clip(raw, 0.0, 1.0)
+    return OverlapEstimate(
+        shots_total=np.full(values.size, shots, dtype=np.int64),
+        hits=hits,
+        p_hat=p_hat,
+        overlap_sq_hat=overlap_sq,
+        distance_hat=np.sqrt(2.0 * (1.0 - np.sqrt(overlap_sq))),
+        clamped=~((raw >= 0.0) & (raw <= 1.0)),
+        pairs=pairs if pairs is None else np.asarray(pairs, np.int64).reshape(-1, 2),
+    )

@@ -91,3 +91,26 @@ def per_pair_swap_tests(cloud, shots, seed=0):
             rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
             table[(i, j)] = statevec.sample_outcomes(state, [0], shots, rng)[(0,)]
     return table
+
+
+def multi_pair_probabilities(cloud):
+    """Exact P(top = 0, pair) of every pair i < j of real inputs in the
+    multi-state circuit by state-vector simulation: the exact marginal of the
+    measured qubits, summed over each pair's mid outcomes in outcome order.
+    Returns {(i, j): (probability, pair_constant)}."""
+    encoded = [egraph.encode_point(point) for point in cloud.points]
+    w = encoded[0].num_qubits
+    padded = circuits.pad_inputs(encoded, w)
+    circuit = circuits.build_multiswap_full(len(padded), w)
+    pair_map = circuits.derive_pair_map(len(padded))
+    state = circuits.simulate(circuit, padded)
+    marginal = statevec.exact_marginal(state, circuit.layout.measured_qubits)
+    table = {}
+    for bits, p in marginal.items():
+        a, b = sorted(pair_map.entries[bits[1:]])  # 1-based register labels
+        if bits[0] == 0 and b <= len(encoded):
+            table[a - 1, b - 1] = table.get((a - 1, b - 1), 0.0) + p
+    return {
+        (i, j): (table[i, j], pair_map.pair_constant(i + 1, j + 1))
+        for i, j in sorted(table)
+    }

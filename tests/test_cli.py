@@ -20,6 +20,15 @@ def run_cli(args):
     assert main(args) == 0
 
 
+def _swaplab(*args):
+    """The CLI in a child process, with its exit code and both streams."""
+    return subprocess.run(
+        [sys.executable, "-m", "swaplab.cli", *args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
 class TestSubcommands:
     def test_lemma1(self, tmp_path):
         out = tmp_path / "lemma1.csv"
@@ -71,6 +80,25 @@ class TestSubcommands:
         assert proc.returncode != 0 and not proc.stdout
         assert "eps must lie in (0, sqrt(2)], got 2.0" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["brute", "kdtree"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_egraph_non_finite_eps(self, tmp_path, mode, eps):
+        points = tmp_path / "two.csv"
+        points.write_text("0,0\n1,0\n")
+        proc = _swaplab("egraph", "--points", str(points), "--eps", eps,
+                        "--mode", mode, "--out", str(tmp_path / "out"))
+        assert proc.returncode != 0 and not proc.stdout
+        assert f"eps must be finite and positive, got {eps}" in proc.stderr
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand,span", [("bounds", "5..1"), ("gatecount", "32..4")]
+    )
+    def test_reversed_n_list_range(self, subcommand, span):
+        proc = _swaplab(subcommand, "--n-list", span)
+        assert proc.returncode != 0 and not proc.stdout
+        assert f"argument --n-list: empty range {span}" in proc.stderr
 
     def test_pair_map_with_circuit_dump(self, tmp_path):
         out = tmp_path / "pm.csv"

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -163,7 +164,21 @@ class TestBruteForce:
         assert np.array_equal(graph.codes, (ii * n + jj)[dist < eps])
 
 
+@pytest.mark.parametrize("build", [eg.brute_force_egraph, eg.kdtree_egraph])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_eps_must_be_finite_and_positive(build, eps):
+    cloud = eg.PointCloud(np.array([[0.0, 0.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match=f"eps must be finite and positive, got {eps}"):
+        build(cloud, eps)
+
+
 class TestKDTree:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        tree = eg.KDTree(eg.PointCloud(np.zeros((4, 2))))
+        with pytest.raises(ValueError, match=f"finite and positive, got {radius}"):
+            tree.range_query([0.0, 0.0], radius)
+
     def test_single_point(self):
         tree = eg.KDTree(eg.PointCloud(np.zeros((1, 2))))
         assert tree.depth() == 1
@@ -325,34 +340,33 @@ class TestQuantumEgraphExact:
         reference = eg.brute_force_egraph(cloud, 0.7)
         graph, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, mode, seed=0)
         assert graph.edges == reference.edges
-        assert len(estimates) == 28
+        assert len(estimates.p_hat) == 28
 
     def test_exact_mode_distance_estimates(self):
         cloud = ring_cloud(8)
         _, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "standard", 0)
         pts = cloud.points
-        for est in estimates:
-            i, j = est.pair
-            assert est.distance_hat == pytest.approx(
-                np.linalg.norm(pts[i] - pts[j]), abs=1e-9
-            )
+        i, j = estimates.pairs.T
+        assert estimates.distance_hat == pytest.approx(
+            np.linalg.norm(pts[i] - pts[j], axis=1), abs=1e-9
+        )
 
     def test_multi_exact_distance_estimates(self):
         cloud = ring_cloud(8)
         _, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
         pts = cloud.points
-        assert len(estimates) == 28
-        for est in estimates:
-            i, j = est.pair
-            assert est.distance_hat == pytest.approx(
-                np.linalg.norm(pts[i] - pts[j]), abs=1e-9
-            )
+        assert len(estimates.p_hat) == 28
+        i, j = estimates.pairs.T
+        assert estimates.distance_hat == pytest.approx(
+            np.linalg.norm(pts[i] - pts[j], axis=1), abs=1e-9
+        )
 
     def test_padding_pairs_dropped(self):
         cloud = ring_cloud(5)  # padded to 8 registers internally
         graph, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
         assert graph.n == 5
-        assert {est.pair for est in estimates} == set(combinations(range(5), 2))
+        pairs = set(map(tuple, estimates.pairs.tolist()))
+        assert pairs == set(combinations(range(5), 2))
         assert graph.edges == eg.brute_force_egraph(cloud, 0.7).edges
 
     def test_exact_mode_dim3_wide_registers(self):
@@ -383,7 +397,8 @@ class TestQuantumEgraphSampled:
         a, ea = eg.quantum_egraph(cloud, 0.7, 200, "standard", seed=5)
         b, eb = eg.quantum_egraph(cloud, 0.7, 200, "standard", seed=5)
         assert a.edges == b.edges
-        assert [(e.pair, e.hits) for e in ea] == [(e.pair, e.hits) for e in eb]
+        assert ea.pairs.tolist() == eb.pairs.tolist()
+        assert ea.hits.tolist() == eb.hits.tolist()
 
     def test_different_seed_can_differ(self):
         cloud = ring_cloud(6)
@@ -404,7 +419,7 @@ class TestQuantumEgraphSampled:
         reference = eg.brute_force_egraph(cloud, 0.7)
         graph, estimates = eg.quantum_egraph(cloud, 0.7, 2_000_000, "multi", seed=11)
         assert graph.edges == reference.edges
-        total_hits = sum(e.hits for e in estimates)
+        total_hits = int(estimates.hits.sum())
         assert 0 < total_hits <= 2_000_000
 
     def test_no_false_positives_on_separated_cloud(self):
@@ -499,12 +514,11 @@ class TestQuantumEgraphClosedForm:
         eps, seed = 0.8, 17
         graph, estimates = eg.quantum_egraph(cloud, eps, shots, mode, seed)
         oracle = per_pair_swap_tests(cloud, shots, seed)
-        assert [est.pair for est in estimates] == list(oracle)
-        for est in estimates:
-            if shots == eg.EXACT_SHOTS:
-                assert abs(est.p_hat - oracle[est.pair]) <= 1e-15
-            else:
-                assert est.hits == oracle[est.pair]
+        assert list(map(tuple, estimates.pairs.tolist())) == list(oracle)
+        if shots == eg.EXACT_SHOTS:
+            assert np.all(np.abs(estimates.p_hat - list(oracle.values())) <= 1e-15)
+        else:
+            assert estimates.hits.tolist() == list(oracle.values())
         alpha = stats.alpha_eps_standard(eps)
         p_oracle = {
             pair: value if shots == eg.EXACT_SHOTS else value / shots
@@ -522,7 +536,7 @@ class TestQuantumEgraphClosedForm:
         monkeypatch.setattr(circuits, "simulate", refuse)
         cloud = unit_cloud(3, seed=0, duplicates=True)
         _, estimates = eg.quantum_egraph(cloud, 0.8, shots, mode, seed=1)
-        assert len(estimates) == len(cloud) * (len(cloud) - 1) // 2
+        assert len(estimates.p_hat) == len(cloud) * (len(cloud) - 1) // 2
 
 
 class TestCompareGraphs:
@@ -582,13 +596,31 @@ class TestEdgeListOutput:
         eg.write_edge_list(path, eg.EpsilonGraph(4, 1.0, []))
         assert path.read_bytes() == b"i,j,distance_estimate\r\n"
 
+    @pytest.mark.parametrize(
+        "codes,table_pairs,missing",
+        [
+            ([1, 5], [(0, 1), (0, 2)], "(1, 2)"),  # past the last row
+            ([2], [(0, 1), (1, 2)], "(0, 2)"),  # between two rows
+            ([1], [], "(0, 1)"),
+        ],
+    )
+    def test_edge_without_estimate_row_raises(self, tmp_path, codes, table_pairs,
+                                              missing):
+        graph = eg.EpsilonGraph(3, 1.0, codes)
+        values = [0.9] * len(table_pairs)
+        estimates = stats.estimate_overlaps(values, math.inf, pairs=table_pairs)
+        with pytest.raises(ValueError, match=re.escape(f"edge {missing} has no row")):
+            eg.write_edge_list(tmp_path / "edges.csv", graph, estimates)
+
     def test_quantum_rows_carry_estimates(self, tmp_path):
         cloud = ring_cloud(4)
         # eps between the 24- and 36-degree chords: some pairs are not edges
         graph, estimates = eg.quantum_egraph(cloud, 0.5, eg.EXACT_SHOTS, "standard", 0)
         path = tmp_path / "edges.csv"
         eg.write_edge_list(path, graph, estimates)
-        distance = {est.pair: est.distance_hat for est in estimates}
+        distance = dict(
+            zip(map(tuple, estimates.pairs.tolist()), estimates.distance_hat.tolist())
+        )
         rows = [[i, j, f"{distance[i, j]:.17g}"] for i, j in sorted(graph.edges)]
-        assert 0 < len(rows) < len(estimates)
+        assert 0 < len(rows) < len(estimates.p_hat)
         assert path.read_bytes() == csv_edge_list(rows)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from swaplab import circuits, harness, stats
+from swaplab import circuits, egraph, harness, stats
+
+from oracles import multi_pair_probabilities, per_pair_swap_tests
 
 
 class TestWriters:
@@ -220,6 +222,61 @@ class TestEgraphTrial:
             harness.run_egraph_trial(
                 tmp_path / "nope.csv", 0.7, "brute", 10, 0, tmp_path / "y"
             )
+
+
+def _oracle_rows(table, shots):
+    """estimates.* records, as Python scalars, from {(i, j): (value,
+    constant)}: the scalar inversion of p = constant * (1 + o^2)."""
+    rows = []
+    for (i, j), (value, constant) in table.items():
+        p_hat = value / shots if math.isfinite(shots) else value
+        raw = p_hat / constant - 1.0
+        overlap_sq = min(1.0, max(0.0, raw))
+        rows.append({
+            "i": i,
+            "j": j,
+            "shots": shots if math.isfinite(shots) else 0,
+            "hits": value if math.isfinite(shots) else 0,
+            "p_hat": p_hat,
+            "overlap_sq_hat": overlap_sq,
+            "distance_hat": math.sqrt(2.0 * (1.0 - math.sqrt(overlap_sq))),
+            "clamped": not 0.0 <= raw <= 1.0,
+        })
+    return rows
+
+
+class TestEstimatesFile:
+    """The estimates.* bytes of an egraph unit against rows rebuilt from the
+    state-vector oracles and written by write_records."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "mode,shots", [("quantum-standard", 500), ("quantum-multi", math.inf)]
+    )
+    def test_bytes_match_oracle_rows(self, tmp_path, mode, shots, fmt):
+        angles = [math.radians(a) for a in (0, 30, 60, 90)]
+        points = [[math.cos(a), math.sin(a)] for a in angles]
+        path = tmp_path / "cloud.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in points))
+        cloud = egraph.load_point_cloud(path)
+        if mode == "quantum-standard":
+            hits = per_pair_swap_tests(cloud, shots, seed=0)
+            table = {pair: (value, 0.5) for pair, value in hits.items()}
+        else:
+            table = multi_pair_probabilities(cloud)
+            for (i, j), (p, constant) in table.items():
+                overlap_sq = float(cloud.points[i] @ cloud.points[j]) ** 2
+                assert p == pytest.approx(constant * (1 + overlap_sq), abs=1e-12)
+        rows = _oracle_rows(table, shots)
+        assert len(rows) == 6 and any(row["clamped"] for row in rows)
+
+        out = tmp_path / "run"
+        harness.run_egraph_trial(path, 0.7, mode, shots, 0, out, fmt)
+        written = out / f"estimates.{fmt}"
+        expected = tmp_path / f"expected.{fmt}"
+        metadata = json.loads(written.read_text())["metadata"] if fmt == "json" else {}
+        harness.write_records(rows, expected, fmt, metadata)
+        assert written.read_bytes() == expected.read_bytes()
 
 
 class TestPairMapRunner:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,37 +316,56 @@ class TestScalingCurves:
 
 class TestEstimates:
     def test_standard_parallel(self):
-        est = stats.estimate_from_counts(100, 100)
-        assert est.p_hat == 1.0 and est.overlap_sq_hat == 1.0 and est.distance_hat == 0.0
+        est = stats.estimate_overlaps([100], 100)
+        assert est.p_hat[0] == 1.0 and est.overlap_sq_hat[0] == 1.0
+        assert est.distance_hat[0] == 0.0
 
     def test_standard_orthogonal(self):
-        est = stats.estimate_from_counts(50, 100)
-        assert est.overlap_sq_hat == 0.0
-        assert est.distance_hat == pytest.approx(math.sqrt(2))
+        est = stats.estimate_overlaps([50], 100)
+        assert est.overlap_sq_hat[0] == 0.0
+        assert est.distance_hat[0] == pytest.approx(math.sqrt(2))
 
     def test_multi_inversion_n4(self):
-        est = stats.estimate_from_counts(25, 100, constant=8 / 4**3)
-        assert est.p_hat == 0.25
-        assert est.overlap_sq_hat == pytest.approx(1.0)
-        assert est.distance_hat == pytest.approx(0.0, abs=1e-7)
+        est = stats.estimate_overlaps([25], 100, constant=8 / 4**3)
+        assert est.p_hat[0] == 0.25
+        assert est.overlap_sq_hat[0] == pytest.approx(1.0)
+        assert est.distance_hat[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_multi_custom_constant(self):
-        est = stats.estimate_from_counts(30, 100, constant=0.2)
-        assert est.overlap_sq_hat == pytest.approx(0.5)
+        est = stats.estimate_overlaps([30], 100, constant=0.2)
+        assert est.overlap_sq_hat[0] == pytest.approx(0.5)
 
     def test_clamping_flag(self):
-        est = stats.estimate_from_counts(10, 100)
-        assert est.clamped and est.overlap_sq_hat == 0.0
-        est = stats.estimate_from_counts(90, 100)
-        assert not est.clamped
+        est = stats.estimate_overlaps([10, 90], 100)
+        assert est.clamped.tolist() == [True, False]
+        assert est.overlap_sq_hat[0] == 0.0
 
     def test_hits_exceed_shots(self):
         with pytest.raises(ValueError):
-            stats.estimate_from_counts(101, 100)
+            stats.estimate_overlaps([101], 100)
+
+    @pytest.mark.parametrize(
+        "values,shots,bad",
+        [
+            ([0, 50, 100, 101, 7], 100, "101.0 at entry 3"),
+            ([3, -1, 4], 10, "-1.0 at entry 1"),
+            ([3, 2.5, 4], 10, "2.5 at entry 1"),
+            ([0.0, 0.5, 1.0, 1.0000001, 0.9], math.inf, "1.0000001 at entry 3"),
+            ([0.2, math.nan, 0.4], math.inf, "nan at entry 1"),
+        ],
+    )
+    def test_one_bad_entry_among_many(self, values, shots, bad):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            stats.estimate_overlaps(values, shots)
+
+    def test_per_entry_constants(self):
+        est = stats.estimate_overlaps([0.75, 0.3], math.inf, constant=[0.5, 0.2])
+        assert est.overlap_sq_hat == pytest.approx([0.5, 0.5])
 
     def test_exact_probability_variant(self):
-        est = stats.estimate_from_probability(0.75, pair=(0, 1))
-        assert est.shots_total == 0 and est.overlap_sq_hat == pytest.approx(0.5)
+        est = stats.estimate_overlaps([0.75], math.inf, pairs=[(0, 1)])
+        assert est.shots_total[0] == 0 and est.overlap_sq_hat[0] == pytest.approx(0.5)
+        assert est.pairs.tolist() == [[0, 1]]
 
     def test_bounds_query_validation(self):
         with pytest.raises(ValueError):
