@@ -284,19 +284,21 @@ def pad_inputs(states: Sequence[StateVector], w: int) -> list[StateVector]:
     return padded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairMap:
     """Mid-ancilla outcome -> the ordered pair of input labels (1-based) left
     in registers 1 and 2 after U_n, plus per-unordered-pair multiplicities.
 
-    Every one of the 2^{d_n} outcomes maps to exactly one pair, and every
-    unordered pair is reached by at least one outcome; multiplicities are not
-    uniform, which is why per-pair probabilities carry a factor
-    multiplicity/2^{d_n+1} rather than a single constant.
+    ``pairs`` is a read-only (2^{d_n}, 2) int64 array indexed by outcome
+    number (the first mid ancilla is the most significant bit).  Every
+    outcome maps to exactly one pair, and every unordered pair is reached by
+    at least one outcome; multiplicities are not uniform, which is why
+    per-pair probabilities carry a factor multiplicity/2^{d_n+1} rather than
+    a single constant.
     """
 
     n: int
-    entries: dict[tuple[int, ...], tuple[int, int]]
+    pairs: np.ndarray
     multiplicity: dict[tuple[int, int], int]
 
     @property
@@ -308,6 +310,15 @@ class PairMap:
         P(pair, top=0) = coeff * (1 + |<phi_i|phi_j>|^2)."""
         key = (min(i, j), max(i, j))
         return self.multiplicity[key] / 2.0 ** (self.d + 1)
+
+    def reduce_by_pair(self, values, ufunc=np.add) -> np.ndarray:
+        """Fold per-outcome ``values`` into one float per unordered pair with
+        ``ufunc`` from 0, in outcome order (a sum adds as a loop would), for
+        the pairs in the order of combinations(range(1, n + 1), 2)."""
+        lo, hi = np.sort(self.pairs, axis=1).T - 1
+        table = np.zeros((self.n, self.n))
+        ufunc.at(table, (lo, hi), values)
+        return table[np.triu_indices(self.n, 1)]
 
 
 def derive_pair_map(n: int) -> PairMap:
@@ -342,18 +353,14 @@ def derive_pair_map(n: int) -> PairMap:
         np.sort(contents, axis=1), np.tile(np.arange(1, n + 1), (2**d, 1))
     ):
         raise AssertionError("branch of U_n is not a register permutation")
-    entries: dict[tuple[int, ...], tuple[int, int]] = {}
-    multiplicity: dict[tuple[int, int], int] = {}
-    for row in range(2**d):
-        key = tuple(int(b) for b in bits[row])
-        i, j = int(contents[row, 0]), int(contents[row, 1])
-        entries[key] = (i, j)
-        pair = (min(i, j), max(i, j))
-        multiplicity[pair] = multiplicity.get(pair, 0) + 1
+    pairs = contents[:, :2].astype(np.int64)
+    pairs.flags.writeable = False
+    keys, counts = np.unique(np.sort(pairs, axis=1), axis=0, return_counts=True)
+    multiplicity = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
     missing = set(combinations(range(1, n + 1), 2)) - set(multiplicity)
     if missing:
         raise AssertionError(f"pair map does not cover pairs {sorted(missing)}")
-    return PairMap(n, entries, multiplicity)
+    return PairMap(n, pairs, multiplicity)
 
 
 def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector:

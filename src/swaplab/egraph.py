@@ -318,7 +318,7 @@ def encode_point(v: Sequence[float]) -> StateVector:
 
 GraphMode = Literal["standard", "naive", "multi"]
 
-# picked up by tests and reports: quantum runs with a non-finite shot budget
+# picked up by tests and reports: quantum runs with an infinite shot budget
 # use exact marginals instead of sampling
 EXACT_SHOTS = math.inf
 
@@ -352,18 +352,15 @@ def quantum_egraph(
     infinite-shot limit reproduces the brute-force graph regardless of
     outcome multiplicities.  Pairs involving padding registers are discarded.
 
-    Pass shots = math.inf for exact (infinite-shot) decisions.  Deterministic
-    for a given seed.
+    ``shots`` is a whole number >= 1, or math.inf for exact (infinite-shot)
+    decisions.  Deterministic for a given seed.
     """
     if mode not in ("standard", "naive", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
     # 2 * alpha_eps_standard is the law's scale (1 - eps^2/2)^2 + 1; the
     # call rejects eps outside (0, sqrt(2)]
     scale = 2.0 * stats.alpha_eps_standard(eps)
-    if math.isfinite(shots):
-        shots = int(shots)
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = stats.check_shots(shots)
     encoded = []
     for i, point in enumerate(cloud.points):
         try:
@@ -398,8 +395,9 @@ def _swap_test_values(encoded, shots, seed):
 
 
 def _multi_values(encoded, shots, seed):
-    """Columns (i, j, value, pair_constant) over the pairs of real inputs
-    that the multi-state circuit's (top=0) outcomes reach, in order."""
+    """Columns (i, j, value, pair_constant) over the pairs i < j of real
+    inputs, in order: the (top=0) outcome counts or probabilities of the
+    multi-state circuit, summed per pair through the pair map."""
     w = encoded[0].num_qubits
     padded = circuits.pad_inputs(encoded, w)
     m = len(padded)
@@ -417,18 +415,14 @@ def _multi_values(encoded, shots, seed):
         table = statevec.sample_outcomes(state, measured, shots, rng)
     else:
         table = statevec.exact_marginal(state, measured)
-
-    hits_by_pair: dict[tuple[int, int], float] = {}
-    for bits, value in table.items():
-        a, b = sorted(pair_map.entries[bits[1:]])
-        # register labels are 1-based; labels past the inputs are padding
-        if bits[0] == 0 and b <= len(encoded):
-            hits_by_pair[a, b] = hits_by_pair.get((a, b), 0.0) + value
-    pairs = sorted(hits_by_pair)
-    a, b = np.array(pairs, dtype=np.int64).T
-    values = np.array([hits_by_pair[key] for key in pairs])
-    constants = np.array([pair_map.pair_constant(*key) for key in pairs])
-    return a - 1, b - 1, values, constants
+    # the top ancilla is the most significant bit: top = 0 is the first half
+    values = pair_map.reduce_by_pair(table[: table.size // 2])
+    i, j = np.triu_indices(m, 1)
+    real = j < len(encoded)  # padding registers come after the inputs
+    i, j = i[real], j[real]
+    labels = zip((i + 1).tolist(), (j + 1).tolist())
+    constants = np.array([pair_map.pair_constant(a, b) for a, b in labels])
+    return i, j, values[real], constants
 
 
 def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff:

@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import os
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -119,20 +118,20 @@ def run_swap_test(
     else:
         a = statevec.make_qubit_state(theta1, phi1)
         b = statevec.make_qubit_state(theta2, phi2)
+    shots = stats.check_shots(shots)
     circuit = circuits.build_swap_test(a.num_qubits)
     state = circuits.simulate(circuit, [a, b])
-    p_exact = statevec.exact_marginal(state, [0])[(0,)]
+    p_exact = statevec.exact_marginal(state, [0])[0].item()
     overlap_sq_true = abs(statevec.inner_product(a, b)) ** 2
     value = p_exact
     if math.isfinite(shots):
-        shots = int(shots)
         value = statevec.sample_outcomes(
             state, [0], shots, np.random.default_rng(np.random.SeedSequence([seed]))
-        )[(0,)]
+        )[0]
     est = stats.estimate_overlaps(value, shots)
     record = {
         "w": a.num_qubits,
-        "shots": float(shots) if not math.isfinite(shots) else shots,
+        "shots": shots,
         "seed": seed,
         "p_exact": p_exact,
         "p_hat": est.p_hat.item(),
@@ -157,17 +156,17 @@ def run_pair_map(
     outcome, plus per-pair multiplicities and calibration constants.  With
     ``dump_circuit`` set, the circuit U_n of width ``w`` is also written to
     that path as JSON."""
+    if w < 1:
+        raise ValueError(f"register width must be >= 1, got {w}")
     pm = circuits.derive_pair_map(n)
     records = []
-    for bits in sorted(pm.entries):
-        i, j = pm.entries[bits]
-        key = (min(i, j), max(i, j))
+    for outcome, (i, j) in enumerate(pm.pairs.tolist()):
         records.append(
             {
-                "outcome": "".join(str(b) for b in bits),
+                "outcome": format(outcome, f"0{pm.d}b"),
                 "i": i,
                 "j": j,
-                "multiplicity": pm.multiplicity[key],
+                "multiplicity": pm.multiplicity[min(i, j), max(i, j)],
                 "pair_constant": pm.pair_constant(i, j),
             }
         )
@@ -202,37 +201,37 @@ def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[Record], dic
     pm = circuits.derive_pair_map(n)
     d = pm.d
     measured = circuit.layout.measured_qubits
+    pair_i, pair_j = np.triu_indices(n, 1)  # the pair order of reduce_by_pair
+    labels_i, labels_j = (pair_i + 1).tolist(), (pair_j + 1).tolist()
     records = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         inputs = _random_qubit_states(rng, n)
         state = circuits.simulate(circuit, inputs)
         table = statevec.exact_marginal(state, measured)
-        total = sum(table.values())
+        # a sequential sum in outcome order (ndarray.sum adds pairwise)
+        total = sum(table.tolist())
         if abs(total - 1.0) > 1e-10:
             raise RuntimeError(f"marginal does not normalize: {total}")
-        overlaps = {}
-        for i, j in combinations(range(1, n + 1), 2):
-            overlaps[(i, j)] = (
-                abs(statevec.inner_product(inputs[i - 1], inputs[j - 1])) ** 2
-            )
-        agg: dict[tuple[int, int], float] = {}
-        outcome_delta: dict[tuple[int, int], float] = {}
-        for bits, (i, j) in pm.entries.items():
-            key = (min(i, j), max(i, j))
-            prob = table[(0,) + bits]
-            expected = (1.0 + overlaps[key]) / 2.0 ** (d + 1)
-            delta = abs(prob - expected)
-            outcome_delta[key] = max(outcome_delta.get(key, 0.0), delta)
-            agg[key] = agg.get(key, 0.0) + prob
-        max_delta = max(outcome_delta.values())
+        overlaps = np.zeros((n, n))
+        for i, j in zip(pair_i.tolist(), pair_j.tolist()):
+            ovl = abs(statevec.inner_product(inputs[i], inputs[j])) ** 2
+            overlaps[i, j] = overlaps[j, i] = ovl
+        # the top ancilla is the most significant bit: top = 0 is the first half
+        top0 = table[: 2**d]
+        mapped = overlaps[pm.pairs[:, 0] - 1, pm.pairs[:, 1] - 1]
+        outcome_delta = np.abs(top0 - (1.0 + mapped) / 2.0 ** (d + 1))
+        max_delta = outcome_delta.max()
         if max_delta > 1e-10:
             raise RuntimeError(
                 f"per-outcome probability law violated by {max_delta:.3e}"
             )
-        for i, j in sorted(agg):
-            ovl = overlaps[(i, j)]
-            p_agg = agg[(i, j)]
+        columns = zip(
+            labels_i, labels_j, overlaps[pair_i, pair_j].tolist(),
+            pm.reduce_by_pair(top0).tolist(),
+            pm.reduce_by_pair(outcome_delta, np.maximum).tolist(),
+        )
+        for i, j, ovl, p_agg, pair_delta in columns:
             c_emp = p_agg / (1.0 + ovl)
             c_paper = 8.0 / float(n) ** 3
             records.append(
@@ -248,7 +247,7 @@ def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[Record], dic
                     "c_pair_empirical": c_emp,
                     "c_nominal": c_paper,
                     "ratio_empirical_to_nominal": c_emp / c_paper,
-                    "max_outcome_delta": outcome_delta[(i, j)],
+                    "max_outcome_delta": pair_delta,
                     "marginal_total": total,
                 }
             )

@@ -137,14 +137,12 @@ def apply_cswap(state: StateVector, control: int, a: int, b: int) -> StateVector
     return StateVector(n, out.reshape(-1))
 
 
-def exact_marginal(
-    state: StateVector, qubits: Sequence[int]
-) -> dict[tuple[int, ...], float]:
+def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     """Exact outcome probabilities of measuring the listed qubits.
 
-    Returns a table keyed by bit tuples (in the requested qubit order),
-    covering every one of the 2^k outcomes.  Probabilities are obtained by
-    summing |amplitude|^2 over the unlisted qubits and sum to 1 within 1e-10.
+    Returns a float64 array of the 2^k probabilities indexed by outcome
+    number, the first listed qubit as the most significant bit.  They sum
+    |amplitude|^2 over the unlisted qubits and add up to 1 within 1e-10.
     """
     qubits = list(qubits)
     for q in qubits:
@@ -159,14 +157,7 @@ def exact_marginal(
     # requested order.
     kept_sorted = sorted(qubits)
     order = [kept_sorted.index(q) for q in qubits]
-    marg = np.transpose(marg, axes=order)
-    k = len(qubits)
-    flat = marg.reshape(-1)
-    table = {}
-    for outcome in range(2**k):
-        bits = tuple((outcome >> (k - 1 - i)) & 1 for i in range(k))
-        table[bits] = float(flat[outcome])
-    return table
+    return np.transpose(marg, axes=order).reshape(-1)
 
 
 def sample_outcomes(
@@ -174,9 +165,10 @@ def sample_outcomes(
     qubits: Sequence[int],
     shots: int,
     seed: int | np.random.SeedSequence | np.random.Generator,
-) -> dict[tuple[int, ...], int]:
+) -> np.ndarray:
     """Draw ``shots`` i.i.d. measurement samples of the listed qubits.
 
+    Returns int64 counts indexed by outcome number, as exact_marginal.
     Implemented as one multinomial draw over the exact marginal, which is
     statistically identical to repeated single-shot collapse for circuits
     measured once per run, and keeps 10^7-shot experiments cheap.
@@ -184,13 +176,10 @@ def sample_outcomes(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    marginal = exact_marginal(state, qubits)
-    pvals = np.array(list(marginal.values()))
-    pvals = np.clip(pvals, 0.0, None)
+    pvals = np.clip(exact_marginal(state, qubits), 0.0, None)
     pvals /= pvals.sum()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    counts = rng.multinomial(shots, pvals)
-    return {bits: int(c) for bits, c in zip(marginal.keys(), counts)}
+    return rng.multinomial(shots, pvals)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -30,6 +30,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
+from .circuits import mid_ancilla_count
+
 SQRT2 = math.sqrt(2.0)
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -148,9 +150,7 @@ def alpha_eps_standard(eps: float) -> float:
 def alpha_eps_multi(eps: float, n: int) -> float:
     """Multi-swap analogue of alpha_eps_standard, scaled by 2^4/n^3 to match
     the nominal per-pair probability (1 + overlap^2) * 2^3 / n^3."""
-    from .circuits import mid_ancilla_count  # argument validation for n
-
-    mid_ancilla_count(n)
+    mid_ancilla_count(n)  # argument validation for n
     return alpha_eps_standard(eps) * 16.0 / float(n) ** 3
 
 
@@ -160,8 +160,6 @@ def p0ij_theory(overlap_sq: float, n: int) -> float:
     This is the multiplicity-2 case of the exact per-pair law
     multiplicity * (1 + overlap_sq) / 2^{d_n+1}; see circuits.PairMap.
     """
-    from .circuits import mid_ancilla_count
-
     mid_ancilla_count(n)
     if not 0.0 <= overlap_sq <= 1.0:
         raise ValueError(f"overlap_sq must lie in [0, 1], got {overlap_sq}")
@@ -270,8 +268,6 @@ def theorem1_calls(n: int, gamma: float) -> float:
     """Oracle-call scaling curve n^6 / (2^6 * gamma^2) for estimating all
     pairwise overlaps to expected L2 accuracy gamma (constant factor is the
     nominal 2^{2 d_n}; no absolute calibration is claimed)."""
-    from .circuits import mid_ancilla_count
-
     mid_ancilla_count(n)
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -280,11 +276,19 @@ def theorem1_calls(n: int, gamma: float) -> float:
 
 def proposition1_lower(n: int, gamma_t: float) -> float:
     """Stated repetition lower-bound curve n^3 * ln(1/gamma_t) / ln(n)."""
-    from .circuits import mid_ancilla_count
-
     mid_ancilla_count(n)
     _check_open_unit("gamma_t", gamma_t)
     return float(n) ** 3 * math.log(1.0 / gamma_t) / math.log(n)
+
+
+def check_shots(shots):
+    """A shot budget: a whole number >= 1, returned as an int, or +inf for
+    exact (infinite-shot) mode, returned as math.inf."""
+    if shots == math.inf:
+        return math.inf
+    if not (shots >= 1 and shots == math.floor(shots)):  # NaN fails both
+        raise ValueError(f"shots must be a whole number >= 1 or inf, got {shots}")
+    return int(shots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,10 +297,12 @@ class OverlapEstimate:
     estimated statistic (per pair, in pair order, when ``pairs`` is set).
 
     p_hat is exactly hits/shots_total; overlap_sq_hat and distance_hat are
-    clamped to their valid domains, with ``clamped`` flagging entries whose
-    raw inversion fell outside.  Exact-probability entries (infinite shots)
-    carry shots_total = 0 and hits = 0 with p_hat set directly.  ``pairs``
-    is an optional (k, 2) int64 array of the (i, j) each entry belongs to.
+    clamped to their valid domains, with ``clamped`` flagging sampled entries
+    whose raw inversion fell outside.  Exact-probability entries (infinite
+    shots) carry shots_total = 0 and hits = 0 with p_hat set directly; they
+    are clipped too but never flagged, since only rounding moves them out.
+    ``pairs`` is an optional (k, 2) int64 array of the (i, j) each entry
+    belongs to.
     """
 
     shots_total: np.ndarray
@@ -316,10 +322,8 @@ def estimate_overlaps(values, shots, constant=0.5, pairs=None) -> OverlapEstimat
     coefficient (circuits.PairMap.pair_constant).  Every entry is validated.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
+    shots = check_shots(shots)
     if math.isfinite(shots):
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
-        shots = int(shots)
         bad = ~((values >= 0) & (values <= shots) & (values == np.floor(values)))
         what = f"hits must be whole numbers in [0, {shots}]"
     else:
@@ -339,6 +343,6 @@ def estimate_overlaps(values, shots, constant=0.5, pairs=None) -> OverlapEstimat
         p_hat=p_hat,
         overlap_sq_hat=overlap_sq,
         distance_hat=np.sqrt(2.0 * (1.0 - np.sqrt(overlap_sq))),
-        clamped=~((raw >= 0.0) & (raw <= 1.0)),
+        clamped=(shots > 0) & ~((raw >= 0.0) & (raw <= 1.0)),
         pairs=pairs if pairs is None else np.asarray(pairs, np.int64).reshape(-1, 2),
     )

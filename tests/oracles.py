@@ -79,25 +79,26 @@ def per_pair_swap_tests(cloud, shots, seed=0):
     simulation: each pair's circuit is simulated, then read exactly (the
     probability, for shots = inf) or sampled with ``shots`` shots from the
     stream SeedSequence([seed, i, j]) (the hit count).  Returns
-    {(i, j): probability or hits}."""
+    {(i, j): probability or hits}, as Python scalars."""
     encoded = [egraph.encode_point(point) for point in cloud.points]
     circuit = circuits.build_swap_test(encoded[0].num_qubits)
     table = {}
     for i, j in combinations(range(len(encoded)), 2):
         state = circuits.simulate(circuit, [encoded[i], encoded[j]])
         if shots == float("inf"):
-            table[(i, j)] = statevec.exact_marginal(state, [0])[(0,)]
+            table[(i, j)] = statevec.exact_marginal(state, [0])[0].item()
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-            table[(i, j)] = statevec.sample_outcomes(state, [0], shots, rng)[(0,)]
+            table[(i, j)] = statevec.sample_outcomes(state, [0], shots, rng)[0].item()
     return table
 
 
 def multi_pair_probabilities(cloud):
     """Exact P(top = 0, pair) of every pair i < j of real inputs in the
     multi-state circuit by state-vector simulation: the exact marginal of the
-    measured qubits, summed over each pair's mid outcomes in outcome order.
-    Returns {(i, j): (probability, pair_constant)}."""
+    measured qubits (top = 0 is its first half), summed over each pair's mid
+    outcomes in outcome order.  Returns {(i, j): (probability,
+    pair_constant)}."""
     encoded = [egraph.encode_point(point) for point in cloud.points]
     w = encoded[0].num_qubits
     padded = circuits.pad_inputs(encoded, w)
@@ -105,10 +106,11 @@ def multi_pair_probabilities(cloud):
     pair_map = circuits.derive_pair_map(len(padded))
     state = circuits.simulate(circuit, padded)
     marginal = statevec.exact_marginal(state, circuit.layout.measured_qubits)
+    top0 = marginal[: marginal.size // 2].tolist()
     table = {}
-    for bits, p in marginal.items():
-        a, b = sorted(pair_map.entries[bits[1:]])  # 1-based register labels
-        if bits[0] == 0 and b <= len(encoded):
+    for p, pair in zip(top0, pair_map.pairs.tolist()):
+        a, b = sorted(pair)  # 1-based register labels
+        if b <= len(encoded):
             table[a - 1, b - 1] = table.get((a - 1, b - 1), 0.0) + p
     return {
         (i, j): (table[i, j], pair_map.pair_constant(i + 1, j + 1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swaplab import circuits as qc
+from swaplab import egraph as eg
 from swaplab import statevec as sv
 
 
@@ -34,14 +35,14 @@ class TestSwapTest:
         rng = np.random.default_rng(0)
         (phi,) = random_qubits(rng, 1)
         state = qc.simulate(qc.build_swap_test(1), [phi, phi])
-        p0 = sv.exact_marginal(state, [0])[(0,)]
+        p0 = sv.exact_marginal(state, [0])[0]
         assert abs(p0 - 1.0) < 1e-12
 
     def test_orthogonal_states_give_half(self):
         state = qc.simulate(
             qc.build_swap_test(1), [sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)]
         )
-        assert abs(sv.exact_marginal(state, [0])[(0,)] - 0.5) < 1e-12
+        assert abs(sv.exact_marginal(state, [0])[0] - 0.5) < 1e-12
 
     def test_law_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -49,7 +50,7 @@ class TestSwapTest:
         for _ in range(50):
             a, b = random_qubits(rng, 2)
             state = qc.simulate(circuit, [a, b])
-            p0 = sv.exact_marginal(state, [0])[(0,)]
+            p0 = sv.exact_marginal(state, [0])[0]
             expected = 0.5 + 0.5 * abs(sv.inner_product(a, b)) ** 2
             assert abs(p0 - expected) < 1e-12
 
@@ -59,7 +60,7 @@ class TestSwapTest:
         a = sv.tensor(random_qubits(rng, 2))
         b = sv.tensor(random_qubits(rng, 2))
         state = qc.simulate(qc.build_swap_test(2), [a, b])
-        p0 = sv.exact_marginal(state, [0])[(0,)]
+        p0 = sv.exact_marginal(state, [0])[0]
         assert abs(p0 - (0.5 + 0.5 * abs(sv.inner_product(a, b)) ** 2)) < 1e-12
 
     def test_zero_width(self):
@@ -140,7 +141,7 @@ class TestMultiswapFull:
         c = qc.build_multiswap_full(4, 1)
         state = qc.simulate(c, random_qubits(rng, 4))
         table = sv.exact_marginal(state, c.layout.measured_qubits)
-        assert abs(sum(table.values()) - 1.0) < 1e-10
+        assert abs(sum(table.tolist()) - 1.0) < 1e-10
 
 
 class TestPadInputs:
@@ -166,7 +167,7 @@ class TestPadInputs:
 class TestPairMap:
     def test_n4_covers_all_pairs(self):
         pm = qc.derive_pair_map(4)
-        assert len(pm.entries) == 8
+        assert pm.pairs.shape == (8, 2) and pm.pairs.dtype == np.int64
         assert set(pm.multiplicity) == set(combinations(range(1, 5), 2))
 
     def test_n4_multiplicity_sum(self):
@@ -176,9 +177,9 @@ class TestPairMap:
     def test_n4_known_map(self):
         # frozen from the exact tagged statevector run (cross-checked below)
         pm = qc.derive_pair_map(4)
-        assert pm.entries[(0, 0, 0)] == (1, 2)
-        assert pm.entries[(0, 0, 1)] == (3, 2)
-        assert pm.entries[(1, 1, 1)] == (4, 1)
+        assert pm.pairs[0b000].tolist() == [1, 2]
+        assert pm.pairs[0b001].tolist() == [3, 2]
+        assert pm.pairs[0b111].tolist() == [4, 1]
         assert pm.multiplicity == {
             (1, 2): 1, (1, 3): 2, (1, 4): 1, (2, 3): 1, (2, 4): 2, (3, 4): 1,
         }
@@ -190,7 +191,7 @@ class TestPairMap:
         assert sum(pm.multiplicity.values()) == 2**pm.d
 
     def test_n8_has_64_outcomes(self):
-        assert len(qc.derive_pair_map(8).entries) == 64
+        assert qc.derive_pair_map(8).pairs.shape == (64, 2)
 
     def test_pair_constant(self):
         pm = qc.derive_pair_map(4)
@@ -200,6 +201,28 @@ class TestPairMap:
     def test_resource_cap(self):
         with pytest.raises(sv.ResourceError):
             qc.derive_pair_map(128)
+
+    def test_pairs_read_only(self):
+        pm = qc.derive_pair_map(4)
+        with pytest.raises(ValueError):
+            pm.pairs[0, 0] = 3
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_reduce_by_pair_matches_outcome_loop(self, n):
+        """Sums (and maxima) over each pair's outcomes, in outcome order,
+        against a dict accumulation keyed by the sorted pair."""
+        pm = qc.derive_pair_map(n)
+        values = np.random.default_rng(n).random(2**pm.d)
+        totals, maxima = {}, {}
+        for value, (a, b) in zip(values.tolist(), pm.pairs.tolist()):
+            key = (min(a, b), max(a, b))
+            totals[key] = totals.get(key, 0.0) + value
+            maxima[key] = max(maxima.get(key, 0.0), value)
+        pairs = list(combinations(range(1, n + 1), 2))
+        assert pm.reduce_by_pair(values).tolist() == [totals[k] for k in pairs]
+        assert pm.reduce_by_pair(values, np.maximum).tolist() == [
+            maxima[k] for k in pairs
+        ]
 
     def test_statevector_tag_cross_check_n4(self):
         """Exact tagged simulation agrees with the permutation-walk map."""
@@ -213,17 +236,16 @@ class TestPairMap:
         table = sv.exact_marginal(state, list(mids) + list(reg1) + list(reg2))
         d = len(mids)
         seen = {}
-        for bits, prob in table.items():
+        for index, prob in enumerate(table.tolist()):
             if prob < 1e-12:
                 continue
-            outcome, rest = bits[:d], bits[d:]
-            tag1 = int("".join(map(str, rest[:w])), 2)
-            tag2 = int("".join(map(str, rest[w:])), 2)
+            # the mid outcome is the top d bits, then tag 1 and tag 2
+            outcome, tag1, tag2 = index >> 2 * w, (index >> w) % 2**w, index % 2**w
             # tags must be deterministic per outcome
             assert outcome not in seen
             seen[outcome] = (tag1 + 1, tag2 + 1)
             assert abs(prob - 1 / 2**d) < 1e-12
-        assert seen == pm.entries
+        assert seen == dict(enumerate(map(tuple, pm.pairs.tolist())))
 
     def test_register_permutation_property_via_tags(self):
         """No tag is lost or duplicated in any branch (all registers)."""
@@ -234,13 +256,11 @@ class TestPairMap:
         mids = list(circuit.layout.mid_ancillas)
         all_regs = [q for reg in circuit.layout.inputs for q in reg]
         table = sv.exact_marginal(state, mids + all_regs)
-        for bits, prob in table.items():
+        for index, prob in enumerate(table.tolist()):
             if prob < 1e-12:
                 continue
-            rest = bits[len(mids):]
-            contents = [
-                int("".join(map(str, rest[i * w : (i + 1) * w])), 2) for i in range(4)
-            ]
+            # after the mid outcome come the registers, w bits each, 0 first
+            contents = [(index >> (3 - i) * w) % 2**w for i in range(4)]
             assert sorted(contents) == [0, 1, 2, 3]
 
 
@@ -255,10 +275,11 @@ class TestJointProbabilityLaw:
         inputs = random_qubits(rng, n)
         state = qc.simulate(circuit, inputs)
         table = sv.exact_marginal(state, circuit.layout.measured_qubits)
-        for bits, (i, j) in pm.entries.items():
+        # top = 0 is the first half: those indices are the mid outcomes
+        for outcome, (i, j) in enumerate(pm.pairs.tolist()):
             ovl = abs(sv.inner_product(inputs[i - 1], inputs[j - 1])) ** 2
             expected = (1 + ovl) / 2 ** (d + 1)
-            assert abs(table[(0,) + bits] - expected) < 1e-10
+            assert abs(table[outcome] - expected) < 1e-10
 
     def test_identical_pair_outcome_probability(self):
         # identical states on a mapped pair: (1+1)/2^(d+1) = 0.125 at n=4
@@ -270,7 +291,7 @@ class TestJointProbabilityLaw:
         circuit = qc.build_multiswap_full(4, 1)
         state = qc.simulate(circuit, inputs)
         table = sv.exact_marginal(state, circuit.layout.measured_qubits)
-        assert abs(table[(0, 0, 0, 0)] - 0.125) < 1e-12
+        assert abs(table[0b0000] - 0.125) < 1e-12
 
     def test_orthogonal_pair_half_of_identical(self):
         zero, one = sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)
@@ -279,7 +300,27 @@ class TestJointProbabilityLaw:
         circuit = qc.build_multiswap_full(4, 1)
         state = qc.simulate(circuit, [zero, one, *fillers])
         table = sv.exact_marginal(state, circuit.layout.measured_qubits)
-        assert abs(table[(0, 0, 0, 0)] - 0.0625) < 1e-12
+        assert abs(table[0b0000] - 0.0625) < 1e-12
+
+    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_closed_form_matches_statevec(self, n, w):
+        """The whole (top, mid) marginal of the multi-state circuit on padded
+        encodings equals (1 +/- |G|^2[pairs - 1]) / 2^(d+1), G the Gram
+        matrix of the padded encodings: + for top = 0 (the first half), -
+        for top = 1."""
+        rng = np.random.default_rng(10 * n + w)
+        encoded = [eg.encode_point(p) for p in rng.normal(size=(n, 2**w))]
+        padded = qc.pad_inputs(encoded, w)
+        circuit = qc.build_multiswap_full(len(padded), w)
+        pm = qc.derive_pair_map(len(padded))
+        state = qc.simulate(circuit, padded)
+        table = sv.exact_marginal(state, circuit.layout.measured_qubits)
+        amps = np.stack([s.amplitudes for s in padded])
+        gram_sq = np.abs(amps.conj() @ amps.T) ** 2
+        mapped = gram_sq[pm.pairs[:, 0] - 1, pm.pairs[:, 1] - 1]
+        closed = np.concatenate([1 + mapped, 1 - mapped]) / 2.0 ** (pm.d + 1)
+        assert np.abs(table - closed).max() <= 1e-15
 
     def test_per_pair_aggregate_matches_multiplicity(self):
         rng = np.random.default_rng(55)
@@ -291,8 +332,8 @@ class TestJointProbabilityLaw:
         table = sv.exact_marginal(state, circuit.layout.measured_qubits)
         for (i, j), mult in pm.multiplicity.items():
             agg = sum(
-                table[(0,) + bits]
-                for bits, (a, b) in pm.entries.items()
+                table[outcome]
+                for outcome, (a, b) in enumerate(pm.pairs.tolist())
                 if {a, b} == {i, j}
             )
             ovl = abs(sv.inner_product(inputs[i - 1], inputs[j - 1])) ** 2

@@ -100,6 +100,16 @@ class TestSubcommands:
         assert proc.returncode != 0 and not proc.stdout
         assert f"argument --n-list: empty range {span}" in proc.stderr
 
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_pair_map_zero_width(self, tmp_path, dump):
+        out, circuit = tmp_path / "pm.json", tmp_path / "circuit.json"
+        extra = ["--dump-circuit", str(circuit)] if dump else []
+        proc = _swaplab("pair-map", "--n", "4", "--w", "0", "--format", "json",
+                        "--out", str(out), *extra)
+        assert proc.returncode != 0 and not proc.stdout
+        assert "register width must be >= 1, got 0" in proc.stderr
+        assert not out.exists() and not circuit.exists()
+
     def test_pair_map_with_circuit_dump(self, tmp_path):
         out = tmp_path / "pm.csv"
         dump = tmp_path / "circuit.json"

@@ -58,6 +58,23 @@ class TestSwapTestRunner:
             harness.run_swap_test(vec1=[1.0, 0.0])
 
 
+@pytest.mark.parametrize("shots", [math.nan, -math.inf, 0, -3, 2.5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda shots: stats.estimate_overlaps([1], shots),
+        lambda shots: egraph.quantum_egraph(
+            egraph.PointCloud(np.array([[1.0, 0.0], [0.6, 0.8]])), 0.7, shots
+        ),
+        lambda shots: harness.run_swap_test(theta2=1.0, shots=shots),
+    ],
+    ids=["estimate_overlaps", "quantum_egraph", "run_swap_test"],
+)
+def test_shots_must_be_whole_and_positive(entry, shots):
+    with pytest.raises(ValueError, match="shots must be"):
+        entry(shots)
+
+
 class TestEq1Audit:
     def test_n4_structure(self):
         records, meta = harness.run_eq1_audit(4, trials=3, seed=1)
@@ -226,7 +243,8 @@ class TestEgraphTrial:
 
 def _oracle_rows(table, shots):
     """estimates.* records, as Python scalars, from {(i, j): (value,
-    constant)}: the scalar inversion of p = constant * (1 + o^2)."""
+    constant)}: the scalar inversion of p = constant * (1 + o^2), flagged
+    ``clamped`` when a sampled entry's raw inversion leaves [0, 1]."""
     rows = []
     for (i, j), (value, constant) in table.items():
         p_hat = value / shots if math.isfinite(shots) else value
@@ -240,7 +258,7 @@ def _oracle_rows(table, shots):
             "p_hat": p_hat,
             "overlap_sq_hat": overlap_sq,
             "distance_hat": math.sqrt(2.0 * (1.0 - math.sqrt(overlap_sq))),
-            "clamped": not 0.0 <= raw <= 1.0,
+            "clamped": math.isfinite(shots) and not 0.0 <= raw <= 1.0,
         })
     return rows
 
@@ -268,7 +286,16 @@ class TestEstimatesFile:
                 overlap_sq = float(cloud.points[i] @ cloud.points[j]) ** 2
                 assert p == pytest.approx(constant * (1 + overlap_sq), abs=1e-12)
         rows = _oracle_rows(table, shots)
-        assert len(rows) == 6 and any(row["clamped"] for row in rows)
+        assert len(rows) == 6
+        if math.isfinite(shots):
+            assert any(row["clamped"] for row in rows)
+        else:
+            # the orthogonal pair rounds a hair below its constant: clipped
+            # to overlap 0, but an exact entry is never flagged
+            p, constant = table[0, 3]
+            assert p / constant - 1.0 < 0.0
+            (row,) = [row for row in rows if (row["i"], row["j"]) == (0, 3)]
+            assert row["clamped"] is False
 
         out = tmp_path / "run"
         harness.run_egraph_trial(path, 0.7, mode, shots, 0, out, fmt)

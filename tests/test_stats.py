@@ -340,6 +340,14 @@ class TestEstimates:
         assert est.clamped.tolist() == [True, False]
         assert est.overlap_sq_hat[0] == 0.0
 
+    def test_exact_entries_outside_range_not_flagged(self):
+        # rounding puts these a hair outside p = c * (1 + [0, 1])
+        values = [0.062499999999999944, math.nextafter(2 / 3, 1)]
+        assert values[0] / 0.0625 - 1 < 0 and values[1] / (1 / 3) - 1 > 1
+        est = stats.estimate_overlaps(values, math.inf, constant=[0.0625, 1 / 3])
+        assert est.overlap_sq_hat.tolist() == [0.0, 1.0]
+        assert est.clamped.tolist() == [False, False]
+
     def test_hits_exceed_shots(self):
         with pytest.raises(ValueError):
             stats.estimate_overlaps([101], 100)
@@ -437,7 +445,7 @@ class TestThresholdCorrectness:
             ovl = abs(sv.inner_product(a, b))
             dist = stats.overlap_to_distance(ovl)
             state = qc.simulate(circuit, [a, b])
-            p0 = sv.exact_marginal(state, [0])[(0,)]
+            p0 = sv.exact_marginal(state, [0])[0]
             for eps in eps_grid:
                 if abs(dist - eps) < 1e-9:
                     continue  # boundary excluded
