@@ -360,7 +360,7 @@ def quantum_egraph(
     # 2 * alpha_eps_standard is the law's scale (1 - eps^2/2)^2 + 1; the
     # call rejects eps outside (0, sqrt(2)]
     scale = 2.0 * stats.alpha_eps_standard(eps)
-    shots = stats.check_shots(shots)
+    shots = statevec.check_shots(shots)
     encoded = []
     for i, point in enumerate(cloud.points):
         try:

@@ -18,7 +18,6 @@ findings (graph diffs, bound gaps) are recorded as data.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -29,6 +28,10 @@ import numpy as np
 from . import circuits, egraph, statevec, stats
 
 Record = dict
+
+# write_records formats and writes CSV rows a block at a time, so the
+# formatted fields of only this many rows are held at once
+_CSV_BLOCK_ROWS = 256
 
 
 def _fmt_cell(value) -> str:
@@ -43,6 +46,34 @@ def _fmt_cell(value) -> str:
             return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
+
+
+def _csv_field(text: str) -> str:
+    """csv.writer's minimal quoting: a field holding a comma, a quote or a
+    line break is wrapped in quotes, with its quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _fmt_column(values: list) -> list[str]:
+    """The CSV fields of one column, by _fmt_cell's rules.  A column of plain
+    floats, bools or ints is formatted in one comprehension; none of their
+    fields needs quoting."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        # format() writes infinities as inf/-inf, _fmt_cell's spelling
+        return ["" if v != v else format(v, ".17g") for v in values]
+    if kinds <= {bool}:
+        return ["true" if v else "false" for v in values]
+    if kinds <= {int}:
+        return list(map(str, values))
+    return [_csv_field(_fmt_cell(v)) for v in values]
+
+
+def _csv_lines(rows) -> str:
+    # csv.writer quotes a lone empty field, so that the row is not blank
+    return "".join((",".join(row) or '""') + "\r\n" for row in rows)
 
 
 def _jsonable(value):
@@ -60,11 +91,12 @@ def write_records(records: Sequence[Record], path_or_file, fmt: str = "csv",
         fh = open(path_or_file, "w", newline="") if own else path_or_file
         try:
             if records:
-                writer = csv.writer(fh)
                 header = list(records[0].keys())
-                writer.writerow(header)
-                for rec in records:
-                    writer.writerow([_fmt_cell(rec[k]) for k in header])
+                fh.write(_csv_lines([map(_csv_field, header)]))
+                for start in range(0, len(records), _CSV_BLOCK_ROWS):
+                    block = records[start:start + _CSV_BLOCK_ROWS]
+                    columns = [_fmt_column([rec[k] for rec in block]) for k in header]
+                    fh.write(_csv_lines(zip(*columns)))
         finally:
             if own:
                 fh.close()
@@ -118,7 +150,7 @@ def run_swap_test(
     else:
         a = statevec.make_qubit_state(theta1, phi1)
         b = statevec.make_qubit_state(theta2, phi2)
-    shots = stats.check_shots(shots)
+    shots = statevec.check_shots(shots)
     circuit = circuits.build_swap_test(a.num_qubits)
     state = circuits.simulate(circuit, [a, b])
     p_exact = statevec.exact_marginal(state, [0])[0].item()

@@ -160,6 +160,16 @@ def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     return np.transpose(marg, axes=order).reshape(-1)
 
 
+def check_shots(shots):
+    """A shot budget: a whole number >= 1, returned as an int, or +inf for
+    exact (infinite-shot) mode, returned as math.inf."""
+    if shots == math.inf:
+        return math.inf
+    if not (shots >= 1 and shots == math.floor(shots)):  # NaN fails both
+        raise ValueError(f"shots must be a whole number >= 1 or inf, got {shots}")
+    return int(shots)
+
+
 def sample_outcomes(
     state: StateVector,
     qubits: Sequence[int],
@@ -172,10 +182,12 @@ def sample_outcomes(
     Implemented as one multinomial draw over the exact marginal, which is
     statistically identical to repeated single-shot collapse for circuits
     measured once per run, and keeps 10^7-shot experiments cheap.
-    Deterministic for a given integer seed; counts sum to ``shots``.
+    Deterministic for a given integer seed; counts sum to ``shots``, which
+    must be a finite whole number >= 1.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = check_shots(shots)
+    if shots == math.inf:
+        raise ValueError(f"shots must be finite to sample, got {shots}")
     pvals = np.clip(exact_marginal(state, qubits), 0.0, None)
     pvals /= pvals.sum()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

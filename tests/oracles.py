@@ -4,17 +4,21 @@ These deliberately avoid the library's own code paths: the binomial tail is
 summed term by term (exact rationals for small N, arbitrary precision with a
 ratio recurrence for large N), thresholds are recomputed from scratch, and
 the per-pair swap-test statistics of the quantum egraph come from simulating
-each pair's circuit on the state vector instead of the closed-form law.
+each pair's circuit on the state vector instead of the closed-form law.  The
+one exception, xi_full_sum, shares the library's saddle-point log-terms and
+checks only which of them the windowed tail sums.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import mpmath as mp
 import numpy as np
+from scipy.special import logsumexp
 
-from swaplab import circuits, egraph, statevec
+from swaplab import circuits, egraph, statevec, stats
 
 
 def oracle_threshold(N: int, alpha: float) -> int:
@@ -72,6 +76,18 @@ def xi_mpmath(N: int, alpha: float, p: float, dps: int = 50) -> mp.mpf:
             if term < total * cutoff:
                 break
         return 1 - total
+
+
+def xi_full_sum(N: int, alpha: float, p: float) -> float:
+    """The exact tail as every saddle-point log-term from ceil(N(1-alpha)) to
+    N, added by logsumexp: the slow route the windowed sum replaces."""
+    k = oracle_threshold(N, alpha)
+    if k <= 0:
+        return 1.0
+    if k > N:
+        return 0.0
+    log_terms = stats._binom_logpmf(np.arange(k, N + 1), N, p)
+    return min(1.0, math.exp(logsumexp(log_terms)))
 
 
 def per_pair_swap_tests(cloud, shots, seed=0):

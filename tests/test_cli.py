@@ -177,6 +177,20 @@ def test_readme_cli_examples_parse(line):
     assert callable(args.runner)
 
 
+def test_import_leaves_scipy_out():
+    # scipy is a test dependency only; the package and its CLI must not load it
+    code = (
+        "import sys, swaplab, swaplab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _cloud(tmp_path):
     cloud = tmp_path / "cloud.csv"
     angles = [math.radians(15 * k) for k in range(5)]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -30,6 +32,33 @@ class TestWriters:
         payload = json.loads(path.read_text())
         assert payload["metadata"]["x"] == "test column"
         assert payload["records"] == [{"x": 0.5}]
+
+    def test_csv_matches_cell_by_cell_writer(self):
+        # the column formatter against the per-cell rule through csv.writer,
+        # on plain, mixed and numpy-scalar columns and fields csv must quote
+        records = [
+            {"f": 1 / 3, "b": True, "i": 7, "s": "0101", "mix": None,
+             "np": np.float64(0.1), 'q,"h"': 'a,"b"', "nb": np.True_},
+            {"f": math.nan, "b": False, "i": -2, "s": "x", "mix": math.inf,
+             "np": np.float64(-math.inf), 'q,"h"': "line\nbreak", "nb": np.False_},
+            {"f": -math.inf, "b": True, "i": 0, "s": "", "mix": 3,
+             "np": np.float64(math.nan), 'q,"h"': "cr\r", "nb": np.True_},
+            {"f": math.inf, "b": False, "i": 10**20, "s": "y", "mix": "z",
+             "np": np.float64(2.5e-300), 'q,"h"': " pad ", "nb": np.False_},
+        ]
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(records[0])
+        for rec in records:
+            writer.writerow([harness._fmt_cell(v) for v in rec.values()])
+        got = io.StringIO(newline="")
+        harness.write_records(records, got)
+        assert got.getvalue() == want.getvalue()
+
+    def test_csv_single_empty_column(self):
+        got = io.StringIO(newline="")
+        harness.write_records([{"x": None}, {"x": 1.0}], got)
+        assert got.getvalue() == 'x\r\n""\r\n1\r\n'
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

@@ -223,8 +223,17 @@ class TestSampleOutcomes:
         assert counts.sum() == 1234
 
     def test_zero_shots(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shots must be"):
             sv.sample_outcomes(sv.make_basis_state(1, 0), [0], 0, 1)
+
+    @pytest.mark.parametrize("shots", [2.5, math.nan, -math.inf, math.inf])
+    def test_shots_must_be_finite_whole_and_positive(self, shots):
+        with pytest.raises(ValueError, match="shots must be"):
+            sv.sample_outcomes(sv.make_basis_state(1, 0), [0], shots, 1)
+
+    def test_whole_float_shots(self):
+        counts = sv.sample_outcomes(sv.make_basis_state(1, 0), [0], 3.0, 1)
+        assert counts.tolist() == [3, 0]
 
 
 class TestInnerProduct:

@@ -4,14 +4,41 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
-from oracles import oracle_threshold, xi_fraction, xi_mpmath
-from swaplab import stats
+from oracles import oracle_threshold, xi_fraction, xi_full_sum, xi_mpmath
+from swaplab import harness, stats
 
 # frozen independent-oracle values (fractions/mpmath, see oracles.py)
 XI_10_05_09 = 0.0016349374  # exact rational: 16349374/10^10 at these floats
 KL_05_09 = 0.5108256237659907
 GAMMA_TILDE_05_09 = 0.7745966692414834  # = sqrt(0.6)
+
+
+def _default_grid(N):
+    """The 461 (N, alpha, p) cells of the bounds runner's default grid."""
+    return [
+        (N, alpha, p)
+        for alpha in harness.default_alpha_grid()
+        for p in harness.p_grid_for(alpha)
+    ]
+
+
+# cells on which the windowed tail is checked against the full sum
+WINDOW_CELLS = {
+    "grid-1e4": _default_grid(10**4),
+    "seeded-1e5": [
+        _default_grid(10**5)[i]
+        for i in np.random.default_rng(10).choice(461, 40, replace=False)
+    ],
+    "edges": [
+        (10**6, 0.5, 0.506),
+        (10, 0.52, 0.53),  # ceil(4.8) = 5 <= the mode floor(11 * 0.47)
+        (10**6, 0.5, 0.5),  # k at the mode and sigma = 500: the window doubles
+        (10**5, 0.99999, 1 - 1e-15),
+        (1000, 0.998, 1 - 1e-15),
+    ],
+}
 
 
 class TestConversions:
@@ -183,6 +210,30 @@ class TestFalseNegativeExact:
         # abs=0: pytest's default 1e-12 absolute floor would pass any tail
         # below 1e-12, and every N = 10^5 cell here is below 1e-36
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("cells", WINDOW_CELLS.values(), ids=WINDOW_CELLS.keys())
+    def test_window_matches_full_sum(self, cells):
+        for N, alpha, p in cells:
+            got = stats.false_negative_exact(N, alpha, p)
+            want = xi_full_sum(N, alpha, p)
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (N, alpha, p)
+
+    @pytest.mark.parametrize("cells", WINDOW_CELLS.values(), ids=WINDOW_CELLS.keys())
+    def test_window_leaves_out_under_e_minus_40(self, cells, monkeypatch):
+        # the mass past the summed window, in log space, against the window's
+        windows = []
+        logpmf = stats._binom_logpmf
+        monkeypatch.setattr(
+            stats, "_binom_logpmf", lambda k, n, p: windows.append(k) or logpmf(k, n, p)
+        )
+        for N, alpha, p in cells:
+            stats.false_negative_exact(N, alpha, p)
+            k, end = int(windows[-1][0]), int(windows[-1][-1])
+            assert end >= max(k, math.floor((N + 1) * (1 - p)))
+            if end < N:
+                kept = logsumexp(logpmf(np.arange(k, end + 1), N, p))
+                left = logsumexp(logpmf(np.arange(end + 1, N + 1), N, p))
+                assert left - kept <= -40, (N, alpha, p)
 
     def test_threshold_exact_rational_ceiling(self):
         # N*(1-alpha) meant to be integral must not ceil upward through float fuzz
