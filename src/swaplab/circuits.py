@@ -31,7 +31,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -87,7 +87,7 @@ class RegisterLayout:
 
     @property
     def total_qubits(self) -> int:
-        return (0 if self.top_ancilla is None else 1) + len(self.mid_ancillas) + self.n * self.w
+        return self.ancilla_count + self.n * self.w
 
     @property
     def ancilla_count(self) -> int:
@@ -102,12 +102,11 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Ordered gate list plus layout, with cached resource counts."""
+    """Ordered gate list over a register layout.  Resource counts are read
+    from the gates and the layout, not stored."""
 
     layout: RegisterLayout
     gates: tuple[Gate, ...]
-    cswap_count: int
-    ancilla_count: int
 
     def __post_init__(self):
         total = self.layout.total_qubits
@@ -117,30 +116,43 @@ class CircuitSpec:
                     f"gate {g} references qubit outside the {total}-qubit layout"
                 )
 
-
-def _make_spec(layout: RegisterLayout, gates: Sequence[Gate]) -> CircuitSpec:
-    gates = tuple(gates)
-    n_cswap = sum(1 for g in gates if g.kind == "cswap")
-    return CircuitSpec(layout, gates, n_cswap, layout.ancilla_count)
+    @property
+    def cswap_count(self) -> int:
+        return sum(1 for g in self.gates if g.kind == "cswap")
 
 
 def count_resources(circuit: CircuitSpec) -> tuple[int, int, int]:
-    """(cswap_count, ancilla_count, total_qubits), recounted from the gate
-    list and layout.  Raises if the recount disagrees with the cached counts."""
-    n_cswap = sum(1 for g in circuit.gates if g.kind == "cswap")
-    n_anc = circuit.layout.ancilla_count
-    if n_cswap != circuit.cswap_count or n_anc != circuit.ancilla_count:
-        raise ValueError(
-            f"cached counts ({circuit.cswap_count}, {circuit.ancilla_count}) "
-            f"disagree with recount ({n_cswap}, {n_anc})"
-        )
-    return n_cswap, n_anc, circuit.layout.total_qubits
+    """(cswap_count, ancilla_count, total_qubits): CSWAPs counted from the
+    gate list, ancillas and qubits read from the layout."""
+    layout = circuit.layout
+    return circuit.cswap_count, layout.ancilla_count, layout.total_qubits
 
 
-def _input_registers(first_qubit: int, n: int, w: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(range(first_qubit + i * w, first_qubit + (i + 1) * w)) for i in range(n)
+def _layout(n: int, w: int, top: bool, mid: bool) -> RegisterLayout:
+    """[top ancilla if ``top``][d_n mid ancillas if ``mid``][n input
+    registers of width w], numbered from qubit 0.  A bad width is reported
+    before a bad n."""
+    if w < 1:
+        raise ValueError(f"register width must be >= 1, got {w}")
+    first_input = int(top) + (mid_ancilla_count(n) if mid else 0)
+    return RegisterLayout(
+        n=n,
+        w=w,
+        top_ancilla=0 if top else None,
+        mid_ancillas=tuple(range(int(top), first_input)),
+        inputs=tuple(
+            tuple(range(first_input + i * w, first_input + (i + 1) * w))
+            for i in range(n)
+        ),
     )
+
+
+def _closing_swap_test(layout: RegisterLayout) -> list[Gate]:
+    """Swap test of registers 1 and 2 on the top ancilla: one CSWAP per
+    qubit position, then H(top)."""
+    top = layout.top_ancilla
+    gates = [cswap(top, a, b) for a, b in zip(layout.inputs[0], layout.inputs[1])]
+    return gates + [hadamard(top)]
 
 
 def build_swap_test(w: int) -> CircuitSpec:
@@ -149,15 +161,8 @@ def build_swap_test(w: int) -> CircuitSpec:
     H(ancilla), then one CSWAP per qubit position, then H(ancilla).
     P(ancilla=0) = 1/2 + |<phi|psi>|^2 / 2.
     """
-    if w < 1:
-        raise ValueError(f"register width must be >= 1, got {w}")
-    layout = RegisterLayout(
-        n=2, w=w, top_ancilla=0, mid_ancillas=(), inputs=_input_registers(1, 2, w)
-    )
-    gates = [hadamard(0)]
-    gates += [cswap(0, layout.inputs[0][k], layout.inputs[1][k]) for k in range(w)]
-    gates.append(hadamard(0))
-    return _make_spec(layout, gates)
+    layout = _layout(2, w, top=True, mid=False)
+    return CircuitSpec(layout, (hadamard(0), *_closing_swap_test(layout)))
 
 
 def build_naive_multiswap(n: int, w: int = 1) -> list[tuple[tuple[int, int], CircuitSpec]]:
@@ -230,17 +235,8 @@ def build_un(n: int, w: int = 1) -> CircuitSpec:
 
     Uses (3n/2-3)*w CSWAPs and d_n = 3*log2(n/2) mid ancillas.
     """
-    if w < 1:
-        raise ValueError(f"register width must be >= 1, got {w}")
-    d = mid_ancilla_count(n)
-    layout = RegisterLayout(
-        n=n,
-        w=w,
-        top_ancilla=None,
-        mid_ancillas=tuple(range(d)),
-        inputs=_input_registers(d, n, w),
-    )
-    return _make_spec(layout, _un_gates(layout))
+    layout = _layout(n, w, top=False, mid=True)
+    return CircuitSpec(layout, tuple(_un_gates(layout)))
 
 
 def build_multiswap_full(n: int, w: int = 1) -> CircuitSpec:
@@ -250,20 +246,9 @@ def build_multiswap_full(n: int, w: int = 1) -> CircuitSpec:
     qubits are the top ancilla and the d_n mid ancillas.  Total CSWAP count is
     (3n/2 - 3 + 1)*w.
     """
-    if w < 1:
-        raise ValueError(f"register width must be >= 1, got {w}")
-    d = mid_ancilla_count(n)
-    layout = RegisterLayout(
-        n=n,
-        w=w,
-        top_ancilla=0,
-        mid_ancillas=tuple(range(1, d + 1)),
-        inputs=_input_registers(1 + d, n, w),
-    )
-    gates = [hadamard(0)] + _un_gates(layout)
-    gates += [cswap(0, layout.inputs[0][k], layout.inputs[1][k]) for k in range(w)]
-    gates.append(hadamard(0))
-    return _make_spec(layout, gates)
+    layout = _layout(n, w, top=True, mid=True)
+    gates = [hadamard(0), *_un_gates(layout), *_closing_swap_test(layout)]
+    return CircuitSpec(layout, tuple(gates))
 
 
 def pad_inputs(states: Sequence[StateVector], w: int) -> list[StateVector]:
@@ -295,6 +280,16 @@ class PairMap:
     at least one outcome; multiplicities are not uniform, which is why
     per-pair probabilities carry a factor multiplicity/2^{d_n+1} rather than
     a single constant.
+
+    In closed form, multiplicity(i, j) = 1 when j - i is odd and
+    2^(2*v2(j - i) - 1) otherwise, v2 the 2-adic valuation; they add up to
+    (n/2)^3.  By recursion from U_2 (no ancilla, one outcome (1, 2)): the
+    last three swaps of U_n turn each U_{h} outcome (a, b), h = n/2, into
+    eight, with pairs {a, b}, {a+h, b+h}, {a, b+h}, {a+h, b} once and
+    {a, a+h}, {b, b+h} twice; a difference below h keeps its 2-adic
+    valuation when h is added, and each label sits in h^2/4 of the U_h
+    outcomes, so {a, a+h} gets h^2/2.  The tests check the law for n up
+    to 64.
     """
 
     n: int
@@ -400,7 +395,7 @@ def circuit_to_json(circuit: CircuitSpec) -> dict:
         "gates": [{"type": g.kind, "qubits": list(g.qubits)} for g in circuit.gates],
         "counts": {
             "cswap": circuit.cswap_count,
-            "ancilla": circuit.ancilla_count,
+            "ancilla": layout.ancilla_count,
             "total_qubits": layout.total_qubits,
         },
     }

@@ -314,34 +314,47 @@ def run_bounds_sweep(
     steps of 0.02).  sandwich_ok records whether
     lower <= xi_exact <= upper + 1e-12 held in the cell; the lower side is
     only guaranteed where N*(1-alpha) is an integer (recorded separately).
+    Cells with p <= alpha are skipped.  Raises ValueError for an alpha
+    outside (0, 1), and when no (alpha, p) cell is left.
     """
     alphas = list(alphas) if alphas is not None else default_alpha_grid()
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    cells = [
+        (alpha, p)
+        for alpha in alphas
+        for p in (ps if ps is not None else p_grid_for(alpha))
+        if alpha < p < 1.0
+    ]
+    if not cells:
+        p_grid = "alpha+0.02..0.99" if ps is None else list(ps)
+        raise ValueError(
+            f"no (alpha, p) cell with alpha < p < 1: alpha grid {alphas}, "
+            f"p grid {p_grid}"
+        )
     records = []
     for N in n_values:
-        for alpha in alphas:
-            p_list = list(ps) if ps is not None else p_grid_for(alpha)
-            for p in p_list:
-                if not alpha < p < 1.0:
-                    continue
-                xi = stats.false_negative_exact(N, alpha, p)
-                upper = stats.chernoff_upper(N, alpha, p)
-                lower = stats.chernoff_lower(N, alpha, p)
-                aligned = stats.threshold_aligned(N, alpha)
-                records.append(
-                    {
-                        "N": N,
-                        "alpha": alpha,
-                        "p": p,
-                        "kl": stats.kl_bernoulli(alpha, p),
-                        "xi_exact": xi,
-                        "upper": upper,
-                        "lower": lower,
-                        "upper_ok": xi <= upper + 1e-12,
-                        "lower_ok": lower <= xi,
-                        "sandwich_ok": lower <= xi <= upper + 1e-12,
-                        "threshold_aligned": aligned,
-                    }
-                )
+        for alpha, p in cells:
+            xi = stats.false_negative_exact(N, alpha, p)
+            upper = stats.chernoff_upper(N, alpha, p)
+            lower = stats.chernoff_lower(N, alpha, p)
+            aligned = stats.threshold_aligned(N, alpha)
+            records.append(
+                {
+                    "N": N,
+                    "alpha": alpha,
+                    "p": p,
+                    "kl": stats.kl_bernoulli(alpha, p),
+                    "xi_exact": xi,
+                    "upper": upper,
+                    "lower": lower,
+                    "upper_ok": xi <= upper + 1e-12,
+                    "lower_ok": lower <= xi,
+                    "sandwich_ok": lower <= xi <= upper + 1e-12,
+                    "threshold_aligned": aligned,
+                }
+            )
     metadata = {
         "xi_exact": "sum_{i=ceil(N(1-alpha))}^{N} C(N,i)(1-p)^i p^(N-i)",
         "upper": "exp(-N*KL(alpha||p))",
@@ -393,6 +406,7 @@ def run_scaling_curves(
     records = []
     prev = None
     prev_prop = None
+    prev_n = None
     for n in n_list:
         alpha_multi = stats.alpha_eps_multi(eps, n)
         p_min = 8.0 / float(n) ** 3
@@ -417,13 +431,14 @@ def run_scaling_curves(
                 "prop1_curve": prop,
                 "prop1_ratio": prop_ratio,
                 "thm1_curve": thm1,
-                "thm1_ratio": float("nan") if prev is None else 64.0,
+                "thm1_ratio": float("nan") if prev_n is None else (n / prev_n) ** 6,
                 "naive_per_pair_N": math.ceil(n_std),
                 "naive_total_queries": n * (n - 1) // 2 * math.ceil(n_std),
             }
         )
         prev = n_eq2
         prev_prop = prop
+        prev_n = n
     metadata = {
         "alpha_multi": "((1-eps^2/2)^2 + 1) * 2^3 / n^3",
         "N_eq2": "ln(1/gamma) / KL(alpha_multi || p0_max)",

@@ -118,11 +118,10 @@ class TestUnCounts:
             with pytest.raises(ValueError):
                 qc.build_un(n, 1)
 
-    def test_tampered_counts_detected(self):
-        c = qc.build_un(4, 1)
-        bad = dataclasses.replace(c, cswap_count=c.cswap_count + 1)
-        with pytest.raises(ValueError):
-            qc.count_resources(bad)
+    def test_spec_holds_layout_and_gates_only(self):
+        assert [f.name for f in dataclasses.fields(qc.CircuitSpec)] == [
+            "layout", "gates",
+        ]
 
 
 class TestMultiswapFull:
@@ -189,6 +188,16 @@ class TestPairMap:
         pm = qc.derive_pair_map(n)
         assert set(pm.multiplicity) == set(combinations(range(1, n + 1), 2))
         assert sum(pm.multiplicity.values()) == 2**pm.d
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_closed_form_multiplicity(self, n):
+        """mult(i, j) = 1 for odd j - i, else 2^(2*v2(j - i) - 1)."""
+        pm = qc.derive_pair_map(n)
+        for i, j in combinations(range(1, n + 1), 2):
+            diff = j - i
+            v2 = (diff & -diff).bit_length() - 1
+            assert pm.multiplicity[(i, j)] == (1 if v2 == 0 else 2 ** (2 * v2 - 1))
+        assert sum(pm.multiplicity.values()) == (n // 2) ** 3
 
     def test_n8_has_64_outcomes(self):
         assert qc.derive_pair_map(8).pairs.shape == (64, 2)

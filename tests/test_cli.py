@@ -100,6 +100,22 @@ class TestSubcommands:
         assert proc.returncode != 0 and not proc.stdout
         assert f"argument --n-list: empty range {span}" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "grid,named",
+        [
+            (["--alpha-grid", ","], "alpha grid []"),
+            (["--p-grid", "0.01"], "p grid [0.01]"),
+            (["--alpha-grid", "1.5"], "alpha must lie in (0, 1), got 1.5"),
+            (["--alpha-grid", "0.5,1.5"], "alpha must lie in (0, 1), got 1.5"),
+        ],
+    )
+    def test_bounds_grid_without_cells(self, tmp_path, grid, named):
+        out = tmp_path / "bounds.csv"
+        proc = _swaplab("bounds", "--n-list", "3", *grid, "--out", str(out))
+        assert proc.returncode != 0 and not proc.stdout
+        assert named in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("dump", [False, True])
     def test_pair_map_zero_width(self, tmp_path, dump):
         out, circuit = tmp_path / "pm.json", tmp_path / "circuit.json"

@@ -188,6 +188,14 @@ class TestScalingCurves:
             if rec["n"] > 4:
                 assert rec["thm1_ratio"] == 64.0
 
+    def test_thm1_ratio_follows_non_doubling_list(self):
+        records, _ = harness.run_scaling_curves([4, 16, 32], gamma=0.1, eps=1.0)
+        ratios = [rec["thm1_ratio"] for rec in records]
+        assert math.isnan(ratios[0]) and ratios[1:] == [4096.0, 64.0]
+        assert records[1]["thm1_curve"] / records[0]["thm1_curve"] == pytest.approx(
+            4096.0, rel=1e-12
+        )
+
     def test_naive_total_quadratic(self):
         records, _ = harness.run_scaling_curves([4, 8], gamma=0.1, eps=1.0)
         per_pair = records[0]["naive_per_pair_N"]
