@@ -359,7 +359,12 @@ def derive_pair_map(n: int) -> PairMap:
 
 
 def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector:
-    """Run the circuit on the given input registers (ancillas start in |0>)."""
+    """Run the circuit on the given input registers (ancillas start in |0>).
+
+    Every gate writes in place into the one fresh state that ``tensor``
+    builds, so the inputs are never touched and the run holds one state
+    plus at most half a state of scratch.
+    """
     layout = circuit.layout
     if len(inputs) != layout.n:
         raise ValueError(f"circuit expects {layout.n} input registers, got {len(inputs)}")
@@ -375,9 +380,9 @@ def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector
     state = statevec.tensor(parts)
     for g in circuit.gates:
         if g.kind == "h":
-            state = statevec.apply_hadamard(state, g.qubits[0])
+            state = statevec.apply_hadamard(state, g.qubits[0], out=state.amplitudes)
         else:
-            state = statevec.apply_cswap(state, *g.qubits)
+            state = statevec.apply_cswap(state, *g.qubits, out=state.amplitudes)
     return state
 
 

@@ -426,7 +426,9 @@ def run_scaling_curves(
                 "N_eq2": n_eq2,
                 "N_eq2_ratio": ratio,
                 "N_eq2_growth_exponent": (
-                    float("nan") if prev is None else math.log2(n_eq2 / prev)
+                    float("nan")
+                    if prev is None
+                    else math.log2(n_eq2 / prev) / math.log2(n / prev_n)
                 ),
                 "prop1_curve": prop,
                 "prop1_ratio": prop_ratio,
@@ -447,8 +449,8 @@ def run_scaling_curves(
         "naive_per_pair_N": "ceil(ln(1/gamma)/KL(alpha_std || p_std)) with "
         f"alpha_std={alpha_std!r}, p_std={p_std!r} (reference overlap halfway "
         "between the decision boundary and 1)",
-        "N_eq2_growth_exponent": "log2 of the ratio between consecutive rows; "
-        "cubic growth gives 3 per doubling (ratio 8)",
+        "N_eq2_growth_exponent": "log(N_eq2 / previous N_eq2) / log(n / previous n), "
+        "the exponent of n between consecutive rows; cubic growth gives 3",
         "note": "the stated prop1_curve carries a 1/ln(n) factor that direct "
         "evaluation of N_eq2 does not reproduce; both are emitted for "
         "comparison, neither is asserted",

@@ -8,9 +8,12 @@ Qubit ordering convention (fixed everywhere in this package): qubit 0 is
 the MOST significant bit of the basis-state index.  For a 2-qubit register,
 index 2 = binary ``10`` is the state |1>|0> with qubit 0 in |1>.
 
-All gate applications are functional: they return a new StateVector and
-never mutate their input.  Sampling takes an explicit seed or Generator;
-there is no hidden global RNG state.
+Each gate is one kernel that writes its result in place into ``out`` and
+returns a StateVector over it.  Without ``out`` it first copies its input,
+so a gate never mutates its input unless given that input's own buffer as
+``out``.  ``circuits.simulate`` does exactly that, so a whole circuit holds
+one state plus at most half a state of scratch (the Hadamard's).  Sampling
+takes an explicit seed or Generator; there is no hidden global RNG state.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         """|amplitude|^2 per basis index."""
-        return np.abs(self.amplitudes) ** 2
+        p = np.abs(self.amplitudes)
+        return np.square(p, out=p)
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.num_qubits:
@@ -95,46 +99,84 @@ def make_qubit_state(theta: float, phi: float) -> StateVector:
 
 
 def tensor(states: Sequence[StateVector]) -> StateVector:
-    """Kronecker product of the given states, in the given qubit order."""
+    """Kronecker product of the given states, in the given qubit order, in a
+    fresh array that shares no memory with any input."""
     if not states:
         raise ValueError("tensor() needs at least one state")
     total = sum(s.num_qubits for s in states)
     _check_num_qubits(total)
-    amps = states[0].amplitudes
+    amps = states[0].amplitudes.copy()
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
     return StateVector(total, amps)
 
 
-def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
-    """Hadamard on one qubit."""
+def _gate_target(state: StateVector, out: np.ndarray | None) -> np.ndarray:
+    """The array a gate writes into, holding the input amplitudes: a copy of
+    them, or ``out`` (which may be ``state.amplitudes`` itself)."""
+    if out is None:
+        return state.amplitudes.copy()
+    size = 2**state.num_qubits
+    if not isinstance(out, np.ndarray) or out.dtype != np.complex128:
+        got = getattr(out, "dtype", type(out).__name__)
+        raise ValueError(f"out must be a complex128 array, got dtype {got}")
+    if out.shape != (size,):
+        raise ValueError(
+            f"out must be of length {size} for {state.num_qubits} qubits, "
+            f"got shape {out.shape}"
+        )
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    if not out.flags.writeable:
+        raise ValueError("out must be writable, got a read-only array")
+    if out is not state.amplitudes:
+        np.copyto(out, state.amplitudes)
+    return out
+
+
+def apply_hadamard(
+    state: StateVector, qubit: int, out: np.ndarray | None = None
+) -> StateVector:
+    """Hadamard on one qubit, written into ``out`` (see the module
+    docstring).  Scratch: half a state."""
     state._check_qubit(qubit)
     n = state.num_qubits
-    a = state.amplitudes.reshape(2**qubit, 2, 2 ** (n - 1 - qubit))
-    out = np.empty_like(a)
-    out[:, 0, :] = (a[:, 0, :] + a[:, 1, :]) * _INV_SQRT2
-    out[:, 1, :] = (a[:, 0, :] - a[:, 1, :]) * _INV_SQRT2
-    return StateVector(n, out.reshape(-1))
+    amps = _gate_target(state, out)
+    halves = amps.reshape(2**qubit, 2, 2 ** (n - 1 - qubit))
+    a0, a1 = halves[:, 0, :], halves[:, 1, :]
+    diff = a0 - a1
+    a0 += a1
+    a0 *= _INV_SQRT2
+    np.multiply(diff, _INV_SQRT2, out=a1)
+    return StateVector(n, amps)
 
 
-def apply_cswap(state: StateVector, control: int, a: int, b: int) -> StateVector:
+def apply_cswap(
+    state: StateVector, control: int, a: int, b: int, out: np.ndarray | None = None
+) -> StateVector:
     """Controlled-SWAP (Fredkin): exchange qubits ``a`` and ``b`` where the
-    control qubit is |1>.
+    control qubit is |1>, written into ``out`` (see the module docstring).
 
     A pure basis-index permutation, hence exactly unitary and exactly its own
-    inverse (amplitudes are moved, never recombined).
+    inverse (amplitudes are moved, never recombined): of the control=1
+    amplitudes, only the two blocks whose bits a and b differ trade places,
+    through one eighth of a state of scratch.
     """
     for q in (control, a, b):
         state._check_qubit(q)
     if len({control, a, b}) != 3:
         raise ValueError(f"cswap qubits must be distinct, got {(control, a, b)}")
     n = state.num_qubits
-    amps = state.amplitudes.reshape((2,) * n)
-    out = amps.copy()
-    on = (slice(None),) * control + (1,)
-    # the control=1 slice drops the control axis, so later axes shift down
-    out[on] = np.swapaxes(amps[on], a - (a > control), b - (b > control))
-    return StateVector(n, out.reshape(-1))
+    amps = _gate_target(state, out)
+    cube = amps.reshape((2,) * n)
+    a_set, b_set = (
+        tuple({control: 1, a: bit, b: 1 - bit}.get(q, slice(None)) for q in range(n))
+        for bit in (1, 0)
+    )
+    held = cube[a_set].copy()
+    cube[a_set] = cube[b_set]
+    cube[b_set] = held
+    return StateVector(n, amps)
 
 
 def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:

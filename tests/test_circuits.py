@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -377,6 +378,28 @@ class TestCircuitJson:
         assert len(dump["gates"]) == sum(
             1 for _ in dump["gates"]
         )  # serializable list
+
+    def test_simulate_leaves_inputs_unchanged(self):
+        rng = np.random.default_rng(3)
+        inputs = [sv.tensor(random_qubits(rng, 2)) for _ in range(4)]
+        before = [s.amplitudes.tobytes() for s in inputs]
+        qc.simulate(qc.build_multiswap_full(4, 2), inputs)
+        assert [s.amplitudes.tobytes() for s in inputs] == before
+
+    def test_simulate_peak_is_one_state_and_half_scratch(self):
+        # 19 qubits, an 8 MiB state; copy-per-gate kernels peak at 2.5 states
+        circuit = qc.build_swap_test(9)
+        rng = np.random.default_rng(4)
+        inputs = [sv.tensor(random_qubits(rng, 9)) for _ in range(2)]
+        state_bytes = 16 * 2**circuit.layout.total_qubits
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            qc.simulate(circuit, inputs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * state_bytes, peak / state_bytes
 
     def test_simulate_validates_inputs(self):
         c = qc.build_swap_test(1)

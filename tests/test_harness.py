@@ -211,6 +211,26 @@ class TestScalingCurves:
         for rec in records[1:]:
             assert rec["N_eq2_growth_exponent"] == pytest.approx(3.0, abs=0.1)
 
+    def test_growth_exponent_follows_non_doubling_list(self):
+        records, _ = harness.run_scaling_curves([4, 16, 32], gamma=0.1, eps=1.0)
+        quadrupled = records[1]
+        assert quadrupled["N_eq2_growth_exponent"] == pytest.approx(
+            math.log(quadrupled["N_eq2_ratio"]) / math.log(4), rel=1e-12
+        )
+        assert quadrupled["N_eq2_growth_exponent"] == pytest.approx(3.17, abs=0.01)
+
+    def test_growth_exponent_bytes_unchanged_on_doubling_list(self):
+        # on a doubling list the exponent is log2 of the ratio, as it always was
+        records, _ = harness.run_scaling_curves([4, 8, 16], gamma=0.1, eps=1.0)
+        log2_ratio = [
+            dict(rec, N_eq2_growth_exponent=math.log2(rec["N_eq2_ratio"])) for rec in records
+        ]
+        log2_ratio[0]["N_eq2_growth_exponent"] = float("nan")
+        written, expected = io.StringIO(), io.StringIO()
+        harness.write_records(records, written)
+        harness.write_records(log2_ratio, expected)
+        assert written.getvalue() == expected.getvalue()
+
 
 class TestGatecount:
     def test_worked_rows(self):

@@ -148,6 +148,68 @@ class TestCswap:
             sv.apply_cswap(sv.make_basis_state(3, 0), 0, 1, 3)
 
 
+class TestGateOut:
+    """``out=`` gives the same bits as the functional call, whether it is a
+    distinct buffer or the input's own."""
+
+    @staticmethod
+    def _check_out(gate, state, *qubits):
+        expected = gate(state, *qubits).amplitudes
+        distinct = np.full_like(state.amplitudes, np.nan)
+        result = gate(state, *qubits, out=distinct)
+        assert result.amplitudes is distinct and np.array_equal(distinct, expected)
+        own = sv.StateVector(state.num_qubits, state.amplitudes.copy())
+        result = gate(own, *qubits, out=own.amplitudes)
+        assert result.amplitudes is own.amplitudes
+        assert np.array_equal(own.amplitudes, expected), qubits
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_hadamard_every_qubit(self, n):
+        state = random_state(np.random.default_rng(n), n)
+        for q in range(n):
+            self._check_out(sv.apply_hadamard, state, q)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cswap_every_ordered_triple(self, n):
+        state = random_state(np.random.default_rng(n), n)
+        for triple in itertools.permutations(range(n), 3):
+            self._check_out(sv.apply_cswap, state, *triple)
+
+    @pytest.mark.parametrize(
+        "out,problem",
+        [
+            (np.zeros(8, np.complex128), "length 16"),
+            (np.zeros((4, 4), np.complex128), "length 16"),
+            (np.zeros(16, np.complex64), "complex128"),
+            ([0j] * 16, "complex128"),
+            (np.zeros(32, np.complex128)[::2], "C-contiguous"),
+            (np.frombuffer(bytes(16 * 16), np.complex128), "writable"),
+        ],
+    )
+    def test_bad_out_rejected(self, out, problem):
+        state = sv.make_basis_state(4, 3)
+        with pytest.raises(ValueError, match=problem):
+            sv.apply_hadamard(state, 0, out=out)
+        with pytest.raises(ValueError, match=problem):
+            sv.apply_cswap(state, 0, 1, 2, out=out)
+        assert state.amplitudes[3] == 1.0
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(13)
+        parts = [random_state(rng, 2), random_state(rng, 1)]
+        before = [p.amplitudes.tobytes() for p in parts]
+        for group in ([parts[0]], parts):
+            fresh = sv.tensor(group)
+            assert not any(np.shares_memory(fresh.amplitudes, p.amplitudes) for p in parts)
+        state = sv.tensor(parts)
+        snapshot = state.amplitudes.tobytes()
+        for out in (None, np.empty_like(state.amplitudes)):
+            sv.apply_hadamard(state, 1, out=out)
+            sv.apply_cswap(state, 1, 0, 2, out=out)
+        assert state.amplitudes.tobytes() == snapshot
+        assert [p.amplitudes.tobytes() for p in parts] == before
+
+
 class TestExactMarginal:
     def test_basis_state(self):
         state = sv.make_basis_state(2, 0b01)
@@ -170,6 +232,10 @@ class TestExactMarginal:
         table = sv.exact_marginal(state, [0])
         assert abs(table[0] - 0.5) < 1e-12
         assert abs(table[1] - 0.5) < 1e-12
+
+    def test_probabilities_are_squared_magnitudes(self):
+        state = random_state(np.random.default_rng(29), 5)
+        assert np.array_equal(state.probabilities(), np.abs(state.amplitudes) ** 2)
 
     def test_full_marginal_matches_probabilities(self):
         rng = np.random.default_rng(23)
