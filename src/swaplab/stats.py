@@ -24,7 +24,11 @@ log-term is at least ln N + 40 below the largest one.  The pmf is
 log-concave, so past its mode the terms fall and the N - end terms left out
 add up to at most N*t_end <= e^-40 * t_max, under 4.3e-18 of the tail.  The
 window starts 64 + 8*sqrt(N*p*(1-p)) terms past the peak and doubles until
-that holds or reaches N.
+that holds or reaches N.  The window's log-terms cost one _stirlerr call
+over [N, k..., N-k...] and one _bd0 call over [k..., N-k...] with means
+[N*q..., N*p...]; both helpers are elementwise, so this fusing leaves every
+term's bits as separate calls would.  The threshold ceil(N*(1-alpha)) is
+taken in integer arithmetic from alpha's binary fraction a/b, as N*(b-a)/b.
 
 All functions are pure; safe for unrestricted parallel use.
 """
@@ -32,8 +36,8 @@ All functions are pure; safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,7 +72,8 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
         - 1.0 / (1680.0 * safe**7)
         + 1.0 / (1188.0 * safe**9)
     )
-    idx = np.clip(n.astype(int), 0, 15)
+    # n >= 0 here; entries past 15 read a table slot that np.where discards
+    idx = np.minimum(n, 15.0).astype(int)
     return np.where(small, _STIRLERR_SMALL[idx], series)
 
 
@@ -78,26 +83,32 @@ _BD0_MAX_TERMS = 100
 _TAIL_DROP = 40.0
 
 
-def _bd0(x: np.ndarray, m: float) -> np.ndarray:
-    """Binomial deviance x*ln(x/m) + m - x, stable for x near m."""
+def _bd0(x: np.ndarray, m) -> np.ndarray:
+    """Binomial deviance x*ln(x/m) + m - x, stable for x near m; ``m`` is a
+    scalar or one mean per element of x."""
     x = np.asarray(x, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 0:
+        m = np.full(x.shape, m)
     out = np.empty_like(x)
     close = np.abs(x - m) < 0.1 * (x + m)
-    far = x[~close]
+    far, m_far = x[~close], m[~close]
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.where(far > 0, far, 1.0) / m)
-        out[~close] = np.where(far > 0, far * logs, 0.0) + m - far
-    near = x[close]
-    v = (near - m) / (near + m)
-    s = (near - m) * v
+        logs = np.log(np.where(far > 0, far, 1.0) / m_far)
+        out[~close] = np.where(far > 0, far * logs, 0.0) + m_far - far
+    near, m_near = x[close], m[close]
+    v = (near - m_near) / (near + m_near)
+    s = (near - m_near) * v
     ej = 2.0 * near * v
     v2 = v * v
     # |v| < 0.1 where the series is used, so each term shrinks the next by
-    # 100x and double precision converges within a dozen terms
+    # 100x and double precision converges within a dozen terms.  A converged
+    # element stays put while the loop runs on for the others: every later
+    # term is under a hundredth of half its ulp.
     for j in range(1, _BD0_MAX_TERMS + 1):
         ej = ej * v2
         s_new = s + ej / (2 * j + 1)
-        converged = np.array_equal(s_new, s)
+        converged = (s_new == s).all()
         s = s_new
         if converged:
             out[close] = s
@@ -107,20 +118,27 @@ def _bd0(x: np.ndarray, m: float) -> np.ndarray:
 
 def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     """ln P(Bin(n, q) = k) with q = 1 - p, saddle-point form, vectorized over
-    integer k.  Taking p rather than q keeps n*p exact to the caller's p:
-    re-deriving p from a rounded q would shift the log-pmf by ~1e-12 at
-    n = 10^5."""
+    a 1-d array of integer k.  Taking p rather than q keeps n*p exact to the
+    caller's p: re-deriving p from a rounded q would shift the log-pmf by
+    ~1e-12 at n = 10^5.  Each helper runs once over both halves of the sum
+    (see the module docstring); the terms are added in the textbook order."""
     k = np.asarray(k, dtype=float)
     q = 1.0 - p
     interior = (k > 0) & (k < n)
     kk = np.where(interior, k, 0.5 * n)  # dummy interior value at the endpoints
+    size = kk.size
+    args = np.concatenate(([n], kk, n - kk))
+    st = _stirlerr(args)
+    both = args[1:]
+    bd = _bd0(both, np.repeat([n * q, n * p], size))
+    logs = np.log(both)
     lf = (
-        _stirlerr(n)
-        - _stirlerr(kk)
-        - _stirlerr(n - kk)
-        - _bd0(kk, n * q)
-        - _bd0(n - kk, n * p)
-        + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - np.log(kk) - np.log(n - kk))
+        st[0]
+        - st[1:size + 1]
+        - st[size + 1:]
+        - bd[:size]
+        - bd[size:]
+        + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - logs[:size] - logs[size:])
     )
     lf = np.where(k == 0, n * math.log(p), lf)
     lf = np.where(k == n, n * math.log(q) if q > 0 else -math.inf, lf)
@@ -195,13 +213,17 @@ def kl_bernoulli(a: float, p: float) -> float:
 
 
 def _threshold(N: int, alpha: float) -> tuple[int, bool]:
-    """(tail_threshold, threshold_aligned) from one exact rational N*(1-alpha)."""
-    frac = Fraction(N) * (1 - Fraction(alpha))
-    x = float(frac)
+    """(tail_threshold, threshold_aligned) from the exact rational
+    N*(1-alpha) = N*(b-a)/b, where a/b is alpha's binary fraction.  Python's
+    int true division rounds correctly, so x is that rational's nearest
+    double."""
+    a, b = float(alpha).as_integer_ratio()
+    num = operator.index(N) * (b - a)
+    x = num / b
     nearest = round(x)
     if abs(x - nearest) <= 1e-12 * max(1, N):
-        return int(nearest), True
-    return int(-((-frac) // 1)), False
+        return nearest, True
+    return -(-num // b), False
 
 
 def tail_threshold(N: int, alpha: float) -> int:
@@ -231,8 +253,9 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
     the window of terms described in the module docstring is summed; the
     terms past it add less than 4.3e-18 of the tail.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError(f"N must be a whole number >= 1, got {N}")
+    N = int(N)
     _check_open_unit("alpha", alpha)
     _check_open_unit("p", p)
     k = tail_threshold(N, alpha)

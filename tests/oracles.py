@@ -5,10 +5,13 @@ summed term by term (exact rationals for small N, arbitrary precision with a
 ratio recurrence for large N), thresholds are recomputed from scratch, and
 the per-pair swap-test statistics of the quantum egraph come from simulating
 each pair's circuit on the state vector instead of the closed-form law.  The
-one exception, xi_full_sum, shares the library's saddle-point log-terms and
-checks only which of them the windowed tail sums.
+exceptions share the library's saddle-point helpers: xi_full_sum checks only
+which log-terms the windowed tail sums, and binom_logpmf_unfused is the
+log-pmf with one helper call per term, against which the fused kernel must
+match bit for bit.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -31,6 +34,13 @@ def oracle_threshold(N: int, alpha: float) -> int:
     if abs(x - nearest) <= 1e-12 * max(1, N):
         return int(nearest)
     return int(-((-frac) // 1))
+
+
+def oracle_threshold_aligned(N: int, alpha: float) -> bool:
+    """True when the rational N * (1 - alpha) is within N*1e-12 of an
+    integer, the snap of oracle_threshold."""
+    x = float(Fraction(N) * (1 - Fraction(alpha)))
+    return abs(x - round(x)) <= 1e-12 * max(1, N)
 
 
 def xi_fraction(N: int, alpha: float, p: float) -> Fraction:
@@ -88,6 +98,44 @@ def xi_full_sum(N: int, alpha: float, p: float) -> float:
         return 0.0
     log_terms = stats._binom_logpmf(np.arange(k, N + 1), N, p)
     return min(1.0, math.exp(logsumexp(log_terms)))
+
+
+def json_dump_records(records, metadata) -> str:
+    """The JSON text of write_records by the library's json.dump route: a
+    payload of metadata and records, NaN as null and infinities as "inf"
+    and "-inf", written with indent=2 and a final newline."""
+
+    def jsonable(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+        return value
+
+    payload = {
+        "metadata": metadata or {},
+        "records": [{k: jsonable(v) for k, v in rec.items()} for rec in records],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def binom_logpmf_unfused(k, n: int, p: float) -> np.ndarray:
+    """stats._binom_logpmf as it was before its helper calls were fused:
+    _stirlerr three times and _bd0 twice, each with a scalar argument or
+    mean, summed in the same order."""
+    k = np.asarray(k, dtype=float)
+    q = 1.0 - p
+    interior = (k > 0) & (k < n)
+    kk = np.where(interior, k, 0.5 * n)
+    lf = (
+        stats._stirlerr(n)
+        - stats._stirlerr(kk)
+        - stats._stirlerr(n - kk)
+        - stats._bd0(kk, n * q)
+        - stats._bd0(n - kk, n * p)
+        + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - np.log(kk) - np.log(n - kk))
+    )
+    lf = np.where(k == 0, n * math.log(p), lf)
+    lf = np.where(k == n, n * math.log(q) if q > 0 else -math.inf, lf)
+    return lf
 
 
 def per_pair_swap_tests(cloud, shots, seed=0):

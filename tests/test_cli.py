@@ -116,6 +116,25 @@ class TestSubcommands:
         assert named in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid,named",
+        [
+            (["--alpha-grid", "0.5", "--p-grid", "0.9,1.5,nan"],
+             "p must lie in (0, 1), got 1.5"),
+            (["--alpha-grid", "0.5", "--p-grid", "0.9,nan"],
+             "p must lie in (0, 1), got nan"),
+            (["--p-grid", "0.9,0"], "p must lie in (0, 1), got 0.0"),
+            (["--n-list", "1..200,0"], "N must be a whole number >= 1, got 0"),
+            (["--n-list", "0..3"], "N must be a whole number >= 1, got 0"),
+        ],
+    )
+    def test_bounds_bad_value_rejected(self, tmp_path, grid, named):
+        out = tmp_path / "bounds.csv"
+        proc = _swaplab("bounds", "--n-list", "3", *grid, "--out", str(out))
+        assert proc.returncode != 0 and not proc.stdout
+        assert named in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("dump", [False, True])
     def test_pair_map_zero_width(self, tmp_path, dump):
         out, circuit = tmp_path / "pm.json", tmp_path / "circuit.json"

@@ -2,13 +2,40 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from swaplab import circuits, egraph, harness, stats
 
-from oracles import multi_pair_probabilities, per_pair_swap_tests
+from oracles import json_dump_records, multi_pair_probabilities, per_pair_swap_tests
+
+
+def _edge_records():
+    """Records with every value kind the JSON writer formats apart."""
+    values = [1 / 3, math.nan, math.inf, -math.inf, None, True, 10**20, "q\"%s\n☃",
+              np.float64(0.1), np.float64(math.nan), [1.5, math.nan, {"k": None}]]
+    records = [
+        {"f": 0.1 * i, "b": i % 3 == 0, "i": i - 300, "x": values[i % len(values)],
+         'odd "%" key': -i / 7}
+        for i in range(600)
+    ]
+    for rec in records[::97]:
+        rec["f"] = math.inf if rec["b"] else math.nan
+    return records, {"nested": {"list": [1, 2.5, None], "empty": {}}, "n": math.nan}
+
+
+# record sets for the JSON writer's byte-for-byte test, by name
+JSON_SOURCES = {
+    "bounds": lambda: harness.run_bounds_sweep([1, 2, 3, 150]),
+    "scaling-nan": lambda: harness.run_scaling_curves([4, 8, 16]),
+    "pair-map": lambda: harness.run_pair_map(8),
+    "edge-values": _edge_records,
+    "mixed-keys": lambda: ([{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1}, {}], {}),
+    "empty-record": lambda: ([{}], None),
+    "no-records": lambda: ([], None),
+}
 
 
 class TestWriters:
@@ -63,6 +90,34 @@ class TestWriters:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             harness.write_records([], tmp_path / "x", "yaml")
+
+    @pytest.mark.parametrize("source", JSON_SOURCES.keys())
+    def test_json_matches_json_dump(self, source):
+        records, metadata = JSON_SOURCES[source]()
+        got = io.StringIO()
+        harness.write_records(records, got, "json", metadata)
+        assert got.getvalue() == json_dump_records(records, metadata)
+
+    @pytest.mark.parametrize(
+        "mode,shots",
+        [("quantum-standard", 500), ("quantum-standard", math.inf),
+         ("quantum-multi", 2000)],
+    )
+    def test_json_estimate_rows_match_json_dump(self, tmp_path, monkeypatch,
+                                                mode, shots):
+        points = [[math.cos(math.radians(a)), math.sin(math.radians(a))]
+                  for a in range(0, 180, 30)]
+        path = tmp_path / "cloud.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in points))
+        calls = []
+        write = harness.write_records
+        monkeypatch.setattr(harness, "write_records",
+                            lambda *args: calls.append(args) or write(*args))
+        harness.run_egraph_trial(path, 0.7, mode, shots, 1, tmp_path / "run", "json")
+        (records, target, _, metadata), = calls
+        assert {type(v) for v in records[0].values()} == {int, float, bool}
+        with open(target) as fh:
+            assert fh.read() == json_dump_records(records, metadata)
 
 
 class TestSwapTestRunner:
@@ -151,6 +206,30 @@ class TestBoundsSweep:
         assert one["upper_ok"] and not one["lower_ok"]  # documented caveat
         assert not one["threshold_aligned"]
         assert "xi_exact" in meta
+
+    @pytest.mark.parametrize(
+        "n_values,ps,named",
+        [
+            ([1, 2, 0], None, "N must be a whole number >= 1, got 0"),
+            ([3, 2.5], None, "got 2.5"),
+            ([math.nan], None, "got nan"),
+            ([4], [0.9, 1.5], "p must lie in (0, 1), got 1.5"),
+            ([4], [math.nan, 0.9], "p must lie in (0, 1), got nan"),
+        ],
+    )
+    def test_bad_value_rejected_before_first_cell(self, monkeypatch, n_values, ps,
+                                                  named):
+        cells = []
+        monkeypatch.setattr(stats, "false_negative_exact",
+                            lambda *args: cells.append(args) or 0.0)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            harness.run_bounds_sweep(n_values, [0.5], ps)
+        assert not cells
+
+    def test_whole_float_n_written_as_int(self):
+        floats, _ = harness.run_bounds_sweep([10.0, np.int64(3)], [0.5], [0.9])
+        ints, _ = harness.run_bounds_sweep([10, 3], [0.5], [0.9])
+        assert floats == ints and type(floats[0]["N"]) is int
 
     def test_default_grid_shape(self):
         records, _ = harness.run_bounds_sweep([5])

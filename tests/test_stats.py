@@ -3,10 +3,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from oracles import oracle_threshold, xi_fraction, xi_full_sum, xi_mpmath
+from oracles import (
+    binom_logpmf_unfused,
+    oracle_threshold,
+    oracle_threshold_aligned,
+    xi_fraction,
+    xi_full_sum,
+    xi_mpmath,
+)
 from swaplab import harness, stats
 
 # frozen independent-oracle values (fractions/mpmath, see oracles.py)
@@ -254,11 +261,72 @@ class TestFalseNegativeExact:
         values = [stats.false_negative_exact(25, a, 0.9) for a in (0.2, 0.4, 0.6, 0.8)]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("N", [1.5, 10.5, math.nan, math.inf, 0, -3, 0.5])
+    def test_n_not_whole_rejected(self, N):
+        with pytest.raises(ValueError, match=f"N must be a whole number >= 1, got {N}"):
+            stats.false_negative_exact(N, 0.5, 0.9)
+
+    def test_whole_float_n_accepted(self):
+        assert stats.false_negative_exact(10.0, 0.5, 0.9) == stats.false_negative_exact(
+            10, 0.5, 0.9
+        )
+
+    @given(
+        N=st.integers(1, 10**7),
+        alpha=st.one_of(
+            st.integers(1, 99).map(lambda c: c / 100),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+    )
+    @example(N=20, alpha=0.95)
+    @example(N=100, alpha=0.95)
+    @example(N=3, alpha=1 / 3)
+    @example(N=10**7, alpha=5e-324)
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_matches_fraction_route(self, N, alpha):
+        k, aligned = stats.tail_threshold(N, alpha), stats.threshold_aligned(N, alpha)
+        assert type(k) is int and type(aligned) is bool
+        assert (k, aligned) == (oracle_threshold(N, alpha),
+                                oracle_threshold_aligned(N, alpha))
+
     def test_bd0_series_cap_raises(self, monkeypatch):
         # x near m takes the series branch, which needs more than one term
         monkeypatch.setattr(stats, "_BD0_MAX_TERMS", 1)
         with pytest.raises(RuntimeError, match="did not converge"):
             stats._bd0(np.array([100.0]), 101.0)
+
+
+class TestFusedKernel:
+    """The log-pmf with one _stirlerr and one _bd0 call per window, against
+    the one-call-per-term expression, bit for bit."""
+
+    @pytest.mark.parametrize("N", [1, 2, 15, 16, 17, 200, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize(
+        "p", [1e-12, 0.003, 0.49, 0.5, 0.51, 0.997, 1 - 1e-12], ids=str
+    )
+    def test_logpmf_matches_unfused(self, N, p):
+        mode = math.floor((N + 1) * (1 - p))
+        windows = [(0, min(N, 300)), (max(0, N - 300), N),
+                   (max(0, mode - 150), min(N, mode + 150))]
+        for lo, hi in windows:
+            k = np.arange(lo, hi + 1)
+            got = stats._binom_logpmf(k, N, p)
+            assert np.array_equal(got, binom_logpmf_unfused(k, N, p)), (lo, hi)
+        assert any(lo == 0 for lo, _ in windows) and any(hi == N for _, hi in windows)
+
+    def test_bd0_mean_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(13)
+        m = rng.uniform(0.5, 1e6, 600)
+        # relative gaps from 1e-12 to 3: the series branch at every depth,
+        # the log branch, and x = 0
+        gap = np.concatenate([10.0 ** rng.uniform(-12, -1.1, 400),
+                              rng.uniform(0.25, 3.0, 199), [-1.0]])
+        x = m * (1 + rng.choice([-1, 1], 600) * np.minimum(gap, 1.0))
+        close = np.abs(x - m) < 0.1 * (x + m)
+        assert close.sum() >= 350 and (~close).sum() >= 150 and (x == 0).any()
+        fused = stats._bd0(x, m)
+        single = [stats._bd0(np.array([xi]), mi)[0] for xi, mi in zip(x, m)]
+        assert np.array_equal(fused, single)
 
 
 class TestBoundPair:
