@@ -29,9 +29,9 @@ from . import circuits, egraph, statevec, stats
 
 Record = dict
 
-# write_records formats and writes rows a block at a time, so the formatted
-# fields of only this many rows are held at once
-_BLOCK_ROWS = 256
+# write_records formats and writes CSV rows a block at a time, so the
+# formatted fields of only this many rows are held at once
+_CSV_BLOCK_ROWS = 256
 
 
 def _fmt_cell(value) -> str:
@@ -82,77 +82,40 @@ def _jsonable(value):
     return value
 
 
-def _json_text(value, indent: str) -> str:
-    """json.dump(indent=2)'s text of a value nested ``indent`` deep."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-
-
-def _json_column(values: list) -> list[str]:
-    """The JSON texts of one record column, by _jsonable's rules.  A column
-    of plain floats, bools or ints is formatted in one comprehension;
-    json.dump writes a float as its repr."""
-    kinds = set(map(type, values))
-    if kinds <= {float}:
-        r = float.__repr__
-        return [
-            r(v) if v - v == 0 else "null" if v != v else '"inf"' if v > 0 else '"-inf"'
-            for v in values
-        ]
-    if kinds <= {bool}:
-        return ["true" if v else "false" for v in values]
-    if kinds <= {int}:
-        return list(map(str, values))
-    return [_json_text(_jsonable(v), "      ") for v in values]
-
-
-def _json_rows(block) -> list[str]:
-    """json.dump(indent=2)'s text of each record of a block, nested at the
-    records list's depth.  Records that share one key order are formatted
-    by column."""
-    keys = tuple(block[0])
-    if not keys or any(tuple(rec) != keys for rec in block):
-        return [_json_text({k: _jsonable(v) for k, v in rec.items()}, "    ")
-                for rec in block]
-    columns = [_json_column([rec[k] for rec in block]) for k in keys]
-    fields = ",\n".join(
-        "      " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys
-    )
-    template = "{\n" + fields + "\n    }"
-    return [template % row for row in zip(*columns)]
-
-
 def write_records(records: Sequence[Record], path_or_file, fmt: str = "csv",
                   metadata: dict | None = None) -> None:
     """Write records as CSV (data only) or JSON (data plus metadata).
-    ``path_or_file`` may be a filesystem path or an open text stream.  The
-    JSON bytes are those of json.dump(indent=2) with a final newline, NaN
-    written as null and infinities as "inf" and "-inf"."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
+    ``path_or_file`` may be a filesystem path or an open text stream."""
     own = not hasattr(path_or_file, "write")
-    newline = "" if fmt == "csv" else None
-    fh = open(path_or_file, "w", newline=newline) if own else path_or_file
-    try:
-        if fmt == "csv":
+    if fmt == "csv":
+        fh = open(path_or_file, "w", newline="") if own else path_or_file
+        try:
             if records:
                 header = list(records[0].keys())
                 fh.write(_csv_lines([map(_csv_field, header)]))
-                for start in range(0, len(records), _BLOCK_ROWS):
-                    block = records[start:start + _BLOCK_ROWS]
+                for start in range(0, len(records), _CSV_BLOCK_ROWS):
+                    block = records[start:start + _CSV_BLOCK_ROWS]
                     columns = [_fmt_column([rec[k] for rec in block]) for k in header]
                     fh.write(_csv_lines(zip(*columns)))
-        else:
-            fh.write('{\n  "metadata": ' + _json_text(metadata or {}, "  ")
-                     + ',\n  "records": [')
-            sep = "\n    "
-            for start in range(0, len(records), _BLOCK_ROWS):
-                rows = _json_rows(records[start:start + _BLOCK_ROWS])
-                fh.write(sep + ",\n    ".join(rows))
-                sep = ",\n    "
-            fh.write("\n  ]\n}\n" if records else "]\n}\n")
-    finally:
-        if own:
-            fh.close()
+        finally:
+            if own:
+                fh.close()
+    elif fmt == "json":
+        payload = {
+            "metadata": metadata or {},
+            "records": [
+                {k: _jsonable(v) for k, v in rec.items()} for rec in records
+            ],
+        }
+        fh = open(path_or_file, "w") if own else path_or_file
+        try:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        finally:
+            if own:
+                fh.close()
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
 
 
 def _random_qubit_states(rng: np.random.Generator, count: int):
@@ -355,12 +318,9 @@ def run_bounds_sweep(
     ValueError naming the value for an N that is not a whole number >= 1 or
     an alpha or p outside (0, 1), and when no (alpha, p) cell is left.
     """
-    n_values = list(n_values)
+    n_values = [stats._check_count(N) for N in n_values]
     alphas = list(alphas) if alphas is not None else default_alpha_grid()
-    for N in n_values:
-        if not (N >= 1 and float(N).is_integer()):
-            raise ValueError(f"N must be a whole number >= 1, got {N}")
-    n_values = [int(N) for N in n_values]
+    ps = list(ps) if ps is not None else None
     for name, grid in (("alpha", alphas), ("p", ps or ())):
         for value in grid:
             if not 0.0 < value < 1.0:

@@ -145,6 +145,17 @@ def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     return lf
 
 
+def _check_count(N) -> int:
+    """N as a Python int; ValueError unless N is an integer >= 1."""
+    try:
+        n = operator.index(N)
+    except TypeError:  # not an integer (a float too): rejected below
+        n = 0
+    if n < 1:
+        raise ValueError(f"N must be a whole number >= 1, got {N}")
+    return n
+
+
 def _check_open_unit(name: str, value: float) -> None:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {value}")
@@ -217,11 +228,12 @@ def _threshold(N: int, alpha: float) -> tuple[int, bool]:
     N*(1-alpha) = N*(b-a)/b, where a/b is alpha's binary fraction.  Python's
     int true division rounds correctly, so x is that rational's nearest
     double."""
+    N = _check_count(N)
     a, b = float(alpha).as_integer_ratio()
-    num = operator.index(N) * (b - a)
+    num = N * (b - a)
     x = num / b
     nearest = round(x)
-    if abs(x - nearest) <= 1e-12 * max(1, N):
+    if abs(x - nearest) <= 1e-12 * N:
         return nearest, True
     return -(-num // b), False
 
@@ -253,9 +265,7 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
     the window of terms described in the module docstring is summed; the
     terms past it add less than 4.3e-18 of the tail.
     """
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError(f"N must be a whole number >= 1, got {N}")
-    N = int(N)
+    N = _check_count(N)
     _check_open_unit("alpha", alpha)
     _check_open_unit("p", p)
     k = tail_threshold(N, alpha)

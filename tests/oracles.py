@@ -5,13 +5,13 @@ summed term by term (exact rationals for small N, arbitrary precision with a
 ratio recurrence for large N), thresholds are recomputed from scratch, and
 the per-pair swap-test statistics of the quantum egraph come from simulating
 each pair's circuit on the state vector instead of the closed-form law.  The
-exceptions share the library's saddle-point helpers: xi_full_sum checks only
-which log-terms the windowed tail sums, and binom_logpmf_unfused is the
-log-pmf with one helper call per term, against which the fused kernel must
-match bit for bit.
+one exception, xi_full_sum, shares the library's saddle-point log-terms and
+checks only which of them the windowed tail sums.  binom_logpmf_unfused keeps
+its own copy of the saddle-point helpers as they were before the library
+fused them, so the fused kernel is checked bit for bit against code it does
+not share.
 """
 
-import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -100,37 +100,63 @@ def xi_full_sum(N: int, alpha: float, p: float) -> float:
     return min(1.0, math.exp(logsumexp(log_terms)))
 
 
-def json_dump_records(records, metadata) -> str:
-    """The JSON text of write_records by the library's json.dump route: a
-    payload of metadata and records, NaN as null and infinities as "inf"
-    and "-inf", written with indent=2 and a final newline."""
+def stirlerr_unfused(n) -> np.ndarray:
+    """stats._stirlerr before fusing: its small-n table read through
+    np.clip."""
+    n = np.asarray(n, dtype=float)
+    small = n < 15.5
+    safe = np.where(small, 1.0, n)
+    series = (
+        1.0 / (12.0 * safe)
+        - 1.0 / (360.0 * safe**3)
+        + 1.0 / (1260.0 * safe**5)
+        - 1.0 / (1680.0 * safe**7)
+        + 1.0 / (1188.0 * safe**9)
+    )
+    idx = np.clip(n.astype(int), 0, 15)
+    return np.where(small, stats._STIRLERR_SMALL[idx], series)
 
-    def jsonable(value):
-        if isinstance(value, float) and not math.isfinite(value):
-            return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
-        return value
 
-    payload = {
-        "metadata": metadata or {},
-        "records": [{k: jsonable(v) for k, v in rec.items()} for rec in records],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def bd0_unfused(x, m: float) -> np.ndarray:
+    """stats._bd0 before fusing: one scalar mean m, and the series stops
+    when np.array_equal sees no change."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    close = np.abs(x - m) < 0.1 * (x + m)
+    far = x[~close]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.where(far > 0, far, 1.0) / m)
+        out[~close] = np.where(far > 0, far * logs, 0.0) + m - far
+    near = x[close]
+    v = (near - m) / (near + m)
+    s = (near - m) * v
+    ej = 2.0 * near * v
+    v2 = v * v
+    for j in range(1, 101):
+        ej = ej * v2
+        s_new = s + ej / (2 * j + 1)
+        converged = np.array_equal(s_new, s)
+        s = s_new
+        if converged:
+            out[close] = s
+            return out
+    raise RuntimeError("bd0_unfused series did not converge in 100 terms")
 
 
 def binom_logpmf_unfused(k, n: int, p: float) -> np.ndarray:
     """stats._binom_logpmf as it was before its helper calls were fused:
-    _stirlerr three times and _bd0 twice, each with a scalar argument or
-    mean, summed in the same order."""
+    the Stirling correction three times and the deviance twice, each with a
+    scalar argument or mean, summed in the same order."""
     k = np.asarray(k, dtype=float)
     q = 1.0 - p
     interior = (k > 0) & (k < n)
     kk = np.where(interior, k, 0.5 * n)
     lf = (
-        stats._stirlerr(n)
-        - stats._stirlerr(kk)
-        - stats._stirlerr(n - kk)
-        - stats._bd0(kk, n * q)
-        - stats._bd0(n - kk, n * p)
+        stirlerr_unfused(n)
+        - stirlerr_unfused(kk)
+        - stirlerr_unfused(n - kk)
+        - bd0_unfused(kk, n * q)
+        - bd0_unfused(n - kk, n * p)
         + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - np.log(kk) - np.log(n - kk))
     )
     lf = np.where(k == 0, n * math.log(p), lf)

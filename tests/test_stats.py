@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from oracles import (
+    bd0_unfused,
     binom_logpmf_unfused,
     oracle_threshold,
     oracle_threshold_aligned,
@@ -261,14 +262,21 @@ class TestFalseNegativeExact:
         values = [stats.false_negative_exact(25, a, 0.9) for a in (0.2, 0.4, 0.6, 0.8)]
         assert values == sorted(values)
 
-    @pytest.mark.parametrize("N", [1.5, 10.5, math.nan, math.inf, 0, -3, 0.5])
+    @pytest.mark.parametrize(
+        "N", [1.5, 10.5, 10.0, math.nan, math.inf, 0, -3, 0.5, np.float64(4.0)]
+    )
     def test_n_not_whole_rejected(self, N):
-        with pytest.raises(ValueError, match=f"N must be a whole number >= 1, got {N}"):
-            stats.false_negative_exact(N, 0.5, 0.9)
+        named = re.escape(f"N must be a whole number >= 1, got {N}")
+        for call in (lambda: stats.false_negative_exact(N, 0.5, 0.9),
+                     lambda: stats.tail_threshold(N, 0.5),
+                     lambda: stats.threshold_aligned(N, 0.5)):
+            with pytest.raises(ValueError, match=named):
+                call()
 
-    def test_whole_float_n_accepted(self):
-        assert stats.false_negative_exact(10.0, 0.5, 0.9) == stats.false_negative_exact(
-            10, 0.5, 0.9
+    def test_integer_n_accepted(self):
+        assert stats.tail_threshold(np.int64(10), 0.5) == 5
+        assert stats.false_negative_exact(np.int64(10), 0.5, 0.9) == (
+            stats.false_negative_exact(10, 0.5, 0.9)
         )
 
     @given(
@@ -325,7 +333,7 @@ class TestFusedKernel:
         close = np.abs(x - m) < 0.1 * (x + m)
         assert close.sum() >= 350 and (~close).sum() >= 150 and (x == 0).any()
         fused = stats._bd0(x, m)
-        single = [stats._bd0(np.array([xi]), mi)[0] for xi, mi in zip(x, m)]
+        single = [bd0_unfused(np.array([xi]), mi)[0] for xi, mi in zip(x, m)]
         assert np.array_equal(fused, single)
 
 
