@@ -362,8 +362,9 @@ def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector
     """Run the circuit on the given input registers (ancillas start in |0>).
 
     Every gate writes in place into the one fresh state that ``tensor``
-    builds, so the inputs are never touched and the run holds one state
-    plus at most half a state of scratch.
+    builds, so the inputs are never touched; each gate adds only one block
+    of ``statevec._BLOCK`` amplitudes of scratch.  The run's peak is set by
+    ``tensor``'s Kronecker chain: the state plus its last partial product.
     """
     layout = circuit.layout
     if len(inputs) != layout.n:

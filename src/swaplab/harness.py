@@ -85,13 +85,24 @@ def _jsonable(value):
 def write_records(records: Sequence[Record], path_or_file, fmt: str = "csv",
                   metadata: dict | None = None) -> None:
     """Write records as CSV (data only) or JSON (data plus metadata).
-    ``path_or_file`` may be a filesystem path or an open text stream."""
+    ``path_or_file`` may be a filesystem path or an open text stream.  CSV
+    takes its header from the first record; a record with other keys raises
+    ValueError naming it before anything is written."""
     own = not hasattr(path_or_file, "write")
     if fmt == "csv":
+        header = list(records[0].keys()) if records else []
+        keys = set(header)
+        for row, rec in enumerate(records):
+            if rec.keys() != keys:
+                extra = [k for k in rec if k not in keys]
+                missing = [k for k in header if k not in rec]
+                raise ValueError(
+                    f"CSV record {row} does not have the header's keys (those of "
+                    f"record 0): extra {extra}, missing {missing}"
+                )
         fh = open(path_or_file, "w", newline="") if own else path_or_file
         try:
             if records:
-                header = list(records[0].keys())
                 fh.write(_csv_lines([map(_csv_field, header)]))
                 for start in range(0, len(records), _CSV_BLOCK_ROWS):
                     block = records[start:start + _CSV_BLOCK_ROWS]

@@ -11,13 +11,16 @@ index 2 = binary ``10`` is the state |1>|0> with qubit 0 in |1>.
 Each gate is one kernel that writes its result in place into ``out`` and
 returns a StateVector over it.  Without ``out`` it first copies its input,
 so a gate never mutates its input unless given that input's own buffer as
-``out``.  ``circuits.simulate`` does exactly that, so a whole circuit holds
-one state plus at most half a state of scratch (the Hadamard's).  Sampling
-takes an explicit seed or Generator; there is no hidden global RNG state.
+``out``.  ``circuits.simulate`` does exactly that.  A gate walks the state
+in blocks of at most ``_BLOCK`` amplitudes through one block of scratch, so
+a whole circuit holds one state plus a few blocks; a simulate-and-measure
+run peaks in ``tensor`` and ``exact_marginal`` instead.  Sampling takes an
+explicit seed or Generator; there is no hidden global RNG state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,6 +32,11 @@ import numpy as np
 MAX_QUBITS = 28
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Largest number of amplitudes a gate touches per step, and the size of its
+# one scratch block: 2^14 complex amplitudes (256 KiB) stay in L2 cache
+# while a whole state streams through it.
+_BLOCK = 2**14
 
 
 class ResourceError(RuntimeError):
@@ -138,16 +146,28 @@ def apply_hadamard(
     state: StateVector, qubit: int, out: np.ndarray | None = None
 ) -> StateVector:
     """Hadamard on one qubit, written into ``out`` (see the module
-    docstring).  Scratch: half a state."""
+    docstring).  Scratch: one block of at most ``_BLOCK`` amplitudes.
+
+    The state is viewed as (2^qubit, 2, 2^(n-1-qubit)) and walked in blocks
+    of the inner axis, several outer rows at once where the inner run is
+    shorter than a block; each block gets the same four elementwise
+    operations, so the bits do not depend on the block size.
+    """
     state._check_qubit(qubit)
     n = state.num_qubits
     amps = _gate_target(state, out)
-    halves = amps.reshape(2**qubit, 2, 2 ** (n - 1 - qubit))
-    a0, a1 = halves[:, 0, :], halves[:, 1, :]
-    diff = a0 - a1
-    a0 += a1
-    a0 *= _INV_SQRT2
-    np.multiply(diff, _INV_SQRT2, out=a1)
+    inner = 2 ** (n - 1 - qubit)
+    halves = amps.reshape(2**qubit, 2, inner)
+    rows, cols = max(1, _BLOCK // inner), min(inner, _BLOCK)
+    scratch = np.empty(min(_BLOCK, 2 ** (n - 1)), dtype=np.complex128)
+    for r in range(0, 2**qubit, rows):
+        for c in range(0, inner, cols):
+            a0 = halves[r : r + rows, 0, c : c + cols]
+            a1 = halves[r : r + rows, 1, c : c + cols]
+            diff = np.subtract(a0, a1, out=scratch[: a0.size].reshape(a0.shape))
+            a0 += a1
+            a0 *= _INV_SQRT2
+            np.multiply(diff, _INV_SQRT2, out=a1)
     return StateVector(n, amps)
 
 
@@ -159,8 +179,11 @@ def apply_cswap(
 
     A pure basis-index permutation, hence exactly unitary and exactly its own
     inverse (amplitudes are moved, never recombined): of the control=1
-    amplitudes, only the two blocks whose bits a and b differ trade places,
-    through one eighth of a state of scratch.
+    amplitudes, only the two blocks whose bits a and b differ trade places.
+    The leading qubits other than control, a and b are fixed in turn until
+    such a block holds at most ``_BLOCK`` amplitudes, and each pair of
+    blocks trades through one block of scratch (numpy adds a temporary
+    block of its own where the address ranges of the two interleave).
     """
     for q in (control, a, b):
         state._check_qubit(q)
@@ -169,13 +192,19 @@ def apply_cswap(
     n = state.num_qubits
     amps = _gate_target(state, out)
     cube = amps.reshape((2,) * n)
-    a_set, b_set = (
-        tuple({control: 1, a: bit, b: 1 - bit}.get(q, slice(None)) for q in range(n))
-        for bit in (1, 0)
-    )
-    held = cube[a_set].copy()
-    cube[a_set] = cube[b_set]
-    cube[b_set] = held
+    free = [q for q in range(n) if q not in (control, a, b)]
+    # fix the fewest leading free qubits that leave 2^(n-3-len(lead)) <= _BLOCK
+    lead = free[: max(0, n - 2 - _BLOCK.bit_length())]
+    held = np.empty((2,) * (n - 3 - len(lead)), dtype=np.complex128)
+    for bits in itertools.product((0, 1), repeat=len(lead)):
+        fixed = {**dict(zip(lead, bits)), control: 1}
+        a_set, b_set = (
+            tuple({**fixed, a: bit, b: 1 - bit}.get(q, slice(None)) for q in range(n))
+            for bit in (1, 0)
+        )
+        np.copyto(held, cube[a_set])
+        cube[a_set] = cube[b_set]
+        cube[b_set] = held
     return StateVector(n, amps)
 
 

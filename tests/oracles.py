@@ -9,7 +9,8 @@ one exception, xi_full_sum, shares the library's saddle-point log-terms and
 checks only which of them the windowed tail sums.  binom_logpmf_unfused keeps
 its own copy of the saddle-point helpers as they were before the library
 fused them, so the fused kernel is checked bit for bit against code it does
-not share.
+not share.  hadamard_reference and cswap_reference are the whole-array gate
+kernels, which the library's blocked kernels must match bit for bit.
 """
 
 import math
@@ -162,6 +163,50 @@ def binom_logpmf_unfused(k, n: int, p: float) -> np.ndarray:
     lf = np.where(k == 0, n * math.log(p), lf)
     lf = np.where(k == n, n * math.log(q) if q > 0 else -math.inf, lf)
     return lf
+
+
+def hadamard_reference(state, qubit):
+    """Hadamard on ``qubit`` over the whole state at once, in a fresh array:
+    the same four elementwise operations as the blocked kernel, with half a
+    state of scratch."""
+    n = state.num_qubits
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    amps = state.amplitudes.copy()
+    halves = amps.reshape(2**qubit, 2, 2 ** (n - 1 - qubit))
+    a0, a1 = halves[:, 0, :], halves[:, 1, :]
+    diff = a0 - a1
+    a0 += a1
+    a0 *= inv_sqrt2
+    np.multiply(diff, inv_sqrt2, out=a1)
+    return statevec.StateVector(n, amps)
+
+
+def cswap_reference(state, control, a, b):
+    """Controlled-SWAP over the whole state at once, in a fresh array: the
+    control=1 block with bits (a, b) = (1, 0) trades places with the one with
+    (0, 1)."""
+    n = state.num_qubits
+    amps = state.amplitudes.copy()
+    cube = amps.reshape((2,) * n)
+    a_set, b_set = (
+        tuple({control: 1, a: bit, b: 1 - bit}.get(q, slice(None)) for q in range(n))
+        for bit in (1, 0)
+    )
+    held = cube[a_set].copy()
+    cube[a_set] = cube[b_set]
+    cube[b_set] = held
+    return statevec.StateVector(n, amps)
+
+
+def simulate_reference(circuit, inputs):
+    """``circuits.simulate`` gate by gate with the whole-array kernels."""
+    layout = circuit.layout
+    parts = [statevec.make_basis_state(layout.ancilla_count, 0)] if layout.ancilla_count else []
+    state = statevec.tensor([*parts, *inputs])
+    for g in circuit.gates:
+        gate = hadamard_reference if g.kind == "h" else cswap_reference
+        state = gate(state, *g.qubits)
+    return state
 
 
 def per_pair_swap_tests(cloud, shots, seed=0):

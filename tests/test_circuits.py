@@ -10,6 +10,8 @@ from swaplab import circuits as qc
 from swaplab import egraph as eg
 from swaplab import statevec as sv
 
+from oracles import simulate_reference
+
 
 def random_qubits(rng, count):
     return [
@@ -386,8 +388,24 @@ class TestCircuitJson:
         qc.simulate(qc.build_multiswap_full(4, 2), inputs)
         assert [s.amplitudes.tobytes() for s in inputs] == before
 
-    def test_simulate_peak_is_one_state_and_half_scratch(self):
-        # 19 qubits, an 8 MiB state; copy-per-gate kernels peak at 2.5 states
+    @pytest.mark.parametrize("n,w,block", [(8, 1, None), (4, 2, 64)])
+    def test_simulate_matches_reference_kernels(self, monkeypatch, n, w, block):
+        # (8, 1): 15 qubits at the real block size; (4, 2): 12 qubits in
+        # blocks of 64 amplitudes, so every gate runs its block loops
+        if block is not None:
+            monkeypatch.setattr(sv, "_BLOCK", block)
+        rng = np.random.default_rng(n * w)
+        inputs = []
+        for _ in range(n):
+            amps = rng.normal(size=2**w) + 1j * rng.normal(size=2**w)
+            inputs.append(sv.StateVector(w, amps / np.linalg.norm(amps)))
+        circuit = qc.build_multiswap_full(n, w)
+        got = qc.simulate(circuit, inputs).amplitudes
+        assert got.tobytes() == simulate_reference(circuit, inputs).amplitudes.tobytes()
+
+    def test_simulate_peak_is_one_state_and_a_few_blocks(self):
+        # 19 qubits, an 8 MiB state; copy-per-gate kernels peak at 2.5 states,
+        # whole-array in-place kernels at 1.5
         circuit = qc.build_swap_test(9)
         rng = np.random.default_rng(4)
         inputs = [sv.tensor(random_qubits(rng, 9)) for _ in range(2)]
@@ -399,7 +417,7 @@ class TestCircuitJson:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * state_bytes, peak / state_bytes
+        assert peak <= state_bytes + 4 * 16 * sv._BLOCK, peak / state_bytes
 
     def test_simulate_validates_inputs(self):
         c = qc.build_swap_test(1)

@@ -61,6 +61,29 @@ class TestWriters:
         harness.write_records([{"x": None}, {"x": 1.0}], got)
         assert got.getvalue() == 'x\r\n""\r\n1\r\n'
 
+    @pytest.mark.parametrize(
+        "records,problem",
+        [
+            ([{"a": 1}, {"a": 2, "b": 3}], r"record 1 .* extra \['b'\], missing \[\]"),
+            ([{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"b": 5}],
+             r"record 2 .* extra \[\], missing \['a'\]"),
+        ],
+    )
+    def test_csv_uneven_keys_rejected_before_writing(self, tmp_path, records, problem):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=problem):
+            harness.write_records(records, path)
+        assert not path.exists()
+        stream = io.StringIO(newline="")
+        with pytest.raises(ValueError, match=problem):
+            harness.write_records(records, stream)
+        assert stream.getvalue() == ""
+
+    def test_csv_key_order_may_differ(self):
+        got = io.StringIO(newline="")
+        harness.write_records([{"a": 1, "b": 2}, {"b": 4, "a": 3}], got)
+        assert got.getvalue() == "a,b\r\n1,2\r\n3,4\r\n"
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             harness.write_records([], tmp_path / "x", "yaml")

@@ -6,6 +6,8 @@ import pytest
 
 from swaplab import statevec as sv
 
+from oracles import cswap_reference, hadamard_reference
+
 
 def random_state(rng, num_qubits):
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
@@ -208,6 +210,57 @@ class TestGateOut:
             sv.apply_cswap(state, 1, 0, 2, out=out)
         assert state.amplitudes.tobytes() == snapshot
         assert [p.amplitudes.tobytes() for p in parts] == before
+
+
+class TestBlockedKernels:
+    """The blocked kernels match the whole-array oracles bit for bit, at
+    block sizes small enough that every block loop runs, and at the real
+    one; a gate without ``out`` leaves its input untouched."""
+
+    @staticmethod
+    def _check(gate, reference, state, *qubits):
+        before = state.amplitudes.tobytes()
+        expected = reference(state, *qubits).amplitudes.tobytes()
+        assert gate(state, *qubits).amplitudes.tobytes() == expected, qubits
+        assert state.amplitudes.tobytes() == before
+        own = state.amplitudes.copy()
+        gate(sv.StateVector(state.num_qubits, own), *qubits, out=own)
+        assert own.tobytes() == expected, qubits
+
+    @pytest.mark.parametrize("block", [1, 2, 8])
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_hadamard_every_qubit(self, monkeypatch, block, n):
+        monkeypatch.setattr(sv, "_BLOCK", block)
+        state = random_state(np.random.default_rng(n), n)
+        for q in range(n):
+            self._check(sv.apply_hadamard, hadamard_reference, state, q)
+
+    @pytest.mark.parametrize("block", [1, 2, 8])
+    def test_cswap_every_ordered_triple(self, monkeypatch, block):
+        monkeypatch.setattr(sv, "_BLOCK", block)
+        state = random_state(np.random.default_rng(5), 5)
+        for triple in itertools.permutations(range(5), 3):
+            self._check(sv.apply_cswap, cswap_reference, state, *triple)
+
+    @pytest.mark.parametrize("block", [1, 2, 8])
+    def test_cswap_sampled_triples(self, monkeypatch, block):
+        monkeypatch.setattr(sv, "_BLOCK", block)
+        rng = np.random.default_rng(9)
+        state = random_state(rng, 9)
+        triples = list(itertools.permutations(range(9), 3))
+        for i in rng.choice(len(triples), 40, replace=False):
+            self._check(sv.apply_cswap, cswap_reference, state, *triples[i])
+
+    def test_real_block_17_qubits(self):
+        n = 17
+        rng = np.random.default_rng(17)
+        state = random_state(rng, n)
+        for q in range(n):
+            self._check(sv.apply_hadamard, hadamard_reference, state, q)
+        triples = [(0, 1, 2), (16, 15, 14), (0, 15, 16), (16, 0, 1), (8, 0, 16)]
+        triples += [tuple(rng.choice(n, 3, replace=False).tolist()) for _ in range(5)]
+        for triple in triples:
+            self._check(sv.apply_cswap, cswap_reference, state, *triple)
 
 
 class TestExactMarginal:
