@@ -147,7 +147,12 @@ def run_swap_test(
 ) -> tuple[list[Record], dict]:
     """Single two-state swap test: exact ancilla law plus (optionally
     sampled) estimates.  Inputs are either Bloch angles or two raw vectors
-    of one length."""
+    of one length.  A bad input raises ValueError naming its argument (the
+    CLI flag of the same name) before any state is built."""
+    angles = {"theta1": theta1, "phi1": phi1, "theta2": theta2, "phi2": phi2}
+    for name, angle in angles.items():
+        if not math.isfinite(angle):
+            raise ValueError(f"{name} must be finite, got {angle}")
     if (vec1 is None) != (vec2 is None):
         raise ValueError("provide both vectors or neither")
     if vec1 is not None:
@@ -156,8 +161,13 @@ def run_swap_test(
                 f"vec1 has {len(vec1)} entries and vec2 has {len(vec2)}: "
                 f"the swap test compares vectors of one length"
             )
-        a = egraph.encode_point(vec1)
-        b = egraph.encode_point(vec2)
+        encoded = []
+        for name, vec in (("vec1", vec1), ("vec2", vec2)):
+            try:
+                encoded.append(egraph.encode_point(vec))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        a, b = encoded
     else:
         a = statevec.make_qubit_state(theta1, phi1)
         b = statevec.make_qubit_state(theta2, phi2)
@@ -250,8 +260,9 @@ def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[Record], dic
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         inputs = _random_qubit_states(rng, n)
-        state = circuits.simulate(circuit, inputs)
-        table = statevec.exact_marginal(state, measured)
+        # no name holds the state, so it is freed once read and the next
+        # trial's simulate does not build a second one beside it
+        table = statevec.exact_marginal(circuits.simulate(circuit, inputs), measured)
         # a sequential sum in outcome order (ndarray.sum adds pairwise)
         total = sum(table.tolist())
         if abs(total - 1.0) > 1e-10:
@@ -412,7 +423,9 @@ def run_scaling_curves(
     N_eq2 evaluates ln(1/gamma)/KL(alpha_multi || p) at the parallel-state
     endpoint p = 2^4/n^3 of the per-pair probability range.  The standard
     per-pair count uses the same eps threshold with a fixed reference overlap
-    halfway between the decision boundary and 1.
+    halfway between the decision boundary and 1.  The ratio and exponent
+    columns compare each row with the one before; the exponent is NaN on
+    the first row and on a row whose n repeats the previous n.
     """
     alpha_std = stats.alpha_eps_standard(eps)
     o2_ref = (stats.prob_to_overlap_sq(alpha_std) + 1.0) / 2.0
@@ -442,7 +455,7 @@ def run_scaling_curves(
                 "N_eq2_ratio": ratio,
                 "N_eq2_growth_exponent": (
                     float("nan")
-                    if prev is None
+                    if prev is None or n == prev_n
                     else math.log2(n_eq2 / prev) / math.log2(n / prev_n)
                 ),
                 "prop1_curve": prop,

@@ -67,6 +67,21 @@ class TestSubcommands:
         length = len(vec2.split(","))
         assert f"vec1 has 3 entries and vec2 has {length}" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["theta1", "phi1", "theta2", "phi2"])
+    def test_swap_test_non_finite_angle(self, flag, value):
+        proc = _swaplab("swap-test", f"--{flag}={value}")
+        assert proc.returncode != 0 and not proc.stdout
+        assert f"{flag} must be finite, got {value}" in proc.stderr
+
+    @pytest.mark.parametrize("bad", ["nan,1", "0,0", "inf,1"])
+    @pytest.mark.parametrize("flag", ["vec1", "vec2"])
+    def test_swap_test_bad_vector(self, flag, bad):
+        vectors = {"vec1": "1,0", "vec2": "1,0", flag: bad}
+        proc = _swaplab("swap-test", "--vec1", vectors["vec1"], "--vec2", vectors["vec2"])
+        assert proc.returncode != 0 and not proc.stdout
+        assert f"{flag}: cannot encode a zero or non-finite vector" in proc.stderr
+
     @pytest.mark.parametrize("mode", ["quantum-standard", "quantum-naive", "quantum-multi"])
     def test_egraph_eps_beyond_sqrt2(self, tmp_path, mode):
         points = tmp_path / "quarter.csv"
@@ -224,6 +239,28 @@ def test_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_modules_are_the_namespace():
+    # the package binds no public name of its own; the CLI loads, as package
+    # attributes, the modules that perfbench's Tracer.install patches
+    code = (
+        "import sys, swaplab\n"
+        "print(sorted(n for n in vars(swaplab) if not n.startswith('_')))\n"
+        "print('numpy' in sys.modules)\n"
+        "import swaplab.cli, types\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from spans import MODULES\n"
+        "print(len(MODULES), all(isinstance(getattr(swaplab, m, None), "
+        "types.ModuleType) for m in MODULES))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(README.parent / "perfbench")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nFalse\n6 True\n"
 
 
 def _cloud(tmp_path):

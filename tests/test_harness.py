@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestEq1Audit:
         with pytest.raises(ValueError):
             harness.run_eq1_audit(4, trials=0)
 
+    def test_one_state_at_a_time(self, monkeypatch):
+        # at 26 qubits a state is 1 GiB: no trial's state may still be alive
+        # while the next trial simulates
+        simulate = circuits.simulate
+        returned = []
+
+        def spy(circuit, inputs):
+            assert all(ref() is None for ref in returned)
+            state = simulate(circuit, inputs)
+            returned.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(circuits, "simulate", spy)
+        harness.run_eq1_audit(4, trials=3, seed=2)
+        assert len(returned) == 3
+
 
 class TestBoundsSweep:
     def test_columns_and_consistency(self):
@@ -282,6 +299,15 @@ class TestScalingCurves:
         harness.write_records(records, written)
         harness.write_records(log2_ratio, expected)
         assert written.getvalue() == expected.getvalue()
+
+    def test_repeated_n_writes_nan_exponent(self):
+        records, _ = harness.run_scaling_curves([4, 4, 8, 8], gamma=0.1, eps=1.0)
+        exponents = [rec["N_eq2_growth_exponent"] for rec in records]
+        assert math.isnan(exponents[0]) and math.isnan(exponents[1])
+        assert math.isnan(exponents[3])
+        doubling, _ = harness.run_scaling_curves([4, 8], gamma=0.1, eps=1.0)
+        assert exponents[2] == doubling[1]["N_eq2_growth_exponent"]
+        assert [rec["N_eq2_ratio"] for rec in records][1::2] == [1.0, 1.0]
 
 
 class TestGatecount:
