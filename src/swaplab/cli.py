@@ -7,6 +7,10 @@ calls the runner with the parsed flags as they are.  ``--seed`` is accepted
 everywhere and passed on only to the runners that take one.  All
 configuration is explicit flags; no environment variables are consulted.
 Reruns with identical flags and seed produce byte-identical output files.
+A flag that takes a value takes the next token, even one that starts with
+'-' (``--vec1 -1,0``, ``--phi2 -inf``).  A runner's ValueError or
+ResourceError ends the run as an argparse error does: one line
+``swaplab <sub>: error: <message>`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import sys
 
 from . import harness
 from .egraph import EXACT_SHOTS
+from .statevec import ResourceError
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -48,6 +53,30 @@ def _parse_shots(text: str):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose value-taking flags read the next token as
+    their value, so a value may start with '-'.  Its subparsers are of the
+    same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._value_flags: set[str] = set()
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs is None:
+            self._value_flags.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for token in tokens:
+            value = next(tokens, None) if token in self._value_flags else None
+            joined.append(token if value is None else f"{token}={value}")
+        return super().parse_known_args(joined, namespace)
+
+
 def _add_common(parser: argparse.ArgumentParser, runner) -> None:
     parser.set_defaults(runner=runner)
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
@@ -58,7 +87,7 @@ def _add_common(parser: argparse.ArgumentParser, runner) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swaplab",
         description="Swap-test distance estimation lab: circuit audits, "
         "decision-error bounds and epsilon-graph experiments.",
@@ -138,15 +167,19 @@ def main(argv=None) -> int:
     if "seed" not in inspect.signature(runner).parameters:
         del kwargs["seed"]
 
-    if subcommand == "egraph":
-        out_dir = out or "egraph-out"
-        _, _, diff = runner(out_dir=out_dir, fmt=fmt, **kwargs)
-        print(f"false negatives: {diff.fn_count}, false positives: {diff.fp_count} "
-              f"(outputs in {out_dir})")
-        return 0
-
-    records, meta = runner(**kwargs)
-    harness.write_records(records, sys.stdout if out is None else out, fmt, meta)
+    try:
+        if subcommand == "egraph":
+            out_dir = out or "egraph-out"
+            _, _, diff = runner(out_dir=out_dir, fmt=fmt, **kwargs)
+            print(f"false negatives: {diff.fn_count}, false positives: "
+                  f"{diff.fp_count} (outputs in {out_dir})")
+        else:
+            records, meta = runner(**kwargs)
+            harness.write_records(records, sys.stdout if out is None else out, fmt, meta)
+    except (ValueError, ResourceError) as exc:
+        # bad input, not a bug: reported as argparse reports a bad flag
+        print(f"swaplab {subcommand}: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

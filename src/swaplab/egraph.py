@@ -21,9 +21,10 @@ on amplitude-encoded *normalized* points and estimate sqrt(2*(1-|u.w|)), so
 classical and quantum targets coincide exactly on unit-norm clouds with
 non-negative pairwise dot products; tests use such clouds.
 
-Constructors are pure given (inputs, seed).  Per-pair sampling streams are
-derived from the master seed as SeedSequence([seed, i, j]), so results are
-independent of evaluation order.
+Constructors are pure given (inputs, seed).  A sampled quantum run draws
+every count from one Generator seeded SeedSequence([seed]), in the fixed pair
+order i < j, so a pair's count depends on its place in that order and changes
+when points are added to the cloud.
 """
 
 from __future__ import annotations
@@ -343,8 +344,8 @@ def quantum_egraph(
     c = 1/2, so the threshold is alpha_eps_standard(eps).  No circuit is
     simulated: p_ij = (1 + G_ij)/2 comes from one Gram product
     G = |A* A^T|^2 of the stacked encodings, clipped to [0, 1], and a sampled
-    pair draws Binomial(shots, p_ij) from its own stream.  The two modes
-    differ only in gate-count accounting.
+    run draws every pair's Binomial(shots, p_ij) count in one call, in pair
+    order.  The two modes differ only in gate-count accounting.
 
     multi: one padded multi-state circuit, ``shots`` total executions; counts
     of (top=0, mid outcome) are aggregated per pair through the derived
@@ -353,7 +354,8 @@ def quantum_egraph(
     outcome multiplicities.  Pairs involving padding registers are discarded.
 
     ``shots`` is a whole number >= 1, or math.inf for exact (infinite-shot)
-    decisions.  Deterministic for a given seed.
+    decisions.  Every mode samples from the one stream SeedSequence([seed]),
+    so the output is deterministic for a given seed.
     """
     if mode not in ("standard", "naive", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -371,30 +373,29 @@ def quantum_egraph(
     if n < 2:
         return EpsilonGraph(n, eps, []), stats.estimate_overlaps([], shots, pairs=[])
     pair_values = _multi_values if mode == "multi" else _swap_test_values
-    i, j, values, c = pair_values(encoded, shots, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    i, j, values, c = pair_values(encoded, shots, rng)
     estimates = stats.estimate_overlaps(values, shots, c, np.column_stack([i, j]))
     codes = (i * n + j)[estimates.p_hat > c * scale]
     return EpsilonGraph(n, eps, codes), estimates
 
 
-def _swap_test_values(encoded, shots, seed):
+def _swap_test_values(encoded, shots, rng):
     """Columns (i, j, value, 1/2) over the pairs i < j in order, from the
     swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the
-    clip catches duplicate points, whose |G|^2 can round a hair above 1."""
+    clip catches duplicate points, whose |G|^2 can round a hair above 1.
+    A finite budget draws every pair's hit count from ``rng`` in one
+    binomial call, in pair order."""
     amps = np.stack([state.amplitudes for state in encoded])
     probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
     i, j = np.triu_indices(len(encoded), 1)
     values = probs[i, j]
     if math.isfinite(shots):
-        pair_seeds = ([seed, a, b] for a, b in zip(i.tolist(), j.tolist()))
-        values = np.array([
-            np.random.default_rng(np.random.SeedSequence(key)).binomial(shots, p)
-            for key, p in zip(pair_seeds, values.tolist())
-        ])
+        values = rng.binomial(shots, values)
     return i, j, values, 0.5
 
 
-def _multi_values(encoded, shots, seed):
+def _multi_values(encoded, shots, rng):
     """Columns (i, j, value, pair_constant) over the pairs i < j of real
     inputs, in order: the (top=0) outcome counts or probabilities of the
     multi-state circuit, summed per pair through the pair map."""
@@ -411,7 +412,6 @@ def _multi_values(encoded, shots, seed):
     state = circuits.simulate(circuit, padded)
     measured = circuit.layout.measured_qubits
     if math.isfinite(shots):
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
         table = statevec.sample_outcomes(state, measured, shots, rng)
     else:
         table = statevec.exact_marginal(state, measured)
@@ -419,10 +419,11 @@ def _multi_values(encoded, shots, seed):
     values = pair_map.reduce_by_pair(table[: table.size // 2])
     i, j = np.triu_indices(m, 1)
     real = j < len(encoded)  # padding registers come after the inputs
-    i, j = i[real], j[real]
-    labels = zip((i + 1).tolist(), (j + 1).tolist())
-    constants = np.array([pair_map.pair_constant(a, b) for a, b in labels])
-    return i, j, values[real], constants
+    # each pair's pair_constant, multiplicity / 2^(d+1): the multiplicity is
+    # its count of outcomes, an exact small integer over a power of two
+    ones = np.ones(len(pair_map.pairs))
+    constants = pair_map.reduce_by_pair(ones)[real] / 2.0 ** (pair_map.d + 1)
+    return i[real], j[real], values[real], constants
 
 
 def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff:

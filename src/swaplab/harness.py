@@ -10,10 +10,13 @@ with its parsed flags as keyword arguments, so a runner's keyword names are
 its flags' destinations.
 
 Reproducibility: a runner re-invoked with the same parameters and seed
-produces byte-identical output files.  Per-trial RNG streams are derived
-from the master seed as SeedSequence([seed, trial, ...]), so rows do not
-depend on execution order.  Computational failures raise; statistical
-findings (graph diffs, bound gaps) are recorded as data.
+produces byte-identical output files.  Sampled counts (``swap-test`` and
+the quantum egraph modes) come from one Generator per run, seeded
+SeedSequence([seed]), drawn in a fixed order: pair order i < j in the
+egraph, so a pair's count changes when points are added to the cloud.
+eq1-audit draws each trial's random inputs from SeedSequence([seed, trial]),
+so its rows do not depend on the trial count.  Computational failures raise;
+statistical findings (graph diffs, bound gaps) are recorded as data.
 """
 
 from __future__ import annotations

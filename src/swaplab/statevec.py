@@ -15,7 +15,7 @@ so a gate never mutates its input unless given that input's own buffer as
 in blocks of at most ``_BLOCK`` amplitudes through one block of scratch, so
 a whole circuit holds one state plus a few blocks; a simulate-and-measure
 run peaks in ``tensor`` and ``exact_marginal`` instead.  Sampling takes an
-explicit seed or Generator; there is no hidden global RNG state.
+explicit Generator; there is no hidden global RNG state.
 """
 
 from __future__ import annotations
@@ -245,23 +245,21 @@ def sample_outcomes(
     state: StateVector,
     qubits: Sequence[int],
     shots: int,
-    seed: int | np.random.SeedSequence | np.random.Generator,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw ``shots`` i.i.d. measurement samples of the listed qubits.
 
     Returns int64 counts indexed by outcome number, as exact_marginal.
-    Implemented as one multinomial draw over the exact marginal, which is
-    statistically identical to repeated single-shot collapse for circuits
-    measured once per run, and keeps 10^7-shot experiments cheap.
-    Deterministic for a given integer seed; counts sum to ``shots``, which
-    must be a finite whole number >= 1.
+    Implemented as one multinomial draw from ``rng`` over the exact marginal,
+    which is statistically identical to repeated single-shot collapse for
+    circuits measured once per run, and keeps 10^7-shot experiments cheap.
+    Counts sum to ``shots``, which must be a finite whole number >= 1.
     """
     shots = check_shots(shots)
     if shots == math.inf:
         raise ValueError(f"shots must be finite to sample, got {shots}")
     pvals = np.clip(exact_marginal(state, qubits), 0.0, None)
     pvals /= pvals.sum()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return rng.multinomial(shots, pvals)
 
 

@@ -212,18 +212,18 @@ def simulate_reference(circuit, inputs):
 def per_pair_swap_tests(cloud, shots, seed=0):
     """The swap-test ancilla-0 statistic of every pair i < j by state-vector
     simulation: each pair's circuit is simulated, then read exactly (the
-    probability, for shots = inf) or sampled with ``shots`` shots from the
-    stream SeedSequence([seed, i, j]) (the hit count).  Returns
-    {(i, j): probability or hits}, as Python scalars."""
+    probability, for shots = inf) or sampled with ``shots`` shots (the hit
+    count), every pair in turn from the one stream SeedSequence([seed]).
+    Returns {(i, j): probability or hits}, as Python scalars."""
     encoded = [egraph.encode_point(point) for point in cloud.points]
     circuit = circuits.build_swap_test(encoded[0].num_qubits)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     table = {}
     for i, j in combinations(range(len(encoded)), 2):
         state = circuits.simulate(circuit, [encoded[i], encoded[j]])
         if shots == float("inf"):
             table[(i, j)] = statevec.exact_marginal(state, [0])[0].item()
         else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
             table[(i, j)] = statevec.sample_outcomes(state, [0], shots, rng)[0].item()
     return table
 

@@ -64,6 +64,7 @@ class TestSubcommands:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         length = len(vec2.split(","))
         assert f"vec1 has 3 entries and vec2 has {length}" in proc.stderr
 
@@ -72,6 +73,7 @@ class TestSubcommands:
     def test_swap_test_non_finite_angle(self, flag, value):
         proc = _swaplab("swap-test", f"--{flag}={value}")
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert f"{flag} must be finite, got {value}" in proc.stderr
 
     @pytest.mark.parametrize("bad", ["nan,1", "0,0", "inf,1"])
@@ -80,7 +82,38 @@ class TestSubcommands:
         vectors = {"vec1": "1,0", "vec2": "1,0", flag: bad}
         proc = _swaplab("swap-test", "--vec1", vectors["vec1"], "--vec2", vectors["vec2"])
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert f"{flag}: cannot encode a zero or non-finite vector" in proc.stderr
+
+    def test_swap_test_negative_vector_in_spaced_form(self, tmp_path):
+        out = tmp_path / "st.csv"
+        run_cli(["swap-test", "--vec1", "-1,0", "--vec2", "1,0", "--out", str(out)])
+        header, row = out.read_text().strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["overlap_sq_true"]) == 1.0
+
+    def test_swap_test_negative_angle_in_spaced_form(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        run_cli(["swap-test", "--theta1", "-1e-3", "--out", str(spaced)])
+        run_cli(["swap-test", "--theta1=-1e-3", "--out", str(joined)])
+        assert spaced.read_bytes() == joined.read_bytes()
+        header, row = spaced.read_text().strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["overlap_sq_true"]) == pytest.approx(math.cos(5e-4) ** 2)
+
+    def test_swap_test_negative_infinite_angle_in_spaced_form(self, capsys):
+        # a runner's error returns exit code 2 in-process, without SystemExit
+        assert main(["swap-test", "--phi2", "-inf"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "swaplab swap-test: error: phi2 must be finite, got -inf\n"
+
+    def test_resource_error_is_one_line(self, capsys):
+        assert main(["pair-map", "--n", "128"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("swaplab pair-map: error: pair map enumeration")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["quantum-standard", "quantum-naive", "quantum-multi"])
     def test_egraph_eps_beyond_sqrt2(self, tmp_path, mode):
@@ -93,6 +126,7 @@ class TestSubcommands:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert "eps must lie in (0, sqrt(2)], got 2.0" in proc.stderr
         assert not (tmp_path / "out").exists()
 
@@ -104,6 +138,7 @@ class TestSubcommands:
         proc = _swaplab("egraph", "--points", str(points), "--eps", eps,
                         "--mode", mode, "--out", str(tmp_path / "out"))
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert f"eps must be finite and positive, got {eps}" in proc.stderr
         assert not (tmp_path / "out" / "summary.json").exists()
 
@@ -113,6 +148,7 @@ class TestSubcommands:
     def test_reversed_n_list_range(self, subcommand, span):
         proc = _swaplab(subcommand, "--n-list", span)
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert f"argument --n-list: empty range {span}" in proc.stderr
 
     @pytest.mark.parametrize(
@@ -128,6 +164,7 @@ class TestSubcommands:
         out = tmp_path / "bounds.csv"
         proc = _swaplab("bounds", "--n-list", "3", *grid, "--out", str(out))
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert named in proc.stderr
         assert not out.exists()
 
@@ -147,6 +184,7 @@ class TestSubcommands:
         out = tmp_path / "bounds.csv"
         proc = _swaplab("bounds", "--n-list", "3", *grid, "--out", str(out))
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert named in proc.stderr
         assert not out.exists()
 
@@ -157,6 +195,7 @@ class TestSubcommands:
         proc = _swaplab("pair-map", "--n", "4", "--w", "0", "--format", "json",
                         "--out", str(out), *extra)
         assert proc.returncode != 0 and not proc.stdout
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert "register width must be >= 1, got 0" in proc.stderr
         assert not out.exists() and not circuit.exists()
 

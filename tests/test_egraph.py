@@ -408,6 +408,21 @@ class TestQuantumEgraphSampled:
         }
         assert len(results) > 1  # 20 shots is noisy on purpose
 
+    @pytest.mark.parametrize("mode", ["standard", "naive", "multi"])
+    def test_one_generator_per_run(self, monkeypatch, mode):
+        # every sampled count of a run comes from one Generator, seeded
+        # SeedSequence([seed])
+        real_default_rng = np.random.default_rng
+        seeds = []
+
+        def spy(seed=None):
+            seeds.append(getattr(seed, "state", seed))  # a SeedSequence's state
+            return real_default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        eg.quantum_egraph(ring_cloud(6), 0.7, 100, mode, seed=9)
+        assert seeds == [np.random.SeedSequence([9]).state]
+
     def test_naive_shares_decision_path(self):
         cloud = ring_cloud(5)
         a, _ = eg.quantum_egraph(cloud, 0.7, 300, "standard", seed=2)

@@ -319,39 +319,45 @@ class TestExactMarginal:
 
 class TestSampleOutcomes:
     def test_deterministic_distribution(self):
-        counts = sv.sample_outcomes(sv.make_basis_state(1, 0), [0], 1000, 42)
+        zero = sv.make_basis_state(1, 0)
+        counts = sv.sample_outcomes(zero, [0], 1000, np.random.default_rng(42))
         assert counts.dtype == np.int64 and counts.tolist() == [1000, 0]
 
     def test_uniform_frequency_within_4_sigma(self):
         plus = sv.make_qubit_state(math.pi / 2, 0)
         shots = 10**5
-        counts = sv.sample_outcomes(plus, [0], shots, 7)
+        counts = sv.sample_outcomes(plus, [0], shots, np.random.default_rng(7))
         freq = counts[0] / shots
         assert abs(freq - 0.5) <= 4 * math.sqrt(0.25 / shots)
 
     def test_same_seed_identical(self):
         rng_state = sv.make_qubit_state(1.0, 0.5)
-        a = sv.sample_outcomes(rng_state, [0], 500, 99)
-        b = sv.sample_outcomes(rng_state, [0], 500, 99)
+        a = sv.sample_outcomes(rng_state, [0], 500, np.random.default_rng(99))
+        b = sv.sample_outcomes(rng_state, [0], 500, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_counts_sum_to_shots(self):
         rng = np.random.default_rng(1)
         state = random_state(rng, 3)
-        counts = sv.sample_outcomes(state, [0, 2], 1234, 5)
+        counts = sv.sample_outcomes(state, [0, 2], 1234, np.random.default_rng(5))
         assert counts.sum() == 1234
 
     def test_zero_shots(self):
         with pytest.raises(ValueError, match="shots must be"):
-            sv.sample_outcomes(sv.make_basis_state(1, 0), [0], 0, 1)
+            sv.sample_outcomes(
+                sv.make_basis_state(1, 0), [0], 0, np.random.default_rng(1)
+            )
 
     @pytest.mark.parametrize("shots", [2.5, math.nan, -math.inf, math.inf])
     def test_shots_must_be_finite_whole_and_positive(self, shots):
         with pytest.raises(ValueError, match="shots must be"):
-            sv.sample_outcomes(sv.make_basis_state(1, 0), [0], shots, 1)
+            sv.sample_outcomes(
+                sv.make_basis_state(1, 0), [0], shots, np.random.default_rng(1)
+            )
 
     def test_whole_float_shots(self):
-        counts = sv.sample_outcomes(sv.make_basis_state(1, 0), [0], 3.0, 1)
+        zero = sv.make_basis_state(1, 0)
+        counts = sv.sample_outcomes(zero, [0], 3.0, np.random.default_rng(1))
         assert counts.tolist() == [3, 0]
 
 
@@ -401,7 +407,7 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         state = random_state(rng, 2)
         shots = 20000
-        counts = sv.sample_outcomes(state, [0, 1], shots, 12)
+        counts = sv.sample_outcomes(state, [0, 1], shots, np.random.default_rng(12))
         table = sv.exact_marginal(state, [0, 1])
         for outcome, q in enumerate(table.tolist()):
             bound = 5 * math.sqrt(q * (1 - q) / shots) + 1e-9
