@@ -131,9 +131,15 @@ def count_resources(circuit: CircuitSpec) -> tuple[int, int, int]:
 def _layout(n: int, w: int, top: bool, mid: bool) -> RegisterLayout:
     """[top ancilla if ``top``][d_n mid ancillas if ``mid``][n input
     registers of width w], numbered from qubit 0.  A bad width is reported
-    before a bad n."""
+    before a bad n; a register wider than the simulator ceiling could not
+    hold one input state."""
     if w < 1:
         raise ValueError(f"register width must be >= 1, got {w}")
+    if w > statevec.MAX_QUBITS:
+        raise ResourceError(
+            f"register width {w} exceeds the simulator ceiling of "
+            f"{statevec.MAX_QUBITS} qubits"
+        )
     first_input = int(top) + (mid_ancilla_count(n) if mid else 0)
     return RegisterLayout(
         n=n,
@@ -358,13 +364,28 @@ def derive_pair_map(n: int) -> PairMap:
     return PairMap(n, pairs, multiplicity)
 
 
+def state_bytes(circuit: CircuitSpec) -> int:
+    """The bytes of the circuit's simulated state, checked against the
+    simulator ceiling by ``statevec.check_state_bytes`` before anything is
+    allocated; its ResourceError names the circuit's registers."""
+    layout = circuit.layout
+    try:
+        return statevec.check_state_bytes(layout.total_qubits)
+    except ResourceError as exc:
+        raise ResourceError(
+            f"circuit on {layout.n} registers of width {layout.w}: {exc}"
+        ) from None
+
+
 def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector:
     """Run the circuit on the given input registers (ancillas start in |0>).
 
-    Every gate writes in place into the one fresh state that ``tensor``
-    builds, so the inputs are never touched; each gate adds only one block
-    of ``statevec._BLOCK`` amplitudes of scratch.  The run's peak is set by
-    ``tensor``'s Kronecker chain: the state plus its last partial product.
+    The gates up to the first that is not a Hadamard on a fresh ancilla
+    (every builder here opens with H on its ancillas) are part of the one
+    state that ``statevec.prepare`` builds.  Every later gate writes in place
+    into that state, so the inputs are never touched; each gate adds only
+    one block of ``statevec._BLOCK`` amplitudes of scratch.  The run peaks at
+    that one state plus a few blocks.
     """
     layout = circuit.layout
     if len(inputs) != layout.n:
@@ -374,12 +395,15 @@ def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector
             raise ValueError(
                 f"circuit expects width-{layout.w} registers, got {s.num_qubits}"
             )
-    if layout.ancilla_count > 0:
-        parts = [statevec.make_basis_state(layout.ancilla_count, 0), *inputs]
-    else:
-        parts = list(inputs)
-    state = statevec.tensor(parts)
+    state_bytes(circuit)
+    opening: list[int] = []
     for g in circuit.gates:
+        q = g.qubits[0]
+        if g.kind != "h" or q >= layout.ancilla_count or q in opening:
+            break
+        opening.append(q)
+    state = statevec.prepare(layout.ancilla_count, inputs, opening)
+    for g in circuit.gates[len(opening) :]:
         if g.kind == "h":
             state = statevec.apply_hadamard(state, g.qubits[0], out=state.amplitudes)
         else:

@@ -8,7 +8,8 @@ everywhere and passed on only to the runners that take one.  All
 configuration is explicit flags; no environment variables are consulted.
 Reruns with identical flags and seed produce byte-identical output files.
 A flag that takes a value takes the next token, even one that starts with
-'-' (``--vec1 -1,0``, ``--phi2 -inf``).  A runner's ValueError or
+'-' (``--vec1 -1,0``, ``--phi2 -inf``), and a flag is read only when
+spelled in full: ``--ep`` is not taken for ``--eps``.  A runner's ValueError or
 ResourceError ends the run as an argparse error does: one line
 ``swaplab <sub>: error: <message>`` on stderr and exit code 2.
 """
@@ -44,6 +45,13 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _parse_seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return value
+
+
 def _parse_shots(text: str):
     if text.strip().lower() in ("inf", "infinity"):
         return EXACT_SHOTS
@@ -55,11 +63,12 @@ def _parse_shots(text: str):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose value-taking flags read the next token as
-    their value, so a value may start with '-'.  Its subparsers are of the
-    same class."""
+    their value, so a value may start with '-'.  Flags are not abbreviated,
+    so a prefix cannot bypass that join.  Its subparsers are of the same
+    class."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._value_flags: set[str] = set()
 
     def add_argument(self, *args, **kwargs):
@@ -79,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser, runner) -> None:
     parser.set_defaults(runner=runner)
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=_parse_seed, default=0, help="master RNG seed")
     parser.add_argument("--out", default=None, help="output path (stdout if omitted)")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"

@@ -37,7 +37,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import circuits, statevec, stats
-from .statevec import ResourceError, StateVector
+from .statevec import StateVector
 
 
 @dataclass(frozen=True)
@@ -308,9 +308,15 @@ def encode_point(v: Sequence[float]) -> StateVector:
     vec = np.asarray(v, dtype=float).reshape(-1)
     if vec.size < 1:
         raise ValueError("cannot encode an empty vector")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValueError("cannot encode a zero or non-finite vector")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or not math.isfinite(norm):
+        if not (np.isfinite(vec).all() and vec.any()):
+            raise ValueError("cannot encode a zero or non-finite vector")
+        # a finite, nonzero vector whose squares under- or overflowed: scale
+        # its largest entry to 1
+        vec = vec / np.abs(vec).max()
+        norm = float(np.linalg.norm(vec))
     num_qubits = max(1, math.ceil(math.log2(vec.size)))
     amps = np.zeros(2**num_qubits, dtype=np.complex128)
     amps[: vec.size] = vec / norm
@@ -403,11 +409,7 @@ def _multi_values(encoded, shots, rng):
     padded = circuits.pad_inputs(encoded, w)
     m = len(padded)
     circuit = circuits.build_multiswap_full(m, w)
-    if circuit.layout.total_qubits > statevec.MAX_QUBITS:
-        raise ResourceError(
-            f"multi-state circuit needs {circuit.layout.total_qubits} qubits "
-            f"for {m} padded inputs of width {w}"
-        )
+    circuits.state_bytes(circuit)
     pair_map = circuits.derive_pair_map(m)
     state = circuits.simulate(circuit, padded)
     measured = circuit.layout.measured_qubits

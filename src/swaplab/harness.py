@@ -157,7 +157,8 @@ def run_swap_test(
         if not math.isfinite(angle):
             raise ValueError(f"{name} must be finite, got {angle}")
     if (vec1 is None) != (vec2 is None):
-        raise ValueError("provide both vectors or neither")
+        given = "vec1" if vec2 is None else "vec2"
+        raise ValueError(f"provide both vec1 and vec2 or neither, got only {given}")
     if vec1 is not None:
         if len(vec1) != len(vec2):
             raise ValueError(
@@ -253,8 +254,9 @@ def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[Record], dic
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    circuit = circuits.build_multiswap_full(n, 1)
+    # the pair map's cap rejects a large n before its circuit is built
     pm = circuits.derive_pair_map(n)
+    circuit = circuits.build_multiswap_full(n, 1)
     d = pm.d
     measured = circuit.layout.measured_qubits
     pair_i, pair_j = np.triu_indices(n, 1)  # the pair order of reduce_by_pair
@@ -431,6 +433,11 @@ def run_scaling_curves(
     the first row and on a row whose n repeats the previous n.
     """
     alpha_std = stats.alpha_eps_standard(eps)
+    if alpha_std == 1.0:
+        raise ValueError(
+            f"eps is too small, got {eps}: its threshold ((1 - eps^2/2)^2 + 1)/2 "
+            f"rounds to 1"
+        )
     o2_ref = (stats.prob_to_overlap_sq(alpha_std) + 1.0) / 2.0
     p_std = (1.0 + o2_ref) / 2.0
     n_std = stats.n_gamma(gamma, alpha_std, p_std)

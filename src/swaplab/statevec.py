@@ -8,14 +8,16 @@ Qubit ordering convention (fixed everywhere in this package): qubit 0 is
 the MOST significant bit of the basis-state index.  For a 2-qubit register,
 index 2 = binary ``10`` is the state |1>|0> with qubit 0 in |1>.
 
-Each gate is one kernel that writes its result in place into ``out`` and
-returns a StateVector over it.  Without ``out`` it first copies its input,
-so a gate never mutates its input unless given that input's own buffer as
-``out``.  ``circuits.simulate`` does exactly that.  A gate walks the state
-in blocks of at most ``_BLOCK`` amplitudes through one block of scratch, so
-a whole circuit holds one state plus a few blocks; a simulate-and-measure
-run peaks in ``tensor`` and ``exact_marginal`` instead.  Sampling takes an
-explicit Generator; there is no hidden global RNG state.
+``prepare`` builds a circuit's one state in a single allocation: the
+ancillas in |0...0>, the inputs' product, and the opening Hadamards on those
+ancillas.  Each gate is one kernel that writes its result in place into
+``out`` and returns a StateVector over it.  Without ``out`` it first copies
+its input, so a gate never mutates its input unless given that input's own
+buffer as ``out``.  ``circuits.simulate`` does exactly that.  A gate walks
+the state in blocks of at most ``_BLOCK`` amplitudes through one block of
+scratch, and ``exact_marginal`` folds it a block at a time, so a
+simulate-and-measure run holds one state plus a few blocks.  Sampling takes
+an explicit Generator; there is no hidden global RNG state.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-# Refuse to allocate registers above this size; 2^28 complex amplitudes is
-# already 4 GiB.  Keeps "desk scale" honest.
+# Refuse to allocate a state above this size: 2^28 complex amplitudes, 4 GiB.
+# Keeps "desk scale" honest.
 MAX_QUBITS = 28
+MAX_STATE_BYTES = 16 * 2**MAX_QUBITS
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -40,17 +43,21 @@ _BLOCK = 2**14
 
 
 class ResourceError(RuntimeError):
-    """Raised when a requested register or circuit exceeds MAX_QUBITS."""
+    """Raised when a requested state or enumeration exceeds its ceiling."""
 
 
-def _check_num_qubits(num_qubits: int) -> None:
+def check_state_bytes(num_qubits: int) -> int:
+    """The bytes a state of ``num_qubits`` qubits holds, 16 per amplitude,
+    checked against MAX_STATE_BYTES before anything is allocated."""
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
-    if num_qubits > MAX_QUBITS:
+    nbytes = 16 * 2**num_qubits
+    if nbytes > MAX_STATE_BYTES:
         raise ResourceError(
-            f"{num_qubits} qubits exceeds the simulator ceiling of {MAX_QUBITS} "
-            f"(2^{num_qubits} amplitudes)"
+            f"a {num_qubits}-qubit state needs {nbytes} bytes, over the simulator "
+            f"ceiling of {MAX_STATE_BYTES} bytes ({MAX_QUBITS} qubits)"
         )
+    return nbytes
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_num_qubits(self.num_qubits)
+        check_state_bytes(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
@@ -87,7 +94,7 @@ class StateVector:
 
 def make_basis_state(num_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on ``num_qubits`` qubits."""
-    _check_num_qubits(num_qubits)
+    check_state_bytes(num_qubits)
     if not 0 <= basis_index < 2**num_qubits:
         raise ValueError(
             f"basis index {basis_index} out of range for {num_qubits} qubits"
@@ -109,13 +116,55 @@ def make_qubit_state(theta: float, phi: float) -> StateVector:
 def tensor(states: Sequence[StateVector]) -> StateVector:
     """Kronecker product of the given states, in the given qubit order, in a
     fresh array that shares no memory with any input."""
-    if not states:
-        raise ValueError("tensor() needs at least one state")
-    total = sum(s.num_qubits for s in states)
-    _check_num_qubits(total)
-    amps = states[0].amplitudes.copy()
-    for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
+    return prepare(0, states)
+
+
+def prepare(
+    ancillas: int, inputs: Sequence[StateVector], hadamards: Sequence[int] = ()
+) -> StateVector:
+    """``ancillas`` qubits in |0...0> followed by the input registers, then a
+    Hadamard on each listed ancilla in turn, in one fresh state.
+
+    The state's bytes are checked before its one allocation.  The ancillas
+    lead, so only the first 2^(n - ancillas) amplitudes are nonzero, and the
+    inputs' Kronecker product is written there: np.kron's chain from 1 over
+    all inputs but the last, then one outer product with the last straight
+    into the state, so only the product of the others is built beside it,
+    with the bits of the whole chain.  A Hadamard on an ancilla still in
+    |0> meets zero partners, so it is applied only to the blocks filled so
+    far: with a1 = +0, a1' = (a0 - a1)c and a0' = (a0 + 0)c in
+    ``apply_hadamard``'s order, the bits that kernel gives, while the zero
+    blocks are never read.
+    """
+    if not inputs:
+        raise ValueError("need at least one input register")
+    hadamards = list(hadamards)
+    if len(set(hadamards)) != len(hadamards) or not all(
+        0 <= q < ancillas for q in hadamards
+    ):
+        raise ValueError(
+            f"opening Hadamards must be on distinct ancillas 0..{ancillas - 1}, "
+            f"got {hadamards}"
+        )
+    total = ancillas + sum(s.num_qubits for s in inputs)
+    check_state_bytes(total)
+    amps = np.zeros(2**total, dtype=np.complex128)
+    prefix = np.ones(1, dtype=np.complex128)
+    for s in inputs[:-1]:
+        prefix = np.kron(prefix, s.amplitudes)
+    last = inputs[-1].amplitudes
+    size = prefix.size * last.size
+    np.multiply.outer(prefix, last, out=amps[:size].reshape(prefix.size, last.size))
+    filled = [0]  # offsets of the blocks that hold amplitudes
+    for q in hadamards:
+        step = 2 ** (total - 1 - q)
+        for lo in filled:
+            a0, a1 = amps[lo : lo + size], amps[lo + step : lo + step + size]
+            np.subtract(a0, a1, out=a1)
+            a0 += 0j
+            a0 *= _INV_SQRT2
+            a1 *= _INV_SQRT2
+        filled += [lo + step for lo in filled]
     return StateVector(total, amps)
 
 
@@ -214,15 +263,37 @@ def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     Returns a float64 array of the 2^k probabilities indexed by outcome
     number, the first listed qubit as the most significant bit.  They sum
     |amplitude|^2 over the unlisted qubits and add up to 1 within 1e-10.
+
+    The state is read a block of at most ``_BLOCK`` amplitudes at a time.
+    Each run of amplitudes that share the qubits up to the last listed one
+    is summed pairwise; a run longer than a block is summed in blocks whose
+    sums add as a binary tree, which is how numpy's pairwise sum splits a
+    whole run (for blocks of at least its 128-element base case), so the
+    bits do not depend on the block size.  The table over those leading
+    qubits is then summed to the listed ones.  Beside the state this holds
+    one block and one float per piece summed, 2^n / min(run, ``_BLOCK``);
+    every caller in the package measures a prefix of the qubits (the
+    ancillas lead), where that is the larger of 2^k and 2^n / _BLOCK.
     """
     qubits = list(qubits)
     for q in qubits:
         state._check_qubit(q)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"measurement qubits must be distinct, got {qubits}")
-    n = state.num_qubits
-    probs = state.probabilities().reshape((2,) * n)
-    other = tuple(ax for ax in range(n) if ax not in qubits)
+    lead = max(qubits, default=-1) + 1
+    run = 2 ** (state.num_qubits - lead)
+    chunk = min(run, _BLOCK)
+    chunks = state.amplitudes.reshape(-1, chunk)
+    rows = _BLOCK // chunk
+    sums = np.empty(len(chunks))
+    for r in range(0, len(chunks), rows):
+        block = np.abs(chunks[r : r + rows])
+        np.square(block, out=block).sum(axis=1, out=sums[r : r + rows])
+    sums = sums.reshape(2**lead, -1)
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    probs = sums.reshape((2,) * lead)
+    other = tuple(ax for ax in range(lead) if ax not in qubits)
     marg = probs.sum(axis=other) if other else probs
     # marg axes are the kept qubits in increasing index order; reorder to the
     # requested order.
@@ -231,13 +302,20 @@ def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     return np.transpose(marg, axes=order).reshape(-1)
 
 
+# Largest finite shot budget: counts up to 2^53 are exact in float64, where
+# the estimators read them.
+MAX_SHOTS = 2**53
+
+
 def check_shots(shots):
-    """A shot budget: a whole number >= 1, returned as an int, or +inf for
-    exact (infinite-shot) mode, returned as math.inf."""
+    """A shot budget: a whole number from 1 to MAX_SHOTS, returned as an
+    int, or +inf for exact (infinite-shot) mode, returned as math.inf."""
     if shots == math.inf:
         return math.inf
     if not (shots >= 1 and shots == math.floor(shots)):  # NaN fails both
         raise ValueError(f"shots must be a whole number >= 1 or inf, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2^53 = {MAX_SHOTS}, got {shots}")
     return int(shots)
 
 

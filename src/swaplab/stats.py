@@ -294,6 +294,10 @@ def n_gamma(gamma: float, alpha: float, p: float) -> float:
     ln(1/gamma) / KL(alpha||p).  Real-valued; take the ceiling only when
     planning actual shot counts (the sharpness point lands at N = 1/2)."""
     _check_open_unit("gamma", gamma)
+    if 1.0 / gamma == math.inf:  # a subnormal gamma
+        raise ValueError(
+            f"gamma must be at least 2^-1022 so that 1/gamma is finite, got {gamma}"
+        )
     _check_ordering(alpha, p)
     return math.log(1.0 / gamma) / kl_bernoulli(alpha, p)
 
@@ -333,7 +337,9 @@ def theorem1_calls(n: int, gamma: float) -> float:
     mid_ancilla_count(n)
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    return float(n) ** 6 / (64.0 * gamma * gamma)
+    denominator = 64.0 * gamma * gamma
+    # a gamma whose square underflows asks for more calls than a float holds
+    return float(n) ** 6 / denominator if denominator else math.inf
 
 
 def proposition1_lower(n: int, gamma_t: float) -> float:

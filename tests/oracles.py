@@ -9,10 +9,13 @@ one exception, xi_full_sum, shares the library's saddle-point log-terms and
 checks only which of them the windowed tail sums.  binom_logpmf_unfused keeps
 its own copy of the saddle-point helpers as they were before the library
 fused them, so the fused kernel is checked bit for bit against code it does
-not share.  hadamard_reference and cswap_reference are the whole-array gate
-kernels, which the library's blocked kernels must match bit for bit.
+not share.  hadamard_reference, cswap_reference and marginal_reference are
+the whole-array gate kernels and marginal, which the library's blocked ones
+must match bit for bit; simulate_reference runs a circuit through them from
+a state of its own np.kron chain.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -198,11 +201,32 @@ def cswap_reference(state, control, a, b):
     return statevec.StateVector(n, amps)
 
 
+def marginal_reference(state, qubits):
+    """``statevec.exact_marginal`` over the whole state at once: |amp|^2 of
+    every amplitude in one array, summed over the unlisted qubits' axes and
+    transposed to the listed order."""
+    qubits = list(qubits)
+    n = state.num_qubits
+    probs = state.probabilities().reshape((2,) * n)
+    other = tuple(ax for ax in range(n) if ax not in qubits)
+    marg = probs.sum(axis=other) if other else probs
+    kept_sorted = sorted(qubits)
+    order = [kept_sorted.index(q) for q in qubits]
+    return np.transpose(marg, axes=order).reshape(-1)
+
+
 def simulate_reference(circuit, inputs):
-    """``circuits.simulate`` gate by gate with the whole-array kernels."""
+    """``circuits.simulate`` gate by gate, the opening Hadamards included,
+    with the whole-array kernels.  The ancillas lead and start in |0...0>,
+    so the start state is the inputs' np.kron chain (from 1) in its first
+    amplitudes and zeros after them."""
     layout = circuit.layout
-    parts = [statevec.make_basis_state(layout.ancilla_count, 0)] if layout.ancilla_count else []
-    state = statevec.tensor([*parts, *inputs])
+    product = functools.reduce(
+        np.kron, [s.amplitudes for s in inputs], np.ones(1, dtype=np.complex128)
+    )
+    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
+    amps[: product.size] = product
+    state = statevec.StateVector(layout.total_qubits, amps)
     for g in circuit.gates:
         gate = hadamard_reference if g.kind == "h" else cswap_reference
         state = gate(state, *g.qubits)

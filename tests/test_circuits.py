@@ -10,7 +10,7 @@ from swaplab import circuits as qc
 from swaplab import egraph as eg
 from swaplab import statevec as sv
 
-from oracles import simulate_reference
+from oracles import marginal_reference, simulate_reference
 
 
 def random_qubits(rng, count):
@@ -18,6 +18,37 @@ def random_qubits(rng, count):
         sv.make_qubit_state(t, f)
         for t, f in zip(rng.uniform(0, math.pi, count), rng.uniform(0, 2 * math.pi, count))
     ]
+
+
+def complex_registers(rng, count, w):
+    registers = []
+    for _ in range(count):
+        amps = rng.normal(size=2**w) + 1j * rng.normal(size=2**w)
+        registers.append(sv.StateVector(w, amps / np.linalg.norm(amps)))
+    return registers
+
+
+def padded_negative_registers():
+    """Three real 3-vectors with negative entries, encoded and padded to four
+    width-2 registers: a product of two negative amplitudes has a -0.0
+    imaginary part."""
+    points = [[0.3, -0.5, 0.2], [-1.0, -2.0, 0.5], [-0.4, 0.6, -0.2]]
+    return qc.pad_inputs([eg.encode_point(p) for p in points], 2)
+
+
+# (circuit, inputs) of each builder; the naive battery's circuits are all
+# one swap test
+SIMULATED = {
+    "standard": lambda rng: (qc.build_swap_test(3), complex_registers(rng, 2, 3)),
+    "naive": lambda rng: (
+        qc.build_naive_multiswap(4, 2)[-1][1], complex_registers(rng, 2, 2)
+    ),
+    "multi": lambda rng: (qc.build_multiswap_full(8, 1), complex_registers(rng, 8, 1)),
+    "multi-w2": lambda rng: (qc.build_multiswap_full(4, 2), complex_registers(rng, 4, 2)),
+    "multi-padded-negative": lambda rng: (
+        qc.build_multiswap_full(4, 2), padded_negative_registers()
+    ),
+}
 
 
 class TestSwapTest:
@@ -388,36 +419,83 @@ class TestCircuitJson:
         qc.simulate(qc.build_multiswap_full(4, 2), inputs)
         assert [s.amplitudes.tobytes() for s in inputs] == before
 
-    @pytest.mark.parametrize("n,w,block", [(8, 1, None), (4, 2, 64)])
-    def test_simulate_matches_reference_kernels(self, monkeypatch, n, w, block):
-        # (8, 1): 15 qubits at the real block size; (4, 2): 12 qubits in
-        # blocks of 64 amplitudes, so every gate runs its block loops
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("builder", sorted(SIMULATED))
+    def test_simulate_matches_reference_kernels(self, monkeypatch, builder, block):
+        # at the real block size, and in blocks of 64 amplitudes, so that
+        # every gate runs its block loops; the reference applies the opening
+        # Hadamards as gates
         if block is not None:
             monkeypatch.setattr(sv, "_BLOCK", block)
-        rng = np.random.default_rng(n * w)
-        inputs = []
-        for _ in range(n):
-            amps = rng.normal(size=2**w) + 1j * rng.normal(size=2**w)
-            inputs.append(sv.StateVector(w, amps / np.linalg.norm(amps)))
-        circuit = qc.build_multiswap_full(n, w)
+        circuit, inputs = SIMULATED[builder](np.random.default_rng(len(builder)))
         got = qc.simulate(circuit, inputs).amplitudes
         assert got.tobytes() == simulate_reference(circuit, inputs).amplitudes.tobytes()
 
-    def test_simulate_peak_is_one_state_and_a_few_blocks(self):
-        # 19 qubits, an 8 MiB state; copy-per-gate kernels peak at 2.5 states,
-        # whole-array in-place kernels at 1.5
-        circuit = qc.build_swap_test(9)
+    def test_padded_negative_case_has_negative_zeros(self):
+        # the state the circuit opens on carries -0.0 parts
+        _, inputs = SIMULATED["multi-padded-negative"](None)
+        parts = sv.tensor(inputs).amplitudes.view(np.float64)
+        assert (np.signbit(parts) & (parts == 0.0)).any()
+
+    @pytest.mark.parametrize("block", [None, 128])
+    @pytest.mark.parametrize("builder", sorted(SIMULATED))
+    def test_marginal_matches_whole_array_marginal(self, monkeypatch, builder, block):
+        # bit for bit, on the measured prefix and on lists that are not a
+        # prefix; 128 amplitudes is the smallest block at which a run's block
+        # sums add as numpy's pairwise sum does
+        if block is not None:
+            monkeypatch.setattr(sv, "_BLOCK", block)
+        circuit, inputs = SIMULATED[builder](np.random.default_rng(len(builder)))
+        state = qc.simulate(circuit, inputs)
+        n = state.num_qubits
+        for qubits in (circuit.layout.measured_qubits, [1, 3], [2, 0], [n - 1, 0], []):
+            got = sv.exact_marginal(state, qubits)
+            assert got.tobytes() == marginal_reference(state, qubits).tobytes(), qubits
+
+    @pytest.mark.parametrize("measure", [None, "marginal", "sample"])
+    @pytest.mark.parametrize("case", ["swap-19", "multi-15"])
+    def test_simulate_peak_is_one_state_and_a_few_blocks(self, monkeypatch, case, measure):
+        # swap-19: two 9-qubit registers, an 8 MiB state at the real block
+        # size.  multi-15: build_multiswap_full(8, 1) in blocks of 1024
+        # amplitudes, where a Kronecker chain's last partial product is half
+        # the state.  Copy-per-gate kernels peak at 2.5 states, whole-array
+        # in-place kernels, that chain and a whole-array |amp|^2 at 1.5.
         rng = np.random.default_rng(4)
-        inputs = [sv.tensor(random_qubits(rng, 9)) for _ in range(2)]
+        if case == "swap-19":
+            circuit = qc.build_swap_test(9)
+            inputs = [sv.tensor(random_qubits(rng, 9)) for _ in range(2)]
+        else:
+            monkeypatch.setattr(sv, "_BLOCK", 1024)
+            circuit = qc.build_multiswap_full(8, 1)
+            inputs = random_qubits(rng, 8)
+        measured = circuit.layout.measured_qubits
         state_bytes = 16 * 2**circuit.layout.total_qubits
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            qc.simulate(circuit, inputs)
+            state = qc.simulate(circuit, inputs)
+            if measure == "marginal":
+                sv.exact_marginal(state, measured)
+            elif measure == "sample":
+                sv.sample_outcomes(state, measured, 1000, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak <= state_bytes + 4 * 16 * sv._BLOCK, peak / state_bytes
+
+    def test_simulate_checks_bytes_before_allocating(self):
+        # 1 + 2 * 14 = 29 qubits, one past the ceiling: an 8 GiB state
+        circuit = qc.build_swap_test(14)
+        inputs = [sv.make_basis_state(14, 0)] * 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(sv.ResourceError, match="8589934592 bytes"):
+                qc.simulate(circuit, inputs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_simulate_validates_inputs(self):
         c = qc.build_swap_test(1)

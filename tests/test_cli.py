@@ -108,6 +108,27 @@ class TestSubcommands:
         assert not captured.out
         assert captured.err == "swaplab swap-test: error: phi2 must be finite, got -inf\n"
 
+    def test_abbreviated_flag_is_not_read(self, tmp_path, capsys):
+        # --ep is not taken for --eps, so it cannot skip the join of a value
+        # that starts with '-'; the flag spelled in full reaches the runner
+        points = tmp_path / "two.csv"
+        points.write_text("0,0\n1,0\n")
+        args = ["egraph", "--points", str(points), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--ep", "-inf"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        errors = [line for line in captured.err.splitlines() if ": error: " in line]
+        assert errors == [captured.err.splitlines()[-1]]
+        assert errors[0] == (
+            "swaplab egraph: error: the following arguments are required: --eps"
+        )
+        assert main(args + ["--eps", "-inf"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "swaplab egraph: error: eps must be finite and positive, got -inf\n"
+
     def test_resource_error_is_one_line(self, capsys):
         assert main(["pair-map", "--n", "128"]) == 2
         captured = capsys.readouterr()

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -318,6 +319,14 @@ class TestEncodePoint:
     def test_zero_vector(self):
         with pytest.raises(ValueError):
             eg.encode_point([0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e307, 1e-310])
+    def test_squares_out_of_range(self, scale):
+        # finite, nonzero vectors whose squared norm over- or underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = eg.encode_point([3.0 * scale, -4.0 * scale])
+        assert np.allclose(state.amplitudes, [0.6, -0.8])
 
     def test_encoding_isometry(self):
         rng = np.random.default_rng(19)

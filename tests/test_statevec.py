@@ -263,6 +263,37 @@ class TestBlockedKernels:
             self._check(sv.apply_cswap, cswap_reference, state, *triple)
 
 
+class TestPrepare:
+    # real registers with negative amplitudes: their product has -0.0 parts
+    INPUTS = [
+        sv.StateVector(1, np.array([-0.6, -0.8])),
+        sv.StateVector(2, np.array([-0.5, 0.5, -0.5, -0.5])),
+    ]
+
+    def test_inputs_fill_the_first_block(self):
+        state = sv.prepare(2, self.INPUTS)
+        product = np.kron(self.INPUTS[0].amplitudes, self.INPUTS[1].amplitudes)
+        assert state.num_qubits == 5
+        assert state.amplitudes[:8].tobytes() == product.tobytes()
+        assert state.amplitudes[8:].tobytes() == bytes(16 * 24)
+
+    def test_opening_hadamards_match_the_kernel(self):
+        state = sv.prepare(3, self.INPUTS, [2, 0])
+        ref = sv.prepare(3, self.INPUTS)
+        for q in (2, 0):
+            ref = sv.apply_hadamard(ref, q)
+        assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("hadamards", [[0, 0], [3], [-1]])
+    def test_rejects_other_hadamards(self, hadamards):
+        with pytest.raises(ValueError, match="distinct ancillas"):
+            sv.prepare(3, self.INPUTS, hadamards)
+
+    def test_needs_an_input(self):
+        with pytest.raises(ValueError):
+            sv.prepare(2, [])
+
+
 class TestExactMarginal:
     def test_basis_state(self):
         state = sv.make_basis_state(2, 0b01)
@@ -416,6 +447,13 @@ class TestInvariants:
     def test_resource_ceiling(self):
         with pytest.raises(sv.ResourceError):
             sv.make_basis_state(sv.MAX_QUBITS + 1, 0)
+
+    def test_ceiling_is_in_bytes(self):
+        assert sv.check_state_bytes(sv.MAX_QUBITS) == sv.MAX_STATE_BYTES == 2**32
+        with pytest.raises(sv.ResourceError, match="needs 8589934592 bytes"):
+            sv.check_state_bytes(sv.MAX_QUBITS + 1)
+        with pytest.raises(sv.ResourceError, match="4294967296 bytes"):
+            sv.prepare(sv.MAX_QUBITS, [sv.make_basis_state(1, 0)])
 
     def test_amplitude_length_validation(self):
         with pytest.raises(ValueError):
