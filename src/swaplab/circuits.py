@@ -43,6 +43,10 @@ from .statevec import ResourceError, StateVector
 # derive_pair_map enumerates all 2^{d_n} ancilla outcomes.
 MAX_PAIR_MAP_INPUTS = 64
 
+# One naive-battery entry on 64-bit CPython: a list slot and two 2-tuples
+# (8 + 56 + 56 bytes; the labels and the circuit are shared)
+_BATTERY_ENTRY_BYTES = 120
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -176,10 +180,19 @@ def build_naive_multiswap(n: int, w: int = 1) -> list[tuple[tuple[int, int], Cir
 
     Returns n(n-1)/2 entries of ((i, j), circuit) with 1-based input labels.
     The single ancilla is reusable between runs, so the battery needs O(1)
-    ancillas but n(n-1)/2 * w CSWAPs per repetition round.
+    ancillas but n(n-1)/2 * w CSWAPs per repetition round.  Raises
+    ResourceError, before building anything, when the list would take more
+    than statevec.MAX_STATE_BYTES.
     """
     if n < 2:
         raise ValueError(f"need at least 2 inputs, got {n}")
+    entries = n * (n - 1) // 2
+    nbytes = entries * _BATTERY_ENTRY_BYTES
+    if nbytes > statevec.MAX_STATE_BYTES:
+        raise ResourceError(
+            f"the naive battery for n={n} holds {entries} circuits, which need "
+            f"{nbytes} bytes, over the ceiling of {statevec.MAX_STATE_BYTES} bytes"
+        )
     circuit = build_swap_test(w)
     return [((i, j), circuit) for i, j in combinations(range(1, n + 1), 2)]
 

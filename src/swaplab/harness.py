@@ -366,11 +366,11 @@ def run_bounds_sweep(
         )
     records = []
     for N in n_values:
+        aligned = {alpha: stats.threshold_aligned(N, alpha) for alpha in alphas}
         for alpha, p in cells:
             xi = stats.false_negative_exact(N, alpha, p)
             upper = stats.chernoff_upper(N, alpha, p)
             lower = stats.chernoff_lower(N, alpha, p)
-            aligned = stats.threshold_aligned(N, alpha)
             records.append(
                 {
                     "N": N,
@@ -383,7 +383,7 @@ def run_bounds_sweep(
                     "upper_ok": xi <= upper + 1e-12,
                     "lower_ok": lower <= xi,
                     "sandwich_ok": lower <= xi <= upper + 1e-12,
-                    "threshold_aligned": aligned,
+                    "threshold_aligned": aligned[alpha],
                 }
             )
     metadata = {

@@ -24,19 +24,24 @@ log-term is at least ln N + 40 below the largest one.  The pmf is
 log-concave, so past its mode the terms fall and the N - end terms left out
 add up to at most N*t_end <= e^-40 * t_max, under 4.3e-18 of the tail.  The
 window starts 64 + 8*sqrt(N*p*(1-p)) terms past the peak and doubles until
-that holds or reaches N.  The window's log-terms cost one _stirlerr call
-over [N, k..., N-k...] and one _bd0 call over [k..., N-k...] with means
-[N*q..., N*p...]; both helpers are elementwise, so this fusing leaves every
-term's bits as separate calls would.  The threshold ceil(N*(1-alpha)) is
-taken in integer arithmetic from alpha's binary fraction a/b, as N*(b-a)/b.
+that holds or reaches N, unless its kernel would pass the simulator's byte
+ceiling.  For N < 2^17 the window reads _stirlerr and ln of [N, k..., N-k...]
+from tables over the counts 0..2^17-1 (see _CountTables); above, it costs one
+_stirlerr and one np.log call over that array.  Either way one _bd0 call over
+[k..., N-k...] with means [N*q..., N*p...] follows.  All of these are
+elementwise, so the tables and this fusing leave every term's bits as
+separate calls would.  The threshold ceil(N*(1-alpha)) is taken in integer
+arithmetic from alpha's binary fraction a/b, as N*(b-a)/b.
 
-All functions are pure; safe for unrestricted parallel use.
+All functions are pure apart from filling the count tables, which takes a
+lock; safe for unrestricted parallel use.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +82,57 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     return np.where(small, _STIRLERR_SMALL[idx], series)
 
 
+class _CountTables:
+    """_stirlerr(i) and ln i for the integer counts 0 <= i < SIZE (two
+    float64 tables, 2 MiB together), so that a window of counts below SIZE
+    reads its Stirling corrections and logs instead of recomputing them.
+    Each entry comes from the same _stirlerr and np.log calls on the float i
+    that the formula path makes, so both paths give the same bits.  Nothing
+    is allocated on import: ``through(n)`` fills the tables on first use, a
+    chunk of CHUNK counts at a time under a lock, until count n is covered,
+    and returns read-only views of them (entries past the filled prefix are
+    not yet written)."""
+
+    SIZE = 2**17
+    CHUNK = 4096
+
+    def __init__(self):
+        self.filled = 0
+        self.stirlerr = self.log = None
+        self._lock = threading.Lock()
+
+    def through(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n >= self.filled:
+            with self._lock:
+                self._fill(n)
+        return self.stirlerr, self.log
+
+    def _fill(self, n: int) -> None:
+        if self.stirlerr is None:
+            # np.empty touches no page: memory grows only as chunks are written
+            self._stirlerr_data = np.empty(self.SIZE)
+            self._log_data = np.empty(self.SIZE)
+            self.stirlerr, self.log = self._stirlerr_data.view(), self._log_data.view()
+            self.stirlerr.flags.writeable = self.log.flags.writeable = False
+        while self.filled <= n:
+            chunk = slice(self.filled, self.filled + self.CHUNK)
+            counts = np.arange(chunk.start, chunk.stop, dtype=float)
+            self._stirlerr_data[chunk] = _stirlerr(counts)
+            with np.errstate(divide="ignore"):  # ln 0 = -inf
+                self._log_data[chunk] = np.log(counts)
+            self.filled = chunk.stop
+
+
+_COUNT_TABLES = _CountTables()
+
 _BD0_MAX_TERMS = 100
 
 # e^-40 < 4.3e-18: the window's bound on the tail mass it leaves out
 _TAIL_DROP = 40.0
+
+# Bytes the tail kernel holds per window term at its peak, about 28 float64
+# temporaries (tracemalloc read 205-221 at windows of 10^3 to 10^5 terms)
+_WINDOW_BYTES_PER_TERM = 256
 
 
 def _bd0(x: np.ndarray, m) -> np.ndarray:
@@ -120,18 +172,24 @@ def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     """ln P(Bin(n, q) = k) with q = 1 - p, saddle-point form, vectorized over
     a 1-d array of integer k.  Taking p rather than q keeps n*p exact to the
     caller's p: re-deriving p from a rounded q would shift the log-pmf by
-    ~1e-12 at n = 10^5.  Each helper runs once over both halves of the sum
-    (see the module docstring); the terms are added in the textbook order."""
+    ~1e-12 at n = 10^5.  Each helper runs once over both halves of the sum,
+    or reads its count tables when n < 2^17 (see the module docstring); the
+    terms are added in the textbook order."""
     k = np.asarray(k, dtype=float)
     q = 1.0 - p
     interior = (k > 0) & (k < n)
     kk = np.where(interior, k, 0.5 * n)  # dummy interior value at the endpoints
     size = kk.size
     args = np.concatenate(([n], kk, n - kk))
-    st = _stirlerr(args)
     both = args[1:]
+    if n < _CountTables.SIZE:
+        stirlerr, log = _COUNT_TABLES.through(n)
+        # a dummy n/2 truncates to a count; the endpoint terms are replaced below
+        counts = args.astype(np.intp)
+        st, logs = stirlerr[counts], log[counts[1:]]
+    else:
+        st, logs = _stirlerr(args), np.log(both)
     bd = _bd0(both, np.repeat([n * q, n * p], size))
-    logs = np.log(both)
     lf = (
         st[0]
         - st[1:size + 1]
@@ -257,13 +315,27 @@ def threshold_aligned(N: int, alpha: float) -> bool:
     return _threshold(N, alpha)[1]
 
 
+def _check_window_bytes(N: int, terms: int) -> None:
+    """ResourceError, before any allocation, when the kernel's working set
+    for a window of ``terms`` terms is over the simulator's byte ceiling."""
+    nbytes = terms * _WINDOW_BYTES_PER_TERM
+    if nbytes > statevec.MAX_STATE_BYTES:
+        raise statevec.ResourceError(
+            f"the exact tail at N={N} sums a window of {terms} terms, which "
+            f"needs {nbytes} bytes, over the ceiling of "
+            f"{statevec.MAX_STATE_BYTES} bytes"
+        )
+
+
 def false_negative_exact(N: int, alpha: float, p: float) -> float:
     """Exact false-negative probability: the upper binomial tail
     sum_{i=ceil(N(1-alpha))}^{N} C(N,i) (1-p)^i p^{N-i}.
 
     Relative error <= 1e-12 for N up to 10^6 (within double range).  Only
     the window of terms described in the module docstring is summed; the
-    terms past it add less than 4.3e-18 of the tail.
+    terms past it add less than 4.3e-18 of the tail.  Raises
+    statevec.ResourceError when that window would not fit in
+    statevec.MAX_STATE_BYTES.
     """
     N = _check_count(N)
     _check_open_unit("alpha", alpha)
@@ -278,6 +350,7 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
     drop = math.log(N) + _TAIL_DROP
     while True:
         end = min(N, peak + int(width))
+        _check_window_bytes(N, end - k + 1)
         log_terms = _binom_logpmf(np.arange(k, end + 1), N, p)
         top = log_terms.max()
         if end == N or log_terms[-1] <= top - drop:

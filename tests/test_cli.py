@@ -199,6 +199,8 @@ class TestSubcommands:
             (["--p-grid", "0.9,0"], "p must lie in (0, 1), got 0.0"),
             (["--n-list", "1..200,0"], "N must be a whole number >= 1, got 0"),
             (["--n-list", "0..3"], "N must be a whole number >= 1, got 0"),
+            (["--n-list", "99999999999999999999"],
+             "the exact tail at N=99999999999999999999 sums a window of "),
         ],
     )
     def test_bounds_bad_value_rejected(self, tmp_path, grid, named):
@@ -208,6 +210,14 @@ class TestSubcommands:
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert named in proc.stderr
         assert not out.exists()
+
+    def test_gatecount_battery_over_byte_ceiling(self, tmp_path):
+        out = tmp_path / "gc.csv"
+        proc = _swaplab("gatecount", "--n-list", "4,16384", "--out", str(out))
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("swaplab gatecount: error: the naive battery "
+                                      "for n=16384 holds 134209536 circuits")
+        assert len(proc.stderr.splitlines()) == 1 and not out.exists()
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_pair_map_zero_width(self, tmp_path, dump):

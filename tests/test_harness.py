@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from swaplab import circuits, egraph, harness, stats
+from swaplab.statevec import ResourceError
 
 from oracles import multi_pair_probabilities, per_pair_swap_tests
 
@@ -232,6 +233,18 @@ class TestBoundsSweep:
         records, _ = harness.run_bounds_sweep([1, 3, 17, 60])
         assert all(r["upper_ok"] for r in records)
 
+    def test_threshold_aligned_once_per_n_and_alpha(self, monkeypatch):
+        calls = []
+        aligned = stats.threshold_aligned
+        monkeypatch.setattr(stats, "threshold_aligned", lambda N, alpha: (
+            calls.append((N, alpha)) or aligned(N, alpha)))
+        records, _ = harness.run_bounds_sweep([3, 10], [0.3, 0.5], [0.6, 0.8, 0.9])
+        assert len(records) == 12
+        assert sorted(calls) == [(3, 0.3), (3, 0.5), (10, 0.3), (10, 0.5)]
+        flags = [r["threshold_aligned"] for r in records]
+        assert flags == [aligned(r["N"], r["alpha"]) for r in records]
+        assert flags == [False] * 6 + [True] * 6
+
     def test_lower_holds_on_aligned(self):
         records, _ = harness.run_bounds_sweep(list(range(1, 41)))
         aligned = [r for r in records if r["threshold_aligned"]]
@@ -328,6 +341,13 @@ class TestGatecount:
     def test_recount_equals_formula(self):
         records, _ = harness.run_gatecount_report([4, 8, 16, 32], w=3)
         assert all(r["counts_match_formula"] for r in records)
+
+    def test_battery_over_byte_ceiling_not_built(self, monkeypatch):
+        # 2^14 inputs make 134 million battery entries, about 16 GB
+        monkeypatch.setattr(circuits, "combinations",
+                            lambda *args: pytest.fail("battery built"))
+        with pytest.raises(ResourceError, match="naive battery for n=16384 holds"):
+            harness.run_gatecount_report([2**14])
 
 
 class TestEgraphTrial:

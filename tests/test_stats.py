@@ -1,5 +1,11 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from oracles import (
     xi_full_sum,
     xi_mpmath,
 )
-from swaplab import harness, stats
+from swaplab import harness, stats, statevec
 
 # frozen independent-oracle values (fractions/mpmath, see oracles.py)
 XI_10_05_09 = 0.0016349374  # exact rational: 16349374/10^10 at these floats
@@ -243,6 +249,31 @@ class TestFalseNegativeExact:
                 left = logsumexp(logpmf(np.arange(end + 1, N + 1), N, p))
                 assert left - kept <= -40, (N, alpha, p)
 
+    def test_window_over_byte_ceiling_raises_before_allocating(self):
+        # at the first cell of `bounds --n-list 99999999999999999999` the
+        # window alone would be 20 billion terms
+        N = 99999999999999999999
+        tracemalloc.start()
+        try:
+            named = rf"exact tail at N={N} sums a window of \d+ terms"
+            with pytest.raises(statevec.ResourceError, match=named):
+                stats.false_negative_exact(N, 0.05, 0.07)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_first_call_at_large_n_allocates_only_its_window(self):
+        # N = 10^7 is past the count tables: the call holds its window of
+        # about 25,000 terms (4.9 MiB at peak), never a table over 0..N
+        tracemalloc.start()
+        try:
+            stats.false_negative_exact(10**7, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_threshold_exact_rational_ceiling(self):
         # N*(1-alpha) meant to be integral must not ceil upward through float fuzz
         assert stats.tail_threshold(10, 0.5) == 5
@@ -308,7 +339,9 @@ class TestFusedKernel:
     """The log-pmf with one _stirlerr and one _bd0 call per window, against
     the one-call-per-term expression, bit for bit."""
 
-    @pytest.mark.parametrize("N", [1, 2, 15, 16, 17, 200, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize(
+        "N", [1, 2, 15, 16, 17, 200, 10**4, 10**5, 2**17 - 1, 2**17, 10**6]
+    )
     @pytest.mark.parametrize(
         "p", [1e-12, 0.003, 0.49, 0.5, 0.51, 0.997, 1 - 1e-12], ids=str
     )
@@ -335,6 +368,73 @@ class TestFusedKernel:
         fused = stats._bd0(x, m)
         single = [bd0_unfused(np.array([xi]), mi)[0] for xi, mi in zip(x, m)]
         assert np.array_equal(fused, single)
+
+
+class TestCountTables:
+    """The Stirling-correction and log tables that the kernel reads for
+    n < 2^17, against the calls they replace."""
+
+    def test_entries_match_the_calls_bit_for_bit(self):
+        size = stats._CountTables.SIZE
+        st_table, log_table = stats._COUNT_TABLES.through(size - 1)
+        counts = np.arange(size, dtype=float)
+        assert size == 2**17 and st_table.nbytes + log_table.nbytes == 2 * 2**20
+        assert np.array_equal(st_table, stats._stirlerr(counts))
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(log_table, np.log(counts))
+        for table in (st_table, log_table):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 0.0
+
+    def test_import_builds_nothing_and_a_call_fills_one_chunk(self):
+        code = (
+            "import swaplab.stats as s\n"
+            "t = s._COUNT_TABLES\n"
+            "print(t.filled, t.stirlerr is None and t.log is None)\n"
+            "for N in (4095, 4096, 8000):\n"
+            "    s.false_negative_exact(N, 0.5, 0.9)\n"
+            "    print(t.filled)\n"
+        )
+        src = pathlib.Path(stats.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True\n4096\n8192\n8192\n"
+
+    def test_threads_filling_at_once_see_filled_entries(self):
+        # fresh tables each round, so that every round races on the first fill
+        want_st, want_log = stats._COUNT_TABLES.through(4 * 4096)
+        rng = np.random.default_rng(19)
+        errors = []
+
+        def reader(tables, start, counts):
+            start.wait(timeout=60)
+            for n in counts:
+                st_table, log_table = tables.through(n)
+                if not (st_table[n] == want_st[n] and log_table[n] == want_log[n]):
+                    errors.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                tables, start = stats._CountTables(), threading.Barrier(6)
+                workers = [
+                    threading.Thread(target=reader, args=(
+                        tables, start, rng.integers(0, 4 * 4096, 20)))
+                    for _ in range(6)
+                ]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
 
 
 class TestBoundPair:
