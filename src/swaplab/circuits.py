@@ -182,8 +182,16 @@ def build_naive_multiswap(n: int, w: int = 1) -> list[tuple[tuple[int, int], Cir
     The single ancilla is reusable between runs, so the battery needs O(1)
     ancillas but n(n-1)/2 * w CSWAPs per repetition round.  Raises
     ResourceError, before building anything, when the list would take more
-    than statevec.MAX_STATE_BYTES.
+    than statevec.MAX_STATE_BYTES (see ``check_naive_battery``).
     """
+    check_naive_battery(n)
+    circuit = build_swap_test(w)
+    return [((i, j), circuit) for i, j in combinations(range(1, n + 1), 2)]
+
+
+def check_naive_battery(n: int) -> None:
+    """Check the n(n-1)/2 entries of the naive battery for n inputs in bytes
+    against statevec.MAX_STATE_BYTES, without building them."""
     if n < 2:
         raise ValueError(f"need at least 2 inputs, got {n}")
     entries = n * (n - 1) // 2
@@ -193,18 +201,16 @@ def build_naive_multiswap(n: int, w: int = 1) -> list[tuple[tuple[int, int], Cir
             f"the naive battery for n={n} holds {entries} circuits, which need "
             f"{nbytes} bytes, over the ceiling of {statevec.MAX_STATE_BYTES} bytes"
         )
-    circuit = build_swap_test(w)
-    return [((i, j), circuit) for i, j in combinations(range(1, n + 1), 2)]
 
 
-def _require_power_of_two(n: int) -> None:
+def require_power_of_two(n: int) -> None:
     if n < 4 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 4, got {n}")
 
 
 def mid_ancilla_count(n: int) -> int:
     """d_n = 3*log2(n/2) for n a power of two >= 4."""
-    _require_power_of_two(n)
+    require_power_of_two(n)
     return 3 * int(math.log2(n // 2))
 
 
@@ -345,7 +351,7 @@ def derive_pair_map(n: int) -> PairMap:
     the circuit on computational-basis tags and reading registers 1 and 2
     (the statevector route is cross-checked in the tests at n=4).
     """
-    _require_power_of_two(n)
+    require_power_of_two(n)
     if n > MAX_PAIR_MAP_INPUTS:
         raise ResourceError(
             f"pair map enumeration is capped at n={MAX_PAIR_MAP_INPUTS} "
@@ -395,10 +401,14 @@ def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector
 
     The gates up to the first that is not a Hadamard on a fresh ancilla
     (every builder here opens with H on its ancillas) are part of the one
-    state that ``statevec.prepare`` builds.  Every later gate writes in place
-    into that state, so the inputs are never touched; each gate adds only
-    one block of ``statevec._BLOCK`` amplitudes of scratch.  The run peaks at
-    that one state plus a few blocks.
+    state that ``statevec.prepare`` builds.  The later gates write in place
+    into that state, so the inputs are never touched.  Each maximal run of
+    consecutive CSWAPs on one control with distinct targets (a controlled
+    register swap expands to one) is one ``statevec.apply_cswap`` call,
+    which moves each control=1 amplitude once for the whole run; the gate
+    list and its counts stay per qubit.  Each call adds only one block of
+    ``statevec._BLOCK`` amplitudes of scratch, so the run peaks at that one
+    state plus a few blocks.
     """
     layout = circuit.layout
     if len(inputs) != layout.n:
@@ -416,12 +426,38 @@ def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector
             break
         opening.append(q)
     state = statevec.prepare(layout.ancilla_count, inputs, opening)
-    for g in circuit.gates[len(opening) :]:
-        if g.kind == "h":
-            state = statevec.apply_hadamard(state, g.qubits[0], out=state.amplitudes)
+    for run in _kernel_runs(circuit.gates[len(opening) :]):
+        if run[0].kind == "h":
+            (q,) = run[0].qubits
+            state = statevec.apply_hadamard(state, q, out=state.amplitudes)
         else:
-            state = statevec.apply_cswap(state, *g.qubits, out=state.amplitudes)
+            control, a, b = zip(*(g.qubits for g in run))
+            state = statevec.apply_cswap(state, control[0], a, b, out=state.amplitudes)
     return state
+
+
+def _kernel_runs(gates: Sequence[Gate]) -> list[list[Gate]]:
+    """The gates in order, in runs of one kernel call each: a Hadamard alone,
+    and each maximal run of consecutive CSWAPs on one control whose target
+    qubits are all distinct.  Such CSWAPs commute, so one register swap does
+    the run's work exactly."""
+    runs: list[list[Gate]] = []
+    targets: set[int] = set()
+    for g in gates:
+        last = runs[-1] if runs else None
+        if (
+            g.kind == "cswap"
+            and last is not None
+            and last[0].kind == "cswap"
+            and last[0].qubits[0] == g.qubits[0]
+            and not targets & set(g.qubits[1:])
+        ):
+            last.append(g)
+        else:
+            runs.append([g])
+            targets = set()
+        targets.update(g.qubits[1:])
+    return runs
 
 
 def circuit_to_json(circuit: CircuitSpec) -> dict:

@@ -500,7 +500,12 @@ def run_gatecount_report(
     n_list: Sequence[int], w: int = 1
 ) -> tuple[list[Record], dict]:
     """Resource counts per design, recounted from built circuits (the
-    formula columns are provided for comparison, never trusted alone)."""
+    formula columns are provided for comparison, never trusted alone).
+    Every n is checked, as a power of two >= 4 whose naive battery fits the
+    byte ceiling, before the first circuit is built."""
+    for n in n_list:
+        circuits.require_power_of_two(n)
+        circuits.check_naive_battery(n)
     records = []
     for n in n_list:
         un = circuits.build_un(n, w)

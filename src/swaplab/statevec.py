@@ -1,8 +1,9 @@
 """Dense state-vector simulation of a multi-qubit register.
 
 Only the two gate types needed by the swap-test circuits are provided
-(Hadamard and controlled-SWAP), plus basis/Bloch state preparation, exact
-marginal extraction and seeded shot sampling.
+(Hadamard and controlled-SWAP, the latter also as a whole controlled register
+swap in one call), plus basis/Bloch state preparation, exact marginal
+extraction and seeded shot sampling.
 
 Qubit ordering convention (fixed everywhere in this package): qubit 0 is
 the MOST significant bit of the basis-state index.  For a 2-qubit register,
@@ -13,16 +14,17 @@ ancillas in |0...0>, the inputs' product, and the opening Hadamards on those
 ancillas.  Each gate is one kernel that writes its result in place into
 ``out`` and returns a StateVector over it.  Without ``out`` it first copies
 its input, so a gate never mutates its input unless given that input's own
-buffer as ``out``.  ``circuits.simulate`` does exactly that.  A gate walks
-the state in blocks of at most ``_BLOCK`` amplitudes through one block of
-scratch, and ``exact_marginal`` folds it a block at a time, so a
+buffer as ``out``.  ``circuits.simulate`` does exactly that, with one
+``apply_cswap`` call per controlled register swap, so each control=1
+amplitude is moved once per swap, not once per register qubit.  A gate
+walks the state in blocks of at most ``_BLOCK`` amplitudes through one
+block of scratch, and ``exact_marginal`` folds it a block at a time, so a
 simulate-and-measure run holds one state plus a few blocks.  Sampling takes
 an explicit Generator; there is no hidden global RNG state.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -128,13 +130,13 @@ def prepare(
     The state's bytes are checked before its one allocation.  The ancillas
     lead, so only the first 2^(n - ancillas) amplitudes are nonzero, and the
     inputs' Kronecker product is written there: np.kron's chain from 1 over
-    all inputs but the last, then one outer product with the last straight
-    into the state, so only the product of the others is built beside it,
-    with the bits of the whole chain.  A Hadamard on an ancilla still in
-    |0> meets zero partners, so it is applied only to the blocks filled so
-    far: with a1 = +0, a1' = (a0 - a1)c and a0' = (a0 + 0)c in
-    ``apply_hadamard``'s order, the bits that kernel gives, while the zero
-    blocks are never read.
+    all inputs but the last, then its outer product with the last straight
+    into the state, in rows of at most ``_BLOCK`` amplitudes, so only the
+    product of the others and a block are built beside it, with the bits of
+    the whole chain.  A Hadamard on an ancilla still in |0> meets zero
+    partners, so it is applied only to the blocks filled so far: with
+    a1 = +0, a1' = (a0 - a1)c and a0' = (a0 + 0)c in ``apply_hadamard``'s
+    order, the bits that kernel gives, while the zero blocks are never read.
     """
     if not inputs:
         raise ValueError("need at least one input register")
@@ -154,7 +156,12 @@ def prepare(
         prefix = np.kron(prefix, s.amplitudes)
     last = inputs[-1].amplitudes
     size = prefix.size * last.size
-    np.multiply.outer(prefix, last, out=amps[:size].reshape(prefix.size, last.size))
+    product = amps[:size].reshape(prefix.size, last.size)
+    # numpy buffers a broadcast product, up to two operands of 8192 entries;
+    # rows of at most _BLOCK amplitudes keep that within the block
+    rows = max(1, _BLOCK // last.size)
+    for r in range(0, prefix.size, rows):
+        np.multiply.outer(prefix[r : r + rows], last, out=product[r : r + rows])
     filled = [0]  # offsets of the blocks that hold amplitudes
     for q in hadamards:
         step = 2 ** (total - 1 - q)
@@ -220,41 +227,72 @@ def apply_hadamard(
     return StateVector(n, amps)
 
 
+def _register(qubits: int | Sequence[int]) -> tuple[int, ...]:
+    return tuple(qubits) if isinstance(qubits, Sequence) else (qubits,)
+
+
 def apply_cswap(
-    state: StateVector, control: int, a: int, b: int, out: np.ndarray | None = None
+    state: StateVector,
+    control: int,
+    a: int | Sequence[int],
+    b: int | Sequence[int],
+    out: np.ndarray | None = None,
 ) -> StateVector:
-    """Controlled-SWAP (Fredkin): exchange qubits ``a`` and ``b`` where the
-    control qubit is |1>, written into ``out`` (see the module docstring).
+    """Controlled register swap: where the control qubit is |1>, exchange
+    qubit ``a[k]`` with ``b[k]`` for every k, written into ``out`` (see the
+    module docstring).  ``a`` and ``b`` are single qubits (one Fredkin gate)
+    or equal-length sequences of qubits (a width-w register swap, the w
+    Fredkin gates at once, which commute).
 
     A pure basis-index permutation, hence exactly unitary and exactly its own
-    inverse (amplitudes are moved, never recombined): of the control=1
-    amplitudes, only the two blocks whose bits a and b differ trade places.
-    The leading qubits other than control, a and b are fixed in turn until
-    such a block holds at most ``_BLOCK`` amplitudes, and each pair of
-    blocks trades through one block of scratch (numpy adds a temporary
-    block of its own where the address ranges of the two interleave).
+    inverse (amplitudes are moved, never recombined).  The control=1 half of
+    the state is viewed as a cube with one axis per other qubit, on which the
+    swap is one axis permutation.  The leading qubits outside the swapped
+    pairs are fixed in turn until a block of that cube holds at most ``_BLOCK``
+    amplitudes; each block is copied into one block of scratch and written
+    back through the permutation, so each control=1 amplitude is moved once.
+    A block holds every register bit of the pairs it swaps, so one pass
+    swaps at most log2(_BLOCK)/2 pairs (7 at the real block size) and a
+    wider register takes one pass per such group of pairs.
     """
-    for q in (control, a, b):
+    a, b = _register(a), _register(b)
+    for q in (control, *a, *b):
         state._check_qubit(q)
-    if len({control, a, b}) != 3:
-        raise ValueError(f"cswap qubits must be distinct, got {(control, a, b)}")
+    if not a or len(a) != len(b):
+        raise ValueError(
+            f"cswap registers must be nonempty and of equal length, got {a} and {b}"
+        )
+    if len({control, *a, *b}) != 1 + 2 * len(a):
+        raise ValueError(
+            f"cswap qubits must be distinct, got control {control} and "
+            f"registers {a} and {b}"
+        )
     n = state.num_qubits
     amps = _gate_target(state, out)
-    cube = amps.reshape((2,) * n)
-    free = [q for q in range(n) if q not in (control, a, b)]
-    # fix the fewest leading free qubits that leave 2^(n-3-len(lead)) <= _BLOCK
-    lead = free[: max(0, n - 2 - _BLOCK.bit_length())]
-    held = np.empty((2,) * (n - 3 - len(lead)), dtype=np.complex128)
-    for bits in itertools.product((0, 1), repeat=len(lead)):
-        fixed = {**dict(zip(lead, bits)), control: 1}
-        a_set, b_set = (
-            tuple({**fixed, a: bit, b: 1 - bit}.get(q, slice(None)) for q in range(n))
-            for bit in (1, 0)
-        )
-        np.copyto(held, cube[a_set])
-        cube[a_set] = cube[b_set]
-        cube[b_set] = held
+    axes = [q for q in range(n) if q != control]
+    on = amps.reshape((2,) * n)[(slice(None),) * control + (1,)]
+    step = max(1, (_BLOCK.bit_length() - 1) // 2)
+    for s in range(0, len(a), step):
+        _swap_pass(on, axes, a[s : s + step], b[s : s + step])
     return StateVector(n, amps)
+
+
+def _swap_pass(on: np.ndarray, axes: list[int], a: tuple, b: tuple) -> None:
+    """Exchange qubit a[k] with b[k] in ``on``, the control=1 cube whose axes
+    are the qubits ``axes``, one block at a time through one block of
+    scratch, freed on return."""
+    partner = dict(zip(a + b, b + a))
+    # fix the fewest leading free qubits that leave 2^len(kept) <= _BLOCK
+    free = [q for q in axes if q not in partner]
+    lead = free[: max(0, len(axes) + 1 - _BLOCK.bit_length())]
+    kept = [q for q in axes if q not in lead]
+    blocks = on.transpose([axes.index(q) for q in lead + kept])
+    held = np.empty((2,) * len(kept), dtype=np.complex128)
+    swapped = held.transpose([kept.index(partner.get(q, q)) for q in kept])
+    for bits in np.ndindex((2,) * len(lead)):
+        blk = blocks[bits]
+        np.copyto(held, blk)
+        blk[...] = swapped
 
 
 def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:

@@ -36,6 +36,19 @@ def padded_negative_registers():
     return qc.pad_inputs([eg.encode_point(p) for p in points], 2)
 
 
+def unmerged_runs_circuit():
+    """Opening Hadamards, then CSWAP runs on one control that simulate must
+    not fold into one call: runs whose CSWAPs share a qubit, and runs cut by
+    another control or a Hadamard; one run that does fold closes it."""
+    layout = qc._layout(4, 2, top=True, mid=True)
+    gates = [qc.hadamard(q) for q in range(4)]
+    gates += [qc.cswap(1, 4, 6), qc.cswap(1, 6, 8), qc.cswap(1, 5, 4)]
+    gates += [qc.cswap(2, 4, 8), qc.cswap(3, 5, 9), qc.cswap(2, 5, 9)]
+    gates += [qc.cswap(3, 6, 10), qc.hadamard(1), qc.cswap(3, 7, 11)]
+    gates += [qc.cswap(0, 4, 6), qc.cswap(0, 5, 7), qc.hadamard(0)]
+    return qc.CircuitSpec(layout, tuple(gates))
+
+
 # (circuit, inputs) of each builder; the naive battery's circuits are all
 # one swap test
 SIMULATED = {
@@ -45,6 +58,8 @@ SIMULATED = {
     ),
     "multi": lambda rng: (qc.build_multiswap_full(8, 1), complex_registers(rng, 8, 1)),
     "multi-w2": lambda rng: (qc.build_multiswap_full(4, 2), complex_registers(rng, 4, 2)),
+    "multi-w3": lambda rng: (qc.build_multiswap_full(4, 3), complex_registers(rng, 4, 3)),
+    "unmerged-runs": lambda rng: (unmerged_runs_circuit(), complex_registers(rng, 4, 2)),
     "multi-padded-negative": lambda rng: (
         qc.build_multiswap_full(4, 2), padded_negative_registers()
     ),
@@ -431,6 +446,28 @@ class TestCircuitJson:
         got = qc.simulate(circuit, inputs).amplitudes
         assert got.tobytes() == simulate_reference(circuit, inputs).amplitudes.tobytes()
 
+    @pytest.mark.parametrize(
+        "circuit,calls",
+        [
+            (qc.build_multiswap_full(4, 3), 4),  # 3*4/2 - 3 + 1 register swaps
+            (qc.build_swap_test(3), 1),
+            (unmerged_runs_circuit(), 8),
+        ],
+    )
+    def test_one_kernel_call_per_register_swap(self, monkeypatch, circuit, calls):
+        widths = []
+        kernel = sv.apply_cswap
+
+        def counted(state, control, a, b, out=None):
+            widths.append(len(a))
+            return kernel(state, control, a, b, out=out)
+
+        monkeypatch.setattr(sv, "apply_cswap", counted)
+        layout = circuit.layout
+        qc.simulate(circuit, [sv.make_basis_state(layout.w, 0)] * layout.n)
+        assert len(widths) == calls
+        assert sum(widths) == circuit.cswap_count
+
     def test_padded_negative_case_has_negative_zeros(self):
         # the state the circuit opens on carries -0.0 parts
         _, inputs = SIMULATED["multi-padded-negative"](None)
@@ -453,21 +490,27 @@ class TestCircuitJson:
             assert got.tobytes() == marginal_reference(state, qubits).tobytes(), qubits
 
     @pytest.mark.parametrize("measure", [None, "marginal", "sample"])
-    @pytest.mark.parametrize("case", ["swap-19", "multi-15"])
+    @pytest.mark.parametrize("case", ["swap-19", "multi-15", "multi-w3"])
     def test_simulate_peak_is_one_state_and_a_few_blocks(self, monkeypatch, case, measure):
         # swap-19: two 9-qubit registers, an 8 MiB state at the real block
         # size.  multi-15: build_multiswap_full(8, 1) in blocks of 1024
         # amplitudes, where a Kronecker chain's last partial product is half
-        # the state.  Copy-per-gate kernels peak at 2.5 states, whole-array
-        # in-place kernels, that chain and a whole-array |amp|^2 at 1.5.
+        # the state.  multi-w3: build_multiswap_full(4, 3), 16 qubits, in
+        # blocks of 1024, each register swap one call on 3 qubit pairs.
+        # Copy-per-gate kernels peak at 2.5 states, whole-array in-place
+        # kernels, that chain and a whole-array |amp|^2 at 1.5.
         rng = np.random.default_rng(4)
         if case == "swap-19":
             circuit = qc.build_swap_test(9)
             inputs = [sv.tensor(random_qubits(rng, 9)) for _ in range(2)]
-        else:
+        elif case == "multi-15":
             monkeypatch.setattr(sv, "_BLOCK", 1024)
             circuit = qc.build_multiswap_full(8, 1)
             inputs = random_qubits(rng, 8)
+        else:
+            monkeypatch.setattr(sv, "_BLOCK", 1024)
+            circuit = qc.build_multiswap_full(4, 3)
+            inputs = complex_registers(rng, 4, 3)
         measured = circuit.layout.measured_qubits
         state_bytes = 16 * 2**circuit.layout.total_qubits
         tracemalloc.start()

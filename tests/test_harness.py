@@ -342,6 +342,22 @@ class TestGatecount:
         records, _ = harness.run_gatecount_report([4, 8, 16, 32], w=3)
         assert all(r["counts_match_formula"] for r in records)
 
+    @pytest.mark.parametrize(
+        "n_list,error,problem",
+        [
+            ([4, 16384], ResourceError, "naive battery for n=16384 holds"),
+            ([4, 6], ValueError, "power of two >= 4, got 6"),
+            ([8, 2], ValueError, "power of two >= 4, got 2"),
+        ],
+    )
+    def test_every_n_checked_before_any_build(self, monkeypatch, n_list, error, problem):
+        builds = []
+        for name in ("build_un", "build_multiswap_full", "build_naive_multiswap"):
+            monkeypatch.setattr(circuits, name, lambda *a, name=name: builds.append(name))
+        with pytest.raises(error, match=problem):
+            harness.run_gatecount_report(n_list)
+        assert builds == []
+
     def test_battery_over_byte_ceiling_not_built(self, monkeypatch):
         # 2^14 inputs make 134 million battery entries, about 16 GB
         monkeypatch.setattr(circuits, "combinations",

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +264,97 @@ class TestBlockedKernels:
         triples += [tuple(rng.choice(n, 3, replace=False).tolist()) for _ in range(5)]
         for triple in triples:
             self._check(sv.apply_cswap, cswap_reference, state, *triple)
+
+
+def register_swap_reference(state, control, a, b):
+    """A register swap as its CSWAPs one after another, whole-array."""
+    return functools.reduce(
+        lambda s, pair: cswap_reference(s, control, *pair), zip(a, b), state
+    )
+
+
+def register_layout(roles):
+    """(control, a, b, n) read from a string with one role per qubit: c the
+    control, a and b the registers' qubits in order, f a free qubit."""
+    where = {r: [q for q, x in enumerate(roles) if x == r] for r in "cab"}
+    return where["c"][0], where["a"], where["b"], len(roles)
+
+
+# control before, between and after two contiguous registers, and the
+# registers interleaved (b in reverse), with free qubits around them
+REGISTER_LAYOUTS = {
+    "before": lambda w: "ffcf" + "a" * w + "f" + "b" * w + "ff",
+    "between": lambda w: "ff" + "a" * w + "fcf" + "b" * w + "f",
+    "after": lambda w: "f" + "a" * w + "ff" + "b" * w + "fcf",
+    "interleaved": lambda w: "ffcf" + "ab" * w + "ff",
+}
+
+
+class TestRegisterSwap:
+    """One call swaps a whole register pair: bit for bit the w CSWAPs one
+    after another, at the real block and at 64 amplitudes, where states of
+    8 to 15 qubits span many blocks and four pairs take two passes."""
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("layout", sorted(REGISTER_LAYOUTS))
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_matches_sequential_cswaps(self, monkeypatch, block, layout, w):
+        if block is not None:
+            monkeypatch.setattr(sv, "_BLOCK", block)
+        control, a, b, n = register_layout(REGISTER_LAYOUTS[layout](w))
+        if layout == "interleaved":
+            b = b[::-1]
+        state = random_state(np.random.default_rng(w * n), n)
+        TestBlockedKernels._check(sv.apply_cswap, register_swap_reference, state,
+                                  control, a, b)
+
+    @pytest.mark.parametrize("w", [2, 8])
+    def test_real_block_17_qubits(self, w):
+        # w = 8 takes two passes of at most 7 pairs; the scratch stays one block
+        n = 17
+        state = random_state(np.random.default_rng(w), n)
+        a, b = list(range(1, 1 + w)), list(range(n - w, n))
+        TestBlockedKernels._check(sv.apply_cswap, register_swap_reference, state,
+                                  0, a, b)
+        own = state.amplitudes.copy()
+        tracemalloc.start()
+        try:
+            sv.apply_cswap(sv.StateVector(n, own), 0, a, b, out=own)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * sv._BLOCK + 2**14, peak
+
+    def test_involution_bitwise_exact(self):
+        state = random_state(np.random.default_rng(23), 9)
+        once = sv.apply_cswap(state, 4, [0, 2, 7], [8, 1, 3])
+        assert once.amplitudes.tobytes() != state.amplitudes.tobytes()
+        twice = sv.apply_cswap(once, 4, [0, 2, 7], [8, 1, 3])
+        assert twice.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    @pytest.mark.parametrize(
+        "a,b", [([3], [0]), ((3,), (0,)), (range(3, 4), range(1)), (np.int64(3), 0)]
+    )
+    def test_single_qubit_forms_agree(self, a, b):
+        state = random_state(np.random.default_rng(29), 5)
+        expected = cswap_reference(state, 1, 3, 0).amplitudes.tobytes()
+        assert sv.apply_cswap(state, 1, a, b).amplitudes.tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "control,a,b,problem",
+        [
+            (0, (1, 2), (3,), "equal length, got (1, 2) and (3,)"),
+            (0, (), (), "nonempty"),
+            (0, (1, 2), (2, 3), "distinct, got control 0 and registers (1, 2) and (2, 3)"),
+            (0, (1, 1), (2, 3), "distinct, got control 0 and registers (1, 1) and (2, 3)"),
+            (2, (1, 2), (3, 4), "distinct, got control 2 and registers (1, 2) and (3, 4)"),
+            (0, (1, 5), (2, 3), "qubit index 5 out of range"),
+        ],
+    )
+    def test_bad_registers_named(self, control, a, b, problem):
+        state = sv.make_basis_state(5, 3)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            sv.apply_cswap(state, control, a, b)
 
 
 class TestPrepare:
