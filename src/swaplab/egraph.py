@@ -110,11 +110,6 @@ def load_point_cloud(path) -> PointCloud:
     return PointCloud(np.array(rows))
 
 
-def _pair_set(codes: np.ndarray, n: int) -> frozenset[tuple[int, int]]:
-    i, j = np.divmod(codes, n)
-    return frozenset(zip(i.tolist(), j.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class EpsilonGraph:
     """Undirected graph with edges exactly between points at distance < eps.
@@ -142,24 +137,26 @@ class EpsilonGraph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as (i, j) pairs with i < j."""
-        return _pair_set(self.codes, self.n)
+        i, j = np.divmod(self.codes, self.n)
+        return frozenset(zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)
 class GraphDiff:
     """Edges missing from the estimate (false negatives) and spurious edges
-    present only in the estimate (false positives)."""
+    present only in the estimate (false positives), each as a sorted,
+    read-only int64 array of pair codes i*n + j."""
 
-    false_negatives: frozenset[tuple[int, int]]
-    false_positives: frozenset[tuple[int, int]]
+    false_negatives: np.ndarray
+    false_positives: np.ndarray
 
     @property
     def fn_count(self) -> int:
-        return len(self.false_negatives)
+        return self.false_negatives.size
 
     @property
     def fp_count(self) -> int:
-        return len(self.false_positives)
+        return self.false_positives.size
 
 
 def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
@@ -325,6 +322,11 @@ def encode_point(v: Sequence[float]) -> StateVector:
 
 GraphMode = Literal["standard", "naive", "multi"]
 
+# Peak bytes per pair i < j of a standard or naive quantum_egraph call: 48
+# while the Gram matrix and |G|^2 are held, then 89-109 for the pair columns
+# and the estimate table (tracemalloc, n = 200 to 2000, exact and sampled)
+_PAIR_TABLE_BYTES = 112
+
 # picked up by tests and reports: quantum runs with an infinite shot budget
 # use exact marginals instead of sampling
 EXACT_SHOTS = math.inf
@@ -391,10 +393,19 @@ def _swap_test_values(encoded, shots, rng):
     swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the
     clip catches duplicate points, whose |G|^2 can round a hair above 1.
     A finite budget draws every pair's hit count from ``rng`` in one
-    binomial call, in pair order."""
+    binomial call, in pair order.  The Gram matrix and the pair columns are
+    checked in bytes against statevec.MAX_STATE_BYTES before either is
+    allocated."""
+    n = len(encoded)
+    nbytes = n * (n - 1) // 2 * _PAIR_TABLE_BYTES
+    if nbytes > statevec.MAX_STATE_BYTES:
+        raise statevec.ResourceError(
+            f"the pair table for n={n} points needs {nbytes} bytes, over the "
+            f"ceiling of {statevec.MAX_STATE_BYTES} bytes"
+        )
     amps = np.stack([state.amplitudes for state in encoded])
     probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
-    i, j = np.triu_indices(len(encoded), 1)
+    i, j = np.triu_indices(n, 1)
     values = probs[i, j]
     if math.isfinite(shots):
         values = rng.binomial(shots, values)
@@ -435,11 +446,10 @@ def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff
         raise ValueError(
             f"graphs have different vertex counts: {reference.n} vs {estimate.n}"
         )
-    ref, est, n = reference.codes, estimate.codes, reference.n
-    return GraphDiff(
-        false_negatives=_pair_set(np.setdiff1d(ref, est, assume_unique=True), n),
-        false_positives=_pair_set(np.setdiff1d(est, ref, assume_unique=True), n),
-    )
+    missing = np.setdiff1d(reference.codes, estimate.codes, assume_unique=True)
+    spurious = np.setdiff1d(estimate.codes, reference.codes, assume_unique=True)
+    missing.flags.writeable = spurious.flags.writeable = False
+    return GraphDiff(false_negatives=missing, false_positives=spurious)
 
 
 def write_edge_list(

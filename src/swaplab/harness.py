@@ -3,7 +3,9 @@
 Every table runner returns (records, metadata): records are flat dicts (one
 per experiment unit, deterministically ordered by parameter tuple), metadata
 names the source formula behind each theory column.  run_egraph_trial writes
-a whole output directory instead.  CSV is the canonical output format
+a whole output directory instead, and hands its per-pair estimate table to
+write_records as columns; write_records formats every table from columns,
+after one transpose of row dicts.  CSV is the canonical output format
 (header row, '.' decimal separator, 17 significant digits for reals); JSON
 mirrors the records and carries the metadata.  The CLI calls each runner
 with its parsed flags as keyword arguments, so a runner's keyword names are
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -85,14 +87,26 @@ def _jsonable(value):
     return value
 
 
-def write_records(records: Sequence[Record], path_or_file, fmt: str = "csv",
+def write_records(records: Sequence[Record] | Mapping[str, Sequence],
+                  path_or_file, fmt: str = "csv",
                   metadata: dict | None = None) -> None:
-    """Write records as CSV (data only) or JSON (data plus metadata).
-    ``path_or_file`` may be a filesystem path or an open text stream.  CSV
-    takes its header from the first record; a record with other keys raises
-    ValueError naming it before anything is written."""
-    own = not hasattr(path_or_file, "write")
-    if fmt == "csv":
+    """Write a table as CSV (data only) or JSON (data plus metadata), both
+    formatted from its columns.  ``records`` is a sequence of row dicts or a
+    mapping from column name to an equal-length sequence; either gives the
+    same bytes.  ``path_or_file`` may be a filesystem path or an open text
+    stream.  Rows take their header from the first record; a record with
+    other keys, or a column of another length, raises ValueError naming it
+    before anything is written."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    if isinstance(records, Mapping):
+        header, columns = list(records), list(records.values())
+        nrows = len(columns[0]) if columns else 0
+        for name, column in records.items():
+            if len(column) != nrows:
+                raise ValueError(f"column {name!r} has {len(column)} entries, but "
+                                 f"column {header[0]!r} has {nrows}")
+    else:
         header = list(records[0].keys()) if records else []
         keys = set(header)
         for row, rec in enumerate(records):
@@ -100,36 +114,31 @@ def write_records(records: Sequence[Record], path_or_file, fmt: str = "csv",
                 extra = [k for k in rec if k not in keys]
                 missing = [k for k in header if k not in rec]
                 raise ValueError(
-                    f"CSV record {row} does not have the header's keys (those of "
-                    f"record 0): extra {extra}, missing {missing}"
+                    f"{fmt.upper()} record {row} does not have the header's keys "
+                    f"(those of record 0): extra {extra}, missing {missing}"
                 )
-        fh = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
-            if records:
+        columns, nrows = [[rec[k] for rec in records] for k in header], len(records)
+    own = not hasattr(path_or_file, "write")
+    newline = "" if fmt == "csv" else None
+    fh = open(path_or_file, "w", newline=newline) if own else path_or_file
+    try:
+        if fmt == "csv":
+            if nrows:
                 fh.write(_csv_lines([map(_csv_field, header)]))
-                for start in range(0, len(records), _CSV_BLOCK_ROWS):
-                    block = records[start:start + _CSV_BLOCK_ROWS]
-                    columns = [_fmt_column([rec[k] for rec in block]) for k in header]
-                    fh.write(_csv_lines(zip(*columns)))
-        finally:
-            if own:
-                fh.close()
-    elif fmt == "json":
-        payload = {
-            "metadata": metadata or {},
-            "records": [
-                {k: _jsonable(v) for k, v in rec.items()} for rec in records
-            ],
-        }
-        fh = open(path_or_file, "w") if own else path_or_file
-        try:
+            for start in range(0, nrows, _CSV_BLOCK_ROWS):
+                block = (_fmt_column(c[start:start + _CSV_BLOCK_ROWS]) for c in columns)
+                fh.write(_csv_lines(zip(*block)))
+        else:
+            cells = [list(map(_jsonable, column)) for column in columns]
+            payload = {
+                "metadata": metadata or {},
+                "records": [dict(zip(header, row)) for row in zip(*cells)],
+            }
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        finally:
-            if own:
-                fh.close()
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
+    finally:
+        if own:
+            fh.close()
 
 
 def _random_qubit_states(rng: np.random.Generator, count: int):
@@ -587,10 +596,8 @@ def run_egraph_trial(
             "distance_hat": estimates.distance_hat,
             "clamped": estimates.clamped,
         }
-        rows = zip(*(column.tolist() for column in columns.values()))
-        est_records = [dict(zip(columns, row)) for row in rows]
         write_records(
-            est_records,
+            {name: column.tolist() for name, column in columns.items()},
             os.path.join(out_dir, f"estimates.{fmt}"),
             fmt,
             {"p_hat": "hits/shots (exact probability when shots=0 rows appear)"},

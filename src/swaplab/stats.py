@@ -26,22 +26,23 @@ add up to at most N*t_end <= e^-40 * t_max, under 4.3e-18 of the tail.  The
 window starts 64 + 8*sqrt(N*p*(1-p)) terms past the peak and doubles until
 that holds or reaches N, unless its kernel would pass the simulator's byte
 ceiling.  For N < 2^17 the window reads _stirlerr and ln of [N, k..., N-k...]
-from tables over the counts 0..2^17-1 (see _CountTables); above, it costs one
+from tables over the counts 0..2^17-1 (see _count_tables); above, it costs one
 _stirlerr and one np.log call over that array.  Either way one _bd0 call over
 [k..., N-k...] with means [N*q..., N*p...] follows.  All of these are
 elementwise, so the tables and this fusing leave every term's bits as
 separate calls would.  The threshold ceil(N*(1-alpha)) is taken in integer
 arithmetic from alpha's binary fraction a/b, as N*(b-a)/b.
 
-All functions are pure apart from filling the count tables, which takes a
-lock; safe for unrestricted parallel use.
+All functions are pure; the count tables are built once per process, on
+the first call that reads them, and are read-only after.  Safe for
+unrestricted parallel use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,48 +83,26 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     return np.where(small, _STIRLERR_SMALL[idx], series)
 
 
-class _CountTables:
-    """_stirlerr(i) and ln i for the integer counts 0 <= i < SIZE (two
-    float64 tables, 2 MiB together), so that a window of counts below SIZE
-    reads its Stirling corrections and logs instead of recomputing them.
-    Each entry comes from the same _stirlerr and np.log calls on the float i
-    that the formula path makes, so both paths give the same bits.  Nothing
-    is allocated on import: ``through(n)`` fills the tables on first use, a
-    chunk of CHUNK counts at a time under a lock, until count n is covered,
-    and returns read-only views of them (entries past the filled prefix are
-    not yet written)."""
-
-    SIZE = 2**17
-    CHUNK = 4096
-
-    def __init__(self):
-        self.filled = 0
-        self.stirlerr = self.log = None
-        self._lock = threading.Lock()
-
-    def through(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n >= self.filled:
-            with self._lock:
-                self._fill(n)
-        return self.stirlerr, self.log
-
-    def _fill(self, n: int) -> None:
-        if self.stirlerr is None:
-            # np.empty touches no page: memory grows only as chunks are written
-            self._stirlerr_data = np.empty(self.SIZE)
-            self._log_data = np.empty(self.SIZE)
-            self.stirlerr, self.log = self._stirlerr_data.view(), self._log_data.view()
-            self.stirlerr.flags.writeable = self.log.flags.writeable = False
-        while self.filled <= n:
-            chunk = slice(self.filled, self.filled + self.CHUNK)
-            counts = np.arange(chunk.start, chunk.stop, dtype=float)
-            self._stirlerr_data[chunk] = _stirlerr(counts)
-            with np.errstate(divide="ignore"):  # ln 0 = -inf
-                self._log_data[chunk] = np.log(counts)
-            self.filled = chunk.stop
+_COUNT_TABLE_SIZE = 2**17
 
 
-_COUNT_TABLES = _CountTables()
+@functools.cache
+def _count_tables() -> tuple[np.ndarray, np.ndarray]:
+    """_stirlerr(i) and ln i for the counts 0 <= i < 2^17: two read-only
+    float64 tables (2 MiB together), built whole on the first call, not on
+    import.  Each entry comes from the same _stirlerr and np.log calls on the
+    float i that the formula path makes, so both paths give the same bits."""
+    stirlerr, log = np.empty(_COUNT_TABLE_SIZE), np.empty(_COUNT_TABLE_SIZE)
+    # 4096 counts at a time, so that the fill's temporaries stay small
+    for start in range(0, _COUNT_TABLE_SIZE, 4096):
+        chunk = slice(start, start + 4096)
+        counts = np.arange(chunk.start, chunk.stop, dtype=float)
+        stirlerr[chunk] = _stirlerr(counts)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf
+            log[chunk] = np.log(counts)
+    stirlerr.flags.writeable = log.flags.writeable = False
+    return stirlerr, log
+
 
 _BD0_MAX_TERMS = 100
 
@@ -182,8 +161,8 @@ def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     size = kk.size
     args = np.concatenate(([n], kk, n - kk))
     both = args[1:]
-    if n < _CountTables.SIZE:
-        stirlerr, log = _COUNT_TABLES.through(n)
+    if n < _COUNT_TABLE_SIZE:
+        stirlerr, log = _count_tables()
         # a dummy n/2 truncates to a count; the endpoint terms are replaced below
         counts = args.astype(np.intp)
         st, logs = stirlerr[counts], log[counts[1:]]

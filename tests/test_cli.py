@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import swaplab
+from swaplab import statevec
 from swaplab.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -210,6 +211,22 @@ class TestSubcommands:
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert named in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["quantum-standard", "quantum-naive"])
+    def test_egraph_pair_table_over_byte_ceiling(self, tmp_path, monkeypatch, capsys, mode):
+        # 600 points need 20,126,400 bytes of pair table, over 16 MiB
+        monkeypatch.setattr(statevec, "MAX_STATE_BYTES", 2**24)
+        points, out = tmp_path / "cloud.csv", tmp_path / "out"
+        angles = [k * math.pi / 1200 for k in range(600)]
+        points.write_text("".join(f"{math.cos(a)!r},{math.sin(a)!r}\n" for a in angles))
+        assert main(["egraph", "--points", str(points), "--eps", "0.5", "--mode", mode,
+                     "--shots", "inf", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and not out.exists()
+        assert captured.err == (
+            "swaplab egraph: error: the pair table for n=600 points needs 20126400 "
+            "bytes, over the ceiling of 16777216 bytes\n"
+        )
 
     def test_gatecount_battery_over_byte_ceiling(self, tmp_path):
         out = tmp_path / "gc.csv"

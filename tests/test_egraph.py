@@ -3,13 +3,14 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 from swaplab import circuits
@@ -277,17 +278,46 @@ def lattice_cloud_and_tie_eps(draw):
     return pts, eps
 
 
+@st.composite
+def rounded_cloud_and_tie_eps(draw):
+    """Cloud in dims 8-12 with coordinates rounded to 1-3 decimals, which are
+    not binary fractions, so squared differences round and a sum of 8 or
+    more of them depends on its order (numpy's pairwise sum against a sum
+    column by column).  eps*eps equals one pair's squared distance exactly,
+    as brute force computes it, so that pair sits on the strict-< boundary."""
+    dim = draw(st.integers(8, 12))
+    n = draw(st.one_of(st.integers(2, 40), st.sampled_from([33, 65, 130])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, (n, dim)).round(draw(st.integers(1, 3)))
+    i = draw(st.integers(0, n - 2))
+    j = draw(st.integers(i + 1, n - 1))
+    d_sq = float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1)[j - i - 1])
+    root = math.sqrt(d_sq)
+    ties = [e for e in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf))
+            if e * e == d_sq]
+    assume(d_sq > 0.0 and ties)
+    return pts, ties[0]
+
+
 class TestKDTreeTies:
-    @given(lattice_cloud_and_tie_eps())
-    @settings(max_examples=150, deadline=None)
-    def test_kdtree_matches_brute_force_at_ties(self, case):
-        pts, eps = case
+    @staticmethod
+    def _assert_kdtree_matches_brute_force(pts, eps):
         cloud = eg.PointCloud(pts)
         assert eg.kdtree_egraph(cloud, eps).edges == eg.brute_force_egraph(cloud, eps).edges
         tree = eg.KDTree(cloud)
         for center in pts[:: max(1, len(pts) // 8)]:
             want = np.nonzero(((pts - center) ** 2).sum(axis=1) < eps * eps)[0]
             assert sorted(tree.range_query(center, eps)) == want.tolist()
+
+    @given(lattice_cloud_and_tie_eps())
+    @settings(max_examples=150, deadline=None)
+    def test_kdtree_matches_brute_force_at_ties(self, case):
+        self._assert_kdtree_matches_brute_force(*case)
+
+    @given(rounded_cloud_and_tie_eps())
+    @settings(max_examples=150, deadline=None)
+    def test_kdtree_matches_brute_force_at_rounded_ties_in_dims_8_to_12(self, case):
+        self._assert_kdtree_matches_brute_force(*case)
 
 
 class TestEncodePoint:
@@ -562,6 +592,31 @@ class TestQuantumEgraphClosedForm:
         _, estimates = eg.quantum_egraph(cloud, 0.8, shots, mode, seed=1)
         assert len(estimates.p_hat) == len(cloud) * (len(cloud) - 1) // 2
 
+    @pytest.mark.parametrize("mode", ["standard", "naive"])
+    @pytest.mark.parametrize("shots", [eg.EXACT_SHOTS, 50])
+    def test_pair_table_checked_in_bytes_before_allocating(self, monkeypatch, mode, shots):
+        # 600 points hold 179,700 pairs: 20.1 MB at 112 bytes a pair, over a
+        # ceiling lowered to 16 MiB; the Gram matrix and |G|^2 alone take 8.6 MB
+        n = 600
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", 2**24)
+        cloud = unit_cloud(3, seed=2, num=n)
+        named = (f"the pair table for n={n} points needs {179700 * 112} bytes, "
+                 f"over the ceiling of {2**24} bytes")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(sv.ResourceError, match=f"^{named}$"):
+                eg.quantum_egraph(cloud, 0.8, shots, mode, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+        # a table of exactly the ceiling's bytes is built
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", 599 * 598 // 2 * 112)
+        _, estimates = eg.quantum_egraph(eg.PointCloud(cloud.points[:599]), 0.8,
+                                         shots, mode, seed=1)
+        assert estimates.p_hat.size == 599 * 598 // 2
+
 
 class TestCompareGraphs:
     def test_identical(self):
@@ -573,13 +628,18 @@ class TestCompareGraphs:
         ref = eg.EpsilonGraph(2, 1.0, [1])
         est = eg.EpsilonGraph(2, 1.0, [])
         diff = eg.compare_graphs(ref, est)
-        assert diff.false_negatives == {(0, 1)} and diff.fp_count == 0
+        # (0, 1) at n = 2 is the pair code 1
+        assert diff.false_negatives.tolist() == [1] and diff.fp_count == 0
+        assert diff.false_negatives.dtype == np.int64
+        assert not diff.false_negatives.flags.writeable
 
     def test_false_positive(self):
         ref = eg.EpsilonGraph(2, 1.0, [])
         est = eg.EpsilonGraph(2, 1.0, [1])
         diff = eg.compare_graphs(ref, est)
-        assert diff.false_positives == {(0, 1)} and diff.fn_count == 0
+        assert diff.false_positives.tolist() == [1] and diff.fn_count == 0
+        assert diff.false_positives.dtype == np.int64
+        assert not diff.false_positives.flags.writeable
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

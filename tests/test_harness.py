@@ -90,6 +90,48 @@ class TestWriters:
         with pytest.raises(ValueError):
             harness.write_records([], tmp_path / "x", "yaml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_and_columns_give_the_same_bytes(self, fmt):
+        # every cell kind, against the per-cell rules: csv.writer over
+        # _fmt_cell, and json.dump over one _jsonable dict per record
+        columns = {
+            "f": [1 / 3, math.nan, math.inf, -math.inf, -0.0],
+            "b": [True, False, True, False, True],
+            "i": [7, -2, 0, 10**20, 300],
+            "mix": [None, 1.5, None, "z", 3],
+            'q,"h"': ['a,"b"', "line\nbreak", "cr\r", "", "plain"],
+        }
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        metadata = {"f": "test column"}
+        want = io.StringIO(newline="")
+        if fmt == "csv":
+            writer = csv.writer(want)
+            writer.writerow(columns)
+            for rec in rows:
+                writer.writerow([harness._fmt_cell(v) for v in rec.values()])
+        else:
+            records = [{k: harness._jsonable(v) for k, v in rec.items()} for rec in rows]
+            json.dump({"metadata": metadata, "records": records}, want, indent=2)
+            want.write("\n")
+        for table in (rows, columns):
+            got = io.StringIO(newline="")
+            harness.write_records(table, got, fmt, metadata)
+            assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unequal_columns_rejected_before_writing(self, tmp_path, fmt):
+        path = tmp_path / f"out.{fmt}"
+        table = {"a": [1, 2], "b": [3, 4], "c": [5]}
+        with pytest.raises(ValueError, match=r"column 'c' has 1 entries, but column 'a' has 2"):
+            harness.write_records(table, path, fmt)
+        assert not path.exists()
+
+    def test_json_uneven_keys_rejected_before_writing(self):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match=r"JSON record 1 .* extra \['b'\], missing \[\]"):
+            harness.write_records([{"a": 1}, {"a": 2, "b": 3}], stream, "json")
+        assert stream.getvalue() == ""
+
 
 class TestSwapTestRunner:
     def test_exact_identical(self):

@@ -375,8 +375,8 @@ class TestCountTables:
     n < 2^17, against the calls they replace."""
 
     def test_entries_match_the_calls_bit_for_bit(self):
-        size = stats._CountTables.SIZE
-        st_table, log_table = stats._COUNT_TABLES.through(size - 1)
+        size = stats._COUNT_TABLE_SIZE
+        st_table, log_table = stats._count_tables()
         counts = np.arange(size, dtype=float)
         assert size == 2**17 and st_table.nbytes + log_table.nbytes == 2 * 2**20
         assert np.array_equal(st_table, stats._stirlerr(counts))
@@ -387,14 +387,18 @@ class TestCountTables:
             with pytest.raises(ValueError, match="read-only"):
                 table[1] = 0.0
 
-    def test_import_builds_nothing_and_a_call_fills_one_chunk(self):
+    def test_import_builds_nothing_and_a_tail_call_builds_both_tables(self):
         code = (
-            "import swaplab.stats as s\n"
-            "t = s._COUNT_TABLES\n"
-            "print(t.filled, t.stirlerr is None and t.log is None)\n"
-            "for N in (4095, 4096, 8000):\n"
-            "    s.false_negative_exact(N, 0.5, 0.9)\n"
-            "    print(t.filled)\n"
+            "import numpy as np, swaplab.stats as s\n"
+            "print(s._count_tables.cache_info().currsize)\n"
+            "s.false_negative_exact(100, 0.5, 0.9)\n"
+            "st, log = s._count_tables()\n"
+            "info = s._count_tables.cache_info()\n"
+            "counts = np.arange(2**17, dtype=float)\n"
+            "with np.errstate(divide='ignore'):\n"
+            "    whole = (np.array_equal(st, s._stirlerr(counts))\n"
+            "             and np.array_equal(log, np.log(counts)))\n"
+            "print(info.currsize, info.misses, info.hits, st.size, log.size, whole)\n"
         )
         src = pathlib.Path(stats.__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -402,39 +406,37 @@ class TestCountTables:
             timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0 True\n4096\n8192\n8192\n"
+        assert proc.stdout == "0\n1 1 1 131072 131072 True\n"
 
-    def test_threads_filling_at_once_see_filled_entries(self):
-        # fresh tables each round, so that every round races on the first fill
-        want_st, want_log = stats._COUNT_TABLES.through(4 * 4096)
-        rng = np.random.default_rng(19)
-        errors = []
+    def test_threads_building_at_once_get_whole_equal_tables(self):
+        # the cache is cleared each round, so that every round races on the
+        # first build
+        want_st, want_log = stats._count_tables()
 
-        def reader(tables, start, counts):
+        def builder(start, results):
             start.wait(timeout=60)
-            for n in counts:
-                st_table, log_table = tables.through(n)
-                if not (st_table[n] == want_st[n] and log_table[n] == want_log[n]):
-                    errors.append(n)
+            results.append(stats._count_tables())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(30):
-                tables, start = stats._CountTables(), threading.Barrier(6)
-                workers = [
-                    threading.Thread(target=reader, args=(
-                        tables, start, rng.integers(0, 4 * 4096, 20)))
-                    for _ in range(6)
-                ]
+                stats._count_tables.cache_clear()
+                start, results = threading.Barrier(6), []
+                workers = [threading.Thread(target=builder, args=(start, results))
+                           for _ in range(6)]
                 for w in workers:
                     w.start()
                 for w in workers:
                     w.join(timeout=60)
                 assert not any(w.is_alive() for w in workers)
+                assert len(results) == 6
+                for st_table, log_table in results:
+                    assert np.array_equal(st_table, want_st)
+                    assert np.array_equal(log_table, want_log)
+                    assert not (st_table.flags.writeable or log_table.flags.writeable)
         finally:
             sys.setswitchinterval(interval)
-        assert not errors
 
 
 class TestBoundPair:
