@@ -1,10 +1,14 @@
 """Point clouds, their quantum encodings, and epsilon-graph constructors.
 
 Three routes produce the same graph object: exact brute force over all
-n(n-1)/2 distances, one row of squared distances at a time, a kd-tree
-fixed-radius search (identical edge set, different work pattern,
-instrumented with visited-node counters), and the quantum pipeline.  A graph
-holds its edges as one sorted int64 array of pair codes i*n + j with i < j.
+n(n-1)/2 distances, one tile of rows against every later point at a time, a
+kd-tree fixed-radius search (identical edge set, different work pattern,
+instrumented with visited-node counters), and the quantum pipeline.  Brute
+force and the kd leaf test take their squared distances from one kernel,
+``_sq_dists``, which adds the squared coordinate differences in axis order,
+so the two classical routes decide every pair, ties included, by the same
+arithmetic.  A graph holds its edges as one sorted int64 array of pair codes
+i*n + j with i < j.
 
 The quantum modes reduce their pairs to columns (i, j, a hit count or an
 exact probability at infinite shots, and a constant c), which one estimate
@@ -159,19 +163,48 @@ class GraphDiff:
         return self.false_positives.size
 
 
+# brute_force_egraph takes max(1, _TILE_ELEMENTS // n) rows per tile, so a
+# tile's squared distances (and the kernel's scratch tile beside them) hold
+# at most this many float64 entries while n <= _TILE_ELEMENTS
+_TILE_ELEMENTS = 1 << 16
+
+
+def _sq_dists(block, points):
+    """Squared distances of every row of ``block`` to every row of
+    ``points``, a (len(block), len(points)) array.  The squared coordinate
+    differences are added one dimension at a time, in axis order, so each
+    entry is the left-to-right float sum over its coordinates whatever the
+    shapes; numpy's own reductions switch to pairwise summation at 8 or more
+    terms.  Every classical decision reads this kernel."""
+    out = block[:, 0, None] - points[:, 0]
+    out *= out
+    diff = np.empty_like(out)
+    for k in range(1, block.shape[1]):
+        np.subtract(block[:, k, None], points[:, k], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
 def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
-    """All n(n-1)/2 squared distances against eps^2, strict inequality, one
-    row at a time so memory stays linear in n.  Row i's hits j > i come out
-    in order, so the codes are sorted as emitted."""
+    """All n(n-1)/2 squared distances against eps^2, strict inequality, from
+    _sq_dists over tiles of max(1, _TILE_ELEMENTS // n) rows against every
+    later point, so memory stays bounded by a constant while
+    n <= _TILE_ELEMENTS and linear in n beyond.  Within a tile whose first
+    row is point r0, entry (r, c) pairs r0 + r with r0 + 1 + c, a pair i < j
+    exactly when c >= r.  Hits come out row by row, so the codes are sorted
+    as emitted."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     pts = cloud.points
     n = len(cloud)
     eps_sq = eps * eps
+    rows = max(1, _TILE_ELEMENTS // max(n, 1))
     codes = [np.zeros(0, dtype=np.int64)]
-    for i in range(n):
-        d_sq = np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1)
-        codes.append(np.flatnonzero(d_sq < eps_sq) + (i * n + i + 1))
+    for r0 in range(0, n - 1, rows):
+        r, c = np.nonzero(_sq_dists(pts[r0 : r0 + rows], pts[r0 + 1 :]) < eps_sq)
+        keep = c >= r
+        codes.append((r[keep] + r0) * n + (c[keep] + r0 + 1))
     return EpsilonGraph(n, eps, np.concatenate(codes))
 
 
@@ -180,7 +213,7 @@ LEAF_SIZE = 32
 # Relative margin, per dimension, by which a box's squared gap must exceed
 # radius**2 before the box is pruned.  It covers the rounding of any
 # summation order, so a pruned box never holds a point that the leaf test
-# (numpy's own summation order) would accept.
+# (_sq_dists's order) would accept.
 _PRUNE_SLACK = 4.0 * np.finfo(float).eps
 
 
@@ -237,12 +270,13 @@ class KDTree:
     def __len__(self) -> int:
         return self.n
 
-    def range_query(self, center: Sequence[float], radius: float) -> list[int]:
-        """Indices of the points at strict distance < radius from center.
+    def range_query(self, center: Sequence[float], radius: float) -> np.ndarray:
+        """Indices of the points at strict distance < radius from center, as
+        an int array in tree order.
 
         A depth-first walk prunes every node whose box lies at distance
         >= radius (by the margin of ``_PRUNE_SLACK``), then tests the points
-        of the surviving leaves in one expression, the squared-distance form
+        of the surviving leaves with one _sq_dists call, the kernel
         brute_force_egraph uses, so the two constructors decide every pair
         alike.
         """
@@ -278,24 +312,25 @@ class KDTree:
                 stack.append(right)
                 stack.append(left)
         slots = np.concatenate(leaves) if leaves else np.zeros(0, dtype=np.intp)
-        hit = ((self.pts[slots] - c) ** 2).sum(axis=1) < r_sq
+        hit = _sq_dists(c[None], self.pts[slots])[0] < r_sq
         self.queries += 1
         self.last_visited = visited
         self.total_visited += visited
-        return self.order[slots[hit]].tolist()
+        return self.order[slots[hit]]
 
 
 def kdtree_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     """Same edge set as brute_force_egraph, built with one range query per
-    point, keeping the hits j > i."""
+    point i; the hit arrays are joined once and the hits j > i kept."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     tree = KDTree(cloud)
     n = len(cloud)
-    codes = []
-    for i, point in enumerate(cloud.points):
-        codes.extend(i * n + j for j in tree.range_query(point, eps) if j > i)
-    return EpsilonGraph(n, eps, np.sort(np.array(codes, dtype=np.int64)))
+    hits = [tree.range_query(point, eps) for point in cloud.points]
+    i = np.repeat(np.arange(n), [h.size for h in hits])
+    j = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
+    keep = j > i
+    return EpsilonGraph(n, eps, np.sort(i[keep] * n + j[keep]))
 
 
 def encode_point(v: Sequence[float]) -> StateVector:
@@ -452,20 +487,25 @@ def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff
     return GraphDiff(false_negatives=missing, false_positives=spurious)
 
 
+# write_edge_list formats this many edges with one % operation
+_EDGE_BLOCK_ROWS = 4096
+
+
 def write_edge_list(
     path,
     graph: EpsilonGraph,
     estimates: stats.OverlapEstimate | None = None,
 ) -> None:
     """CSV edge list: columns i, j, distance_estimate, with the CRLF line
-    ends of the csv module, formatted from the codes in one write.  The
-    distance is empty without ``estimates`` (classical modes), else read
-    from the table row of the edge's pair; an edge without one raises."""
+    ends of the csv module, formatted ``_EDGE_BLOCK_ROWS`` edges at a time
+    with one % operation per block.  The distance is empty without
+    ``estimates`` (classical modes), else read from the table row of the
+    edge's pair (%.17g, as format(x, ".17g")); an edge without one raises."""
     n = graph.n
     i, j = np.divmod(graph.codes, n)
-    if estimates is None:
-        rows = map("{},{},\r\n".format, i.tolist(), j.tolist())
-    else:
+    columns = [i, j]
+    line = "%d,%d,\r\n"
+    if estimates is not None:
         pairs = estimates.pairs
         found, row, _ = np.intersect1d(
             pairs[:, 0] * n + pairs[:, 1], graph.codes, return_indices=True
@@ -475,7 +515,14 @@ def write_edge_list(
             raise ValueError(
                 f"edge ({missing // n}, {missing % n}) has no row in the estimates"
             )
-        distance = estimates.distance_hat[row].tolist()
-        rows = map("{},{},{:.17g}\r\n".format, i.tolist(), j.tolist(), distance)
+        columns.append(estimates.distance_hat[row])
+        line = "%d,%d,%.17g\r\n"
+    width, size = len(columns), graph.codes.size
     with open(path, "w", newline="") as fh:
-        fh.write("i,j,distance_estimate\r\n" + "".join(rows))
+        fh.write("i,j,distance_estimate\r\n")
+        for start in range(0, size, _EDGE_BLOCK_ROWS):
+            stop = min(start + _EDGE_BLOCK_ROWS, size)
+            cells = [None] * (width * (stop - start))
+            for k, column in enumerate(columns):
+                cells[k::width] = column[start:stop].tolist()
+            fh.write(line * (stop - start) % tuple(cells))

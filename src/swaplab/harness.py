@@ -4,12 +4,13 @@ Every table runner returns (records, metadata): records are flat dicts (one
 per experiment unit, deterministically ordered by parameter tuple), metadata
 names the source formula behind each theory column.  run_egraph_trial writes
 a whole output directory instead, and hands its per-pair estimate table to
-write_records as columns; write_records formats every table from columns,
-after one transpose of row dicts.  CSV is the canonical output format
-(header row, '.' decimal separator, 17 significant digits for reals); JSON
-mirrors the records and carries the metadata.  The CLI calls each runner
-with its parsed flags as keyword arguments, so a runner's keyword names are
-its flags' destinations.
+write_records as the numpy columns of stats.OverlapEstimate; write_records
+formats every table from columns, after one transpose of row dicts, and
+converts numpy columns to Python scalars one CSV block at a time.  CSV is
+the canonical output format (header row, '.' decimal separator, 17
+significant digits for reals); JSON mirrors the records and carries the
+metadata.  The CLI calls each runner with its parsed flags as keyword
+arguments, so a runner's keyword names are its flags' destinations.
 
 Reproducibility: a runner re-invoked with the same parameters and seed
 produces byte-identical output files.  Sampled counts (``swap-test`` and
@@ -87,16 +88,23 @@ def _jsonable(value):
     return value
 
 
+def _as_list(values):
+    # numpy entries as Python scalars: _fmt_cell writes bools as true/false,
+    # and json.dump rejects numpy bools
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def write_records(records: Sequence[Record] | Mapping[str, Sequence],
                   path_or_file, fmt: str = "csv",
                   metadata: dict | None = None) -> None:
     """Write a table as CSV (data only) or JSON (data plus metadata), both
     formatted from its columns.  ``records`` is a sequence of row dicts or a
-    mapping from column name to an equal-length sequence; either gives the
-    same bytes.  ``path_or_file`` may be a filesystem path or an open text
-    stream.  Rows take their header from the first record; a record with
-    other keys, or a column of another length, raises ValueError naming it
-    before anything is written."""
+    mapping from column name to an equal-length sequence or 1-D numpy
+    array; either gives the same bytes.  CSV turns a numpy column into
+    Python scalars one block of rows at a time.  ``path_or_file`` may be a
+    filesystem path or an open text stream.  Rows take their header from the
+    first record; a record with other keys, or a column of another length,
+    raises ValueError naming it before anything is written."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
     if isinstance(records, Mapping):
@@ -126,10 +134,11 @@ def write_records(records: Sequence[Record] | Mapping[str, Sequence],
             if nrows:
                 fh.write(_csv_lines([map(_csv_field, header)]))
             for start in range(0, nrows, _CSV_BLOCK_ROWS):
-                block = (_fmt_column(c[start:start + _CSV_BLOCK_ROWS]) for c in columns)
+                block = (_fmt_column(_as_list(c[start:start + _CSV_BLOCK_ROWS]))
+                         for c in columns)
                 fh.write(_csv_lines(zip(*block)))
         else:
-            cells = [list(map(_jsonable, column)) for column in columns]
+            cells = [list(map(_jsonable, _as_list(column))) for column in columns]
             payload = {
                 "metadata": metadata or {},
                 "records": [dict(zip(header, row)) for row in zip(*cells)],
@@ -584,8 +593,6 @@ def run_egraph_trial(
         os.path.join(out_dir, "estimate_edges.csv"), estimate, estimates
     )
     if estimates is not None and estimates.p_hat.size:
-        # Python scalars from .tolist(): _fmt_cell writes bools as true/false
-        # and json.dump rejects numpy bools
         columns = {
             "i": estimates.pairs[:, 0],
             "j": estimates.pairs[:, 1],
@@ -597,7 +604,7 @@ def run_egraph_trial(
             "clamped": estimates.clamped,
         }
         write_records(
-            {name: column.tolist() for name, column in columns.items()},
+            columns,
             os.path.join(out_dir, f"estimates.{fmt}"),
             fmt,
             {"p_hat": "hits/shots (exact probability when shots=0 rows appear)"},

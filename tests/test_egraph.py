@@ -166,6 +166,77 @@ class TestBruteForce:
         assert np.array_equal(graph.codes, (ii * n + jj)[dist < eps])
 
 
+def lr_sq_dist(a, b) -> float:
+    """Squared distance as a left-to-right Python float sum over the
+    coordinates, the order that egraph._sq_dists pins."""
+    total = 0.0
+    for x, y in zip(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()):
+        total += (x - y) * (x - y)
+    return total
+
+
+def tie_eps(d_sq: float) -> float | None:
+    """An eps with eps * eps == d_sq exactly, if a float near sqrt(d_sq) has one."""
+    root = math.sqrt(d_sq)
+    ties = [e for e in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf))
+            if e * e == d_sq]
+    return ties[0] if ties else None
+
+
+class TestBruteForceTiles:
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_tiles_of_few_rows_match_pdist_and_a_pair_loop(self, monkeypatch, rows):
+        # tiles of `rows` rows, with n around multiples of the tile height so
+        # that the last tile is whole, one row short or one row long
+        sizes = sorted({rows * k + d for k in (1, 2, 3, 7) for d in (-1, 0, 1)} - {0})
+        for n in sizes:
+            monkeypatch.setattr(eg, "_TILE_ELEMENTS", rows * n)
+            rng = np.random.default_rng(1000 * rows + n)
+            ii, jj = np.triu_indices(n, 1)
+            # pdist at a mid-gap eps, dim 3
+            pts = rng.uniform(0, 1, (n, 3))
+            dist = pdist(pts)
+            gaps = np.unique(np.concatenate([dist, [0.0, 2.0]]))
+            k = gaps.size // 2
+            eps = (gaps[k - 1] + gaps[k]) / 2
+            graph = eg.brute_force_egraph(eg.PointCloud(pts), eps)
+            assert np.array_equal(graph.codes, (ii * n + jj)[dist < eps])
+            # a per-pair loop at a tie eps, dim 9, where the order of the sum
+            # matters
+            pts = rng.uniform(-1, 1, (n, 9)).round(2)
+            d_sq = {(i, j): lr_sq_dist(pts[i], pts[j]) for i, j in combinations(range(n), 2)}
+            eps = next(filter(None, map(tie_eps, d_sq.values())), 1.0)
+            want = [i * n + j for (i, j), d in d_sq.items() if d < eps * eps]
+            assert eg.brute_force_egraph(eg.PointCloud(pts), eps).codes.tolist() == want
+
+    def test_peak_is_one_tile(self):
+        # two float64 tiles, the distances and the kernel's scratch: 16 bytes
+        # per entry of a tile of _TILE_ELEMENTS // n rows against n - 1 points
+        n = 3000
+        cloud = eg.PointCloud(np.random.default_rng(3).uniform(0, 1, (n, 3)))
+        rows = eg._TILE_ELEMENTS // n
+        tracemalloc.start()
+        try:
+            graph = eg.brute_force_egraph(cloud, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < graph.codes.size < 1000
+        assert peak < 16 * rows * (n - 1) + 64 * 1024
+
+    @pytest.mark.parametrize("dim", range(8, 13))
+    def test_kernel_is_the_left_to_right_sum(self, dim):
+        rng = np.random.default_rng(dim)
+        block = rng.uniform(-1, 1, (30, dim)).round(3)
+        points = rng.uniform(-1, 1, (40, dim)).round(3)
+        got = eg._sq_dists(block, points)
+        want = [[lr_sq_dist(a, b) for b in points] for a in block]
+        assert got.tolist() == want
+        # numpy's pairwise sum differs on some entry, so the test sees order
+        pairwise = ((block[:, None, :] - points[None]) ** 2).sum(axis=2)
+        assert not np.array_equal(got, pairwise)
+
+
 @pytest.mark.parametrize("build", [eg.brute_force_egraph, eg.kdtree_egraph])
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_eps_must_be_finite_and_positive(build, eps):
@@ -206,7 +277,7 @@ class TestKDTree:
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, (50, 3))
         tree = eg.KDTree(eg.PointCloud(pts))
-        assert tree.range_query(pts[17], 1e-12) == [17]
+        assert tree.range_query(pts[17], 1e-12).tolist() == [17]
 
     def test_radius_beyond_diameter_returns_all(self):
         rng = np.random.default_rng(9)
@@ -284,19 +355,18 @@ def rounded_cloud_and_tie_eps(draw):
     not binary fractions, so squared differences round and a sum of 8 or
     more of them depends on its order (numpy's pairwise sum against a sum
     column by column).  eps*eps equals one pair's squared distance exactly,
-    as brute force computes it, so that pair sits on the strict-< boundary."""
+    as the left-to-right sum gives it, so that pair sits on the strict-<
+    boundary."""
     dim = draw(st.integers(8, 12))
     n = draw(st.one_of(st.integers(2, 40), st.sampled_from([33, 65, 130])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.uniform(-1.0, 1.0, (n, dim)).round(draw(st.integers(1, 3)))
     i = draw(st.integers(0, n - 2))
     j = draw(st.integers(i + 1, n - 1))
-    d_sq = float(np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1)[j - i - 1])
-    root = math.sqrt(d_sq)
-    ties = [e for e in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf))
-            if e * e == d_sq]
-    assume(d_sq > 0.0 and ties)
-    return pts, ties[0]
+    d_sq = lr_sq_dist(pts[i], pts[j])
+    eps = tie_eps(d_sq)
+    assume(d_sq > 0.0 and eps is not None)
+    return pts, eps
 
 
 class TestKDTreeTies:
@@ -306,8 +376,8 @@ class TestKDTreeTies:
         assert eg.kdtree_egraph(cloud, eps).edges == eg.brute_force_egraph(cloud, eps).edges
         tree = eg.KDTree(cloud)
         for center in pts[:: max(1, len(pts) // 8)]:
-            want = np.nonzero(((pts - center) ** 2).sum(axis=1) < eps * eps)[0]
-            assert sorted(tree.range_query(center, eps)) == want.tolist()
+            want = [k for k, p in enumerate(pts) if lr_sq_dist(p, center) < eps * eps]
+            assert sorted(tree.range_query(center, eps).tolist()) == want
 
     @given(lattice_cloud_and_tie_eps())
     @settings(max_examples=150, deadline=None)

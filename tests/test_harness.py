@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -117,6 +118,50 @@ class TestWriters:
             got = io.StringIO(newline="")
             harness.write_records(table, got, fmt, metadata)
             assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numpy_columns_write_the_bytes_of_their_lists(self, fmt):
+        # more rows than one CSV block, so blocks join at a row boundary
+        n = harness._CSV_BLOCK_ROWS * 2 + 3
+        rng = np.random.default_rng(4)
+        floats = rng.uniform(-1, 1, n)
+        floats[:4] = [math.nan, math.inf, -math.inf, -0.0]
+        columns = {
+            "i": np.arange(n, dtype=np.int64) - 5,
+            "f": floats,
+            "b": rng.uniform(size=n) < 0.5,
+        }
+        want, got = io.StringIO(newline=""), io.StringIO(newline="")
+        harness.write_records({k: v.tolist() for k, v in columns.items()}, want, fmt)
+        harness.write_records(columns, got, fmt)
+        assert got.getvalue() == want.getvalue()
+
+    def test_numpy_columns_are_converted_a_block_at_a_time(self):
+        # the eight estimate columns of a 100,000-row table: as whole lists of
+        # Python scalars they take about 25 MB, a block of rows a few KiB
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        rows = 100_000
+        rng = np.random.default_rng(5)
+        columns = {
+            "i": np.arange(rows), "j": np.arange(rows) + 1,
+            "shots": np.full(rows, 1000), "hits": rng.integers(0, 1000, rows),
+            "p_hat": rng.uniform(size=rows), "overlap_sq_hat": rng.uniform(size=rows),
+            "distance_hat": rng.uniform(size=rows), "clamped": rng.uniform(size=rows) < 0.1,
+        }
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            harness.write_records(columns, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 80 * rows
+        assert peak < 512 * 1024
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_rejected_before_writing(self, tmp_path, fmt):
