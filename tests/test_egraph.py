@@ -154,16 +154,20 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [1, 2, 150, 2100])
     def test_matches_pdist_at_mid_gap_eps(self, n):
-        # eps halfway between two neighbouring distinct distances, so no
-        # pair sits within rounding of the threshold
-        pts = np.random.default_rng(n).uniform(0, 1, (n, 3))
-        dist = pdist(pts)
-        gaps = np.unique(np.concatenate([dist, [0.0, 2.0]]))
-        k = gaps.size // 2
-        eps = (gaps[k - 1] + gaps[k]) / 2
-        ii, jj = np.triu_indices(n, 1)
-        graph = eg.brute_force_egraph(eg.PointCloud(pts), eps)
-        assert np.array_equal(graph.codes, (ii * n + jj)[dist < eps])
+        assert_brute_force_matches_pdist(np.random.default_rng(n).uniform(0, 1, (n, 3)))
+
+
+def assert_brute_force_matches_pdist(pts):
+    # eps halfway between two neighbouring distinct distances, so no pair
+    # sits within rounding of the threshold
+    n = len(pts)
+    dist = pdist(pts)
+    gaps = np.unique(np.concatenate([dist, [0.0, 2.0]]))
+    k = gaps.size // 2
+    eps = (gaps[k - 1] + gaps[k]) / 2
+    ii, jj = np.triu_indices(n, 1)
+    graph = eg.brute_force_egraph(eg.PointCloud(pts), eps)
+    assert np.array_equal(graph.codes, (ii * n + jj)[dist < eps])
 
 
 def lr_sq_dist(a, b) -> float:
@@ -192,15 +196,7 @@ class TestBruteForceTiles:
         for n in sizes:
             monkeypatch.setattr(eg, "_TILE_ELEMENTS", rows * n)
             rng = np.random.default_rng(1000 * rows + n)
-            ii, jj = np.triu_indices(n, 1)
-            # pdist at a mid-gap eps, dim 3
-            pts = rng.uniform(0, 1, (n, 3))
-            dist = pdist(pts)
-            gaps = np.unique(np.concatenate([dist, [0.0, 2.0]]))
-            k = gaps.size // 2
-            eps = (gaps[k - 1] + gaps[k]) / 2
-            graph = eg.brute_force_egraph(eg.PointCloud(pts), eps)
-            assert np.array_equal(graph.codes, (ii * n + jj)[dist < eps])
+            assert_brute_force_matches_pdist(rng.uniform(0, 1, (n, 3)))
             # a per-pair loop at a tie eps, dim 9, where the order of the sum
             # matters
             pts = rng.uniform(-1, 1, (n, 9)).round(2)
