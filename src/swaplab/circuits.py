@@ -396,19 +396,23 @@ def state_bytes(circuit: CircuitSpec) -> int:
         ) from None
 
 
-def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector:
-    """Run the circuit on the given input registers (ancillas start in |0>).
+def simulate(
+    circuit: CircuitSpec, inputs: Sequence[StateVector], out: np.ndarray | None = None
+) -> StateVector:
+    """Run the circuit on the given input registers (ancillas start in |0>),
+    in a fresh state or in ``out``, which ``statevec.prepare`` checks and
+    fills whatever it held before.
 
     The gates up to the first that is not a Hadamard on a fresh ancilla
     (every builder here opens with H on its ancillas) are part of the one
     state that ``statevec.prepare`` builds.  The later gates write in place
-    into that state, so the inputs are never touched.  Each maximal run of
-    consecutive CSWAPs on one control with distinct targets (a controlled
-    register swap expands to one) is one ``statevec.apply_cswap`` call,
-    which moves each control=1 amplitude once for the whole run; the gate
-    list and its counts stay per qubit.  Each call adds only one block of
-    ``statevec._BLOCK`` amplitudes of scratch, so the run peaks at that one
-    state plus a few blocks.
+    into that state, so the inputs are never touched.  Each run of
+    consecutive CSWAPs that ``_kernel_runs`` groups (a controlled register
+    swap, or several that share their controls) is one
+    ``statevec.apply_cswap`` call, which moves each amplitude it permutes
+    once for the whole run; the gate list and its counts stay per qubit.
+    Each call adds only one block of ``statevec._BLOCK`` amplitudes of
+    scratch, so the run peaks at that one state plus a few blocks.
     """
     layout = circuit.layout
     if len(inputs) != layout.n:
@@ -425,38 +429,52 @@ def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector
         if g.kind != "h" or q >= layout.ancilla_count or q in opening:
             break
         opening.append(q)
-    state = statevec.prepare(layout.ancilla_count, inputs, opening)
-    for run in _kernel_runs(circuit.gates[len(opening) :]):
+    state = statevec.prepare(layout.ancilla_count, inputs, opening, out=out)
+    for run in _kernel_runs(circuit.gates[len(opening) :], layout.total_qubits):
         if run[0].kind == "h":
             (q,) = run[0].qubits
             state = statevec.apply_hadamard(state, q, out=state.amplitudes)
         else:
             control, a, b = zip(*(g.qubits for g in run))
-            state = statevec.apply_cswap(state, control[0], a, b, out=state.amplitudes)
+            state = statevec.apply_cswap(state, control, a, b, out=state.amplitudes)
     return state
 
 
-def _kernel_runs(gates: Sequence[Gate]) -> list[list[Gate]]:
-    """The gates in order, in runs of one kernel call each: a Hadamard alone,
-    and each maximal run of consecutive CSWAPs on one control whose target
-    qubits are all distinct.  Such CSWAPs commute, so one register swap does
-    the run's work exactly."""
+def _kernel_runs(gates: Sequence[Gate], num_qubits: int) -> list[list[Gate]]:
+    """The gates in order, in runs of one kernel call each, on a state of
+    ``num_qubits`` qubits: a Hadamard alone, and each maximal run of
+    consecutive CSWAPs in which
+    - no control is a target, so the controls stay fixed through the run;
+    - the targets fit one block, at most log2(statevec._BLOCK) of them, so
+      ``statevec.apply_cswap`` makes one pass over the state;
+    - there are at most max(1, num_qubits - log2(_BLOCK)) distinct
+      controls, so each setting of them selects at least a block of the
+      state.
+    A CSWAP that would break one of them starts the next run.  All three
+    limits come from ``_BLOCK``, read at call time."""
+    width = statevec._BLOCK.bit_length() - 1
+    most_controls = max(1, num_qubits - width)
     runs: list[list[Gate]] = []
+    controls: set[int] = set()
     targets: set[int] = set()
     for g in gates:
+        c, *pair = g.qubits
         last = runs[-1] if runs else None
         if (
             g.kind == "cswap"
             and last is not None
             and last[0].kind == "cswap"
-            and last[0].qubits[0] == g.qubits[0]
-            and not targets & set(g.qubits[1:])
+            and c not in targets
+            and controls.isdisjoint(pair)
+            and len(targets.union(pair)) <= width
+            and len(controls | {c}) <= most_controls
         ):
             last.append(g)
         else:
             runs.append([g])
-            targets = set()
-        targets.update(g.qubits[1:])
+            controls, targets = set(), set()
+        controls.add(c)
+        targets.update(pair)
     return runs
 
 

@@ -2,32 +2,35 @@
 
 Only the two gate types needed by the swap-test circuits are provided
 (Hadamard and controlled-SWAP, the latter also as a whole controlled register
-swap in one call), plus basis/Bloch state preparation, exact marginal
-extraction and seeded shot sampling.
+swap or a run of controlled swaps in one call), plus basis/Bloch state
+preparation, exact marginal extraction and seeded shot sampling.
 
 Qubit ordering convention (fixed everywhere in this package): qubit 0 is
 the MOST significant bit of the basis-state index.  For a 2-qubit register,
 index 2 = binary ``10`` is the state |1>|0> with qubit 0 in |1>.
 
-``prepare`` builds a circuit's one state in a single allocation: the
-ancillas in |0...0>, the inputs' product, and the opening Hadamards on those
-ancillas.  Each gate is one kernel that writes its result in place into
-``out`` and returns a StateVector over it.  Without ``out`` it first copies
-its input, so a gate never mutates its input unless given that input's own
-buffer as ``out``.  ``circuits.simulate`` does exactly that, with one
-``apply_cswap`` call per controlled register swap, so each control=1
-amplitude is moved once per swap, not once per register qubit.  A gate
-walks the state in blocks of at most ``_BLOCK`` amplitudes through one
-block of scratch, and ``exact_marginal`` folds it a block at a time, so a
-simulate-and-measure run holds one state plus a few blocks.  Sampling takes
-an explicit Generator; there is no hidden global RNG state.
+``prepare`` builds a circuit's one state in a single allocation, or in a
+caller's buffer: the ancillas in |0...0>, the inputs' product, and the
+opening Hadamards on those ancillas.  Each gate is one kernel that writes
+its result in place into ``out`` and returns a StateVector over it.
+Without ``out`` it first copies its input, so a gate never mutates its
+input unless given that input's own buffer as ``out``.
+``circuits.simulate`` does exactly that, with one ``apply_cswap`` call per
+run of controlled swaps whose controls are never targets, so each
+amplitude such a run permutes is moved once per pass of the run, not once
+per gate.  A gate walks the state in blocks of at most ``_BLOCK``
+amplitudes through one block of scratch, and ``exact_marginal`` folds it a
+block at a time, so a simulate-and-measure run holds one state plus a few
+blocks.  Sampling takes an explicit Generator; there is no hidden global RNG
+state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -122,10 +125,15 @@ def tensor(states: Sequence[StateVector]) -> StateVector:
 
 
 def prepare(
-    ancillas: int, inputs: Sequence[StateVector], hadamards: Sequence[int] = ()
+    ancillas: int,
+    inputs: Sequence[StateVector],
+    hadamards: Sequence[int] = (),
+    out: np.ndarray | None = None,
 ) -> StateVector:
     """``ancillas`` qubits in |0...0> followed by the input registers, then a
-    Hadamard on each listed ancilla in turn, in one fresh state.
+    Hadamard on each listed ancilla in turn, in one fresh state, or in
+    ``out`` (checked as a gate checks it) with the same bits whatever it
+    held before.
 
     The state's bytes are checked before its one allocation.  The ancillas
     lead, so only the first 2^(n - ancillas) amplitudes are nonzero, and the
@@ -150,12 +158,18 @@ def prepare(
         )
     total = ancillas + sum(s.num_qubits for s in inputs)
     check_state_bytes(total)
-    amps = np.zeros(2**total, dtype=np.complex128)
+    if out is None:
+        amps = np.zeros(2**total, dtype=np.complex128)
+    else:
+        _check_out(out, total)
+        amps = out
     prefix = np.ones(1, dtype=np.complex128)
     for s in inputs[:-1]:
         prefix = np.kron(prefix, s.amplitudes)
     last = inputs[-1].amplitudes
     size = prefix.size * last.size
+    if out is not None:
+        amps[size:] = 0  # the opening Hadamards read these as zero partners
     product = amps[:size].reshape(prefix.size, last.size)
     # numpy buffers a broadcast product, up to two operands of 8192 entries;
     # rows of at most _BLOCK amplitudes keep that within the block
@@ -175,24 +189,30 @@ def prepare(
     return StateVector(total, amps)
 
 
-def _gate_target(state: StateVector, out: np.ndarray | None) -> np.ndarray:
-    """The array a gate writes into, holding the input amplitudes: a copy of
-    them, or ``out`` (which may be ``state.amplitudes`` itself)."""
-    if out is None:
-        return state.amplitudes.copy()
-    size = 2**state.num_qubits
+def _check_out(out: np.ndarray, num_qubits: int) -> None:
+    """Check that ``out`` can hold a state of ``num_qubits`` qubits: a
+    writable, C-contiguous complex128 array of 2^n entries."""
+    size = 2**num_qubits
     if not isinstance(out, np.ndarray) or out.dtype != np.complex128:
         got = getattr(out, "dtype", type(out).__name__)
         raise ValueError(f"out must be a complex128 array, got dtype {got}")
     if out.shape != (size,):
         raise ValueError(
-            f"out must be of length {size} for {state.num_qubits} qubits, "
+            f"out must be of length {size} for {num_qubits} qubits, "
             f"got shape {out.shape}"
         )
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     if not out.flags.writeable:
         raise ValueError("out must be writable, got a read-only array")
+
+
+def _gate_target(state: StateVector, out: np.ndarray | None) -> np.ndarray:
+    """The array a gate writes into, holding the input amplitudes: a copy of
+    them, or ``out`` (which may be ``state.amplitudes`` itself)."""
+    if out is None:
+        return state.amplitudes.copy()
+    _check_out(out, state.num_qubits)
     if out is not state.amplitudes:
         np.copyto(out, state.amplitudes)
     return out
@@ -233,66 +253,100 @@ def _register(qubits: int | Sequence[int]) -> tuple[int, ...]:
 
 def apply_cswap(
     state: StateVector,
-    control: int,
+    control: int | Sequence[int],
     a: int | Sequence[int],
     b: int | Sequence[int],
     out: np.ndarray | None = None,
 ) -> StateVector:
-    """Controlled register swap: where the control qubit is |1>, exchange
-    qubit ``a[k]`` with ``b[k]`` for every k, written into ``out`` (see the
-    module docstring).  ``a`` and ``b`` are single qubits (one Fredkin gate)
-    or equal-length sequences of qubits (a width-w register swap, the w
-    Fredkin gates at once, which commute).
+    """Controlled register swap, or a run of controlled swaps, written into
+    ``out`` (see the module docstring).
 
-    A pure basis-index permutation, hence exactly unitary and exactly its own
-    inverse (amplitudes are moved, never recombined).  The control=1 half of
-    the state is viewed as a cube with one axis per other qubit, on which the
-    swap is one axis permutation.  The leading qubits outside the swapped
-    pairs are fixed in turn until a block of that cube holds at most ``_BLOCK``
-    amplitudes; each block is copied into one block of scratch and written
-    back through the permutation, so each control=1 amplitude is moved once.
-    A block holds every register bit of the pairs it swaps, so one pass
-    swaps at most log2(_BLOCK)/2 pairs (7 at the real block size) and a
-    wider register takes one pass per such group of pairs.
+    With one ``control``, where it is |1> exchange qubit ``a[k]`` with
+    ``b[k]`` for every k: ``a`` and ``b`` are single qubits (one Fredkin
+    gate) or equal-length sequences of qubits (a width-w register swap, the
+    w Fredkin gates at once, which commute).  With a sequence of controls,
+    one per pair, apply the gates (control[k], a[k], b[k]) in order k; the
+    targets may repeat across gates, but no control may be a target.
+
+    A pure basis-index permutation, hence exactly unitary (amplitudes are
+    moved, never recombined); a register swap is exactly its own inverse.
+    The gates are cut, in order, into passes whose target qubits fit one
+    block, at most log2(_BLOCK) of them (a pass takes at least one gate).
+    The control bits stay fixed through a pass, so for each setting of its
+    controls the pass is one permutation of the target axes, composed once;
+    the all-zero setting is the identity and is skipped.  For each other
+    setting the cube of the remaining qubits has its leading non-target
+    qubits fixed in turn until a block holds at most ``_BLOCK`` amplitudes;
+    each block is copied into one block of scratch and written back through
+    the permutation, so a pass moves each amplitude it permutes once.
     """
-    a, b = _register(a), _register(b)
-    for q in (control, *a, *b):
+    controls, a, b = _register(control), _register(a), _register(b)
+    for q in (*controls, *a, *b):
         state._check_qubit(q)
     if not a or len(a) != len(b):
         raise ValueError(
             f"cswap registers must be nonempty and of equal length, got {a} and {b}"
         )
-    if len({control, *a, *b}) != 1 + 2 * len(a):
+    if not isinstance(control, Sequence):
+        if len({control, *a, *b}) != 1 + 2 * len(a):
+            raise ValueError(
+                f"cswap qubits must be distinct, got control {control} and "
+                f"registers {a} and {b}"
+            )
+        controls *= len(a)
+    elif len(controls) != len(a):
         raise ValueError(
-            f"cswap qubits must be distinct, got control {control} and "
-            f"registers {a} and {b}"
+            f"a cswap run needs one control per pair, got {len(controls)} "
+            f"controls for {len(a)} pairs"
         )
+    gates = list(zip(controls, a, b))
+    for gate in gates:
+        if len(set(gate)) != 3:
+            raise ValueError(f"cswap gate {gate} needs three distinct qubits")
+    for q in controls:
+        if q in a or q in b:
+            raise ValueError(f"cswap run control {q} is also one of its targets")
     n = state.num_qubits
     amps = _gate_target(state, out)
-    axes = [q for q in range(n) if q != control]
-    on = amps.reshape((2,) * n)[(slice(None),) * control + (1,)]
-    step = max(1, (_BLOCK.bit_length() - 1) // 2)
-    for s in range(0, len(a), step):
-        _swap_pass(on, axes, a[s : s + step], b[s : s + step])
+    cube = amps.reshape((2,) * n)
+    width = _BLOCK.bit_length() - 1
+    start, targets = 0, set()
+    for k, (_, x, y) in enumerate(gates):
+        if k > start and len(targets | {x, y}) > width:
+            _swap_pass(cube, gates[start:k])
+            start, targets = k, set()
+        targets |= {x, y}
+    _swap_pass(cube, gates[start:])
     return StateVector(n, amps)
 
 
-def _swap_pass(on: np.ndarray, axes: list[int], a: tuple, b: tuple) -> None:
-    """Exchange qubit a[k] with b[k] in ``on``, the control=1 cube whose axes
-    are the qubits ``axes``, one block at a time through one block of
-    scratch, freed on return."""
-    partner = dict(zip(a + b, b + a))
+def _swap_pass(cube: np.ndarray, gates: list[tuple[int, int, int]]) -> None:
+    """Apply the (control, a, b) gates in order to ``cube``, the state with
+    one axis per qubit, one block at a time through one block of scratch,
+    freed on return."""
+    controls = sorted({c for c, _, _ in gates})
+    targets = {q for _, x, y in gates for q in (x, y)}
+    axes = [q for q in range(cube.ndim) if q not in controls]
     # fix the fewest leading free qubits that leave 2^len(kept) <= _BLOCK
-    free = [q for q in axes if q not in partner]
+    free = [q for q in axes if q not in targets]
     lead = free[: max(0, len(axes) + 1 - _BLOCK.bit_length())]
     kept = [q for q in axes if q not in lead]
-    blocks = on.transpose([axes.index(q) for q in lead + kept])
+    # each gate as its control's place in a setting and its pair's in a block
+    steps = [(controls.index(c), kept.index(x), kept.index(y)) for c, x, y in gates]
+    view = cube.transpose(controls + lead + kept)
     held = np.empty((2,) * len(kept), dtype=np.complex128)
-    swapped = held.transpose([kept.index(partner.get(q, q)) for q in kept])
-    for bits in np.ndindex((2,) * len(lead)):
-        blk = blocks[bits]
-        np.copyto(held, blk)
-        blk[...] = swapped
+    for setting in itertools.product((0, 1), repeat=len(controls)):
+        if not any(setting):
+            continue  # no gate acts: the identity
+        source = list(range(len(kept)))  # block axis k takes held axis source[k]
+        for c, x, y in steps:
+            if setting[c]:
+                source[x], source[y] = source[y], source[x]
+        moved = held.transpose(source)
+        for lead_bits in itertools.product((0, 1), repeat=len(lead)):
+            blk = view[setting + lead_bits]
+            np.copyto(held, blk)
+            blk[...] = moved
 
 
 def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:

@@ -37,9 +37,11 @@ def padded_negative_registers():
 
 
 def unmerged_runs_circuit():
-    """Opening Hadamards, then CSWAP runs on one control that simulate must
-    not fold into one call: runs whose CSWAPs share a qubit, and runs cut by
-    another control or a Hadamard; one run that does fold closes it."""
+    """Opening Hadamards, then CSWAPs on 12 qubits, where at the real block
+    a run of one kernel call has one distinct control: three on one control
+    that share targets fold into one call; four on alternating controls and
+    one cut off by a Hadamard are a call each; two on one control close it
+    as one call.  Seven calls in all."""
     layout = qc._layout(4, 2, top=True, mid=True)
     gates = [qc.hadamard(q) for q in range(4)]
     gates += [qc.cswap(1, 4, 6), qc.cswap(1, 6, 8), qc.cswap(1, 5, 4)]
@@ -446,15 +448,10 @@ class TestCircuitJson:
         got = qc.simulate(circuit, inputs).amplitudes
         assert got.tobytes() == simulate_reference(circuit, inputs).amplitudes.tobytes()
 
-    @pytest.mark.parametrize(
-        "circuit,calls",
-        [
-            (qc.build_multiswap_full(4, 3), 4),  # 3*4/2 - 3 + 1 register swaps
-            (qc.build_swap_test(3), 1),
-            (unmerged_runs_circuit(), 8),
-        ],
-    )
-    def test_one_kernel_call_per_register_swap(self, monkeypatch, circuit, calls):
+    @staticmethod
+    def _call_widths(monkeypatch, circuit, inputs):
+        """The number of CSWAPs in each apply_cswap call of simulate, and
+        the state it returns."""
         widths = []
         kernel = sv.apply_cswap
 
@@ -463,10 +460,91 @@ class TestCircuitJson:
             return kernel(state, control, a, b, out=out)
 
         monkeypatch.setattr(sv, "apply_cswap", counted)
+        return widths, qc.simulate(circuit, inputs)
+
+    @pytest.mark.parametrize(
+        "circuit,calls",
+        [
+            # 16 qubits allow two controls a run: C and B's swaps, then A's
+            # and the closing swap test's
+            (qc.build_multiswap_full(4, 3), 2),
+            (qc.build_swap_test(3), 1),
+            (unmerged_runs_circuit(), 7),
+        ],
+    )
+    def test_one_kernel_call_per_register_swap(self, monkeypatch, circuit, calls):
         layout = circuit.layout
-        qc.simulate(circuit, [sv.make_basis_state(layout.w, 0)] * layout.n)
+        inputs = [sv.make_basis_state(layout.w, 0)] * layout.n
+        widths, _ = self._call_widths(monkeypatch, circuit, inputs)
         assert len(widths) == calls
         assert sum(widths) == circuit.cswap_count
+
+    @pytest.mark.parametrize(
+        "block,gates,widths",
+        [
+            # at 64 amplitudes a run has at most 6 targets and, on these 12
+            # qubits, at most 6 controls
+            (64, [(1, 4, 5), (1, 6, 7), (1, 8, 9), (1, 10, 11)], [3, 1]),
+            (64, [(1, 4, 5), (1, 5, 6), (1, 6, 7), (1, 7, 8), (1, 8, 9), (1, 9, 10)],
+             [5, 1]),
+            (64, [(1, 4, 6), (2, 6, 8), (1, 4, 8), (3, 5, 9)], [4]),
+            # a target that is an earlier control, a control that is an
+            # earlier target, a Hadamard between two swaps
+            (64, [(1, 4, 6), (2, 1, 5)], [1, 1]),
+            (64, [(1, 4, 6), (4, 5, 7)], [1, 1]),
+            (64, [(1, 4, 6), "h2", (1, 5, 7)], [1, 1]),
+            # at 1024 amplitudes a run has at most 12 - 10 = 2 controls; at
+            # the real block, 1
+            (1024, [(1, 4, 5), (2, 6, 7), (3, 8, 9), (1, 10, 11)], [2, 2]),
+            (None, [(1, 4, 5), (2, 6, 7), (1, 8, 9), (1, 10, 11)], [1, 1, 2]),
+        ],
+    )
+    def test_runs_follow_the_block(self, monkeypatch, block, gates, widths):
+        if block is not None:
+            monkeypatch.setattr(sv, "_BLOCK", block)
+        layout = qc._layout(4, 2, top=True, mid=True)
+        body = [qc.hadamard(int(g[1])) if g[0] == "h" else qc.cswap(*g) for g in gates]
+        circuit = qc.CircuitSpec(layout, tuple(qc.hadamard(q) for q in range(4)) + tuple(body))
+        inputs = complex_registers(np.random.default_rng(len(gates)), 4, 2)
+        got, state = self._call_widths(monkeypatch, circuit, inputs)
+        assert got == widths
+        expected = simulate_reference(circuit, inputs).amplitudes
+        assert state.amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("builder", sorted(SIMULATED))
+    def test_dirty_out_gives_the_fresh_bits(self, builder):
+        circuit, inputs = SIMULATED[builder](np.random.default_rng(len(builder)))
+        fresh = qc.simulate(circuit, inputs).amplitudes
+        dirty = np.full_like(fresh, complex(np.nan, -1.0))
+        dirty[1::2] = -0.0
+        state = qc.simulate(circuit, inputs, out=dirty)
+        assert state.amplitudes is dirty
+        assert dirty.tobytes() == fresh.tobytes()
+
+    def test_dirty_out_keeps_the_negative_zeros(self):
+        # the opening Hadamards turn them to +0.0, so prepare the padded
+        # negative case's state without them
+        _, inputs = SIMULATED["multi-padded-negative"](None)
+        fresh = sv.prepare(4, inputs).amplitudes
+        parts = fresh.view(np.float64)
+        assert (np.signbit(parts) & (parts == 0.0)).any()
+        dirty = np.full_like(fresh, complex(1.0, np.nan))
+        sv.prepare(4, inputs, out=dirty)
+        assert dirty.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize(
+        "out,problem",
+        [
+            (np.zeros(2**10, np.complex128), "length 4096"),
+            (np.zeros(2**12, np.complex64), "complex128"),
+            (np.zeros(2**13, np.complex128)[::2], "C-contiguous"),
+            (np.frombuffer(bytes(16 * 2**12), np.complex128), "writable"),
+        ],
+    )
+    def test_bad_out_rejected(self, out, problem):
+        circuit, inputs = SIMULATED["multi-w2"](np.random.default_rng(0))
+        with pytest.raises(ValueError, match=problem):
+            qc.simulate(circuit, inputs, out=out)
 
     def test_padded_negative_case_has_negative_zeros(self):
         # the state the circuit opens on carries -0.0 parts

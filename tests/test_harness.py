@@ -253,19 +253,30 @@ class TestEq1Audit:
 
     def test_one_state_at_a_time(self, monkeypatch):
         # at 26 qubits a state is 1 GiB: no trial's state may still be alive
-        # while the next trial simulates
+        # while the next trial simulates, and every trial fills one buffer
         simulate = circuits.simulate
-        returned = []
+        returned, buffers = [], []
 
-        def spy(circuit, inputs):
+        def spy(circuit, inputs, out=None):
             assert all(ref() is None for ref in returned)
-            state = simulate(circuit, inputs)
+            state = simulate(circuit, inputs, out=out)
             returned.append(weakref.ref(state))
+            buffers.append(out)
             return state
 
         monkeypatch.setattr(circuits, "simulate", spy)
         harness.run_eq1_audit(4, trials=3, seed=2)
         assert len(returned) == 3
+        assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
+
+    def test_reused_buffer_gives_the_fresh_records(self, monkeypatch):
+        reused, _ = harness.run_eq1_audit(8, trials=3, seed=7)
+        simulate = circuits.simulate
+        monkeypatch.setattr(
+            circuits, "simulate", lambda circuit, inputs, out=None: simulate(circuit, inputs)
+        )
+        fresh, _ = harness.run_eq1_audit(8, trials=3, seed=7)
+        assert repr(reused) == repr(fresh)
 
 
 class TestBoundsSweep:

@@ -197,6 +197,8 @@ class TestGateOut:
             sv.apply_hadamard(state, 0, out=out)
         with pytest.raises(ValueError, match=problem):
             sv.apply_cswap(state, 0, 1, 2, out=out)
+        with pytest.raises(ValueError, match=problem):
+            sv.prepare(2, [sv.make_basis_state(1, 0)] * 2, [0], out=out)
         assert state.amplitudes[3] == 1.0
 
     def test_inputs_unchanged(self):
@@ -357,6 +359,90 @@ class TestRegisterSwap:
             sv.apply_cswap(state, control, a, b)
 
 
+def run_reference(state, controls, a, b):
+    """A run of CSWAPs as its gates one after another, whole-array."""
+    return functools.reduce(
+        lambda s, gate: cswap_reference(s, *gate), zip(controls, a, b), state
+    )
+
+
+def random_run(rng, n, controls):
+    """(controls, a, b) of a run on ``n`` qubits with ``controls`` distinct
+    controls, each used at least once, and targets drawn from every other
+    qubit, so that gates share targets."""
+    ctrl = rng.choice(n, controls, replace=False).tolist()
+    others = [q for q in range(n) if q not in ctrl]
+    length = int(rng.integers(controls, 3 * controls + 6))
+    gate_controls = ctrl + rng.choice(ctrl, length - controls).tolist()
+    pairs = [rng.choice(others, 2, replace=False).tolist() for _ in gate_controls]
+    a, b = zip(*pairs)
+    return gate_controls, list(a), list(b)
+
+
+class TestCswapRun:
+    """With one control per pair, one call applies the CSWAPs in order: bit
+    for bit the per-gate chain, at the real block and at 64 amplitudes,
+    where a run's targets take several passes and its control settings
+    split the state into many blocks."""
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("case", range(12))
+    def test_matches_per_gate_chain(self, monkeypatch, block, case):
+        if block is not None:
+            monkeypatch.setattr(sv, "_BLOCK", block)
+        n, controls = 6 + case, 1 + case % 4
+        rng = np.random.default_rng(100 + case)
+        state = random_state(rng, n)
+        run = random_run(rng, n, controls)
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, *run)
+
+    def test_run_then_reverse_restores(self):
+        rng = np.random.default_rng(31)
+        state = random_state(rng, 10)
+        controls, a, b = random_run(rng, 10, 3)
+        once = sv.apply_cswap(state, controls, a, b)
+        assert once.amplitudes.tobytes() != state.amplitudes.tobytes()
+        back = sv.apply_cswap(once, controls[::-1], a[::-1], b[::-1])
+        assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    def test_real_block_two_passes_in_one_block(self):
+        # 15 targets over two controls at 17 qubits: two passes, and the
+        # scratch stays one block
+        n = 17
+        rng = np.random.default_rng(41)
+        state = random_state(rng, n)
+        targets = [q for q in range(n) if q not in (0, 9)]
+        a = targets[:8] + targets[1:8]
+        b = targets[7:] + targets[:7]
+        controls = [0, 9] * 7 + [9]
+        assert len(set(a + b)) == 15
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, controls, a, b)
+        own = state.amplitudes.copy()
+        tracemalloc.start()
+        try:
+            sv.apply_cswap(sv.StateVector(n, own), controls, a, b, out=own)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * sv._BLOCK + 2**14, peak
+
+    @pytest.mark.parametrize(
+        "controls,a,b,problem",
+        [
+            ((0, 1), (1, 2), (3, 4), "control 1 is also one of its targets"),
+            ((0, 2), (1, 0), (3, 4), "control 0 is also one of its targets"),
+            ((0, 1), (2, 3), (3, 0), "control 0 is also one of its targets"),
+            ((0, 1, 2), (3, 4), (4, 3), "one control per pair, got 3 controls for 2 pairs"),
+            ((0, 1), (2, 3), (2, 4), "cswap gate (0, 2, 2) needs three distinct qubits"),
+            ((0, 5), (2, 3), (1, 4), "qubit index 5 out of range"),
+        ],
+    )
+    def test_bad_runs_named(self, controls, a, b, problem):
+        state = sv.make_basis_state(5, 3)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            sv.apply_cswap(state, controls, a, b)
+
+
 class TestPrepare:
     # real registers with negative amplitudes: their product has -0.0 parts
     INPUTS = [
@@ -386,6 +472,15 @@ class TestPrepare:
     def test_needs_an_input(self):
         with pytest.raises(ValueError):
             sv.prepare(2, [])
+
+    @pytest.mark.parametrize("hadamards", [[], [2, 0], [0, 1, 2]])
+    def test_dirty_out_gives_the_fresh_bits(self, hadamards):
+        fresh = sv.prepare(3, self.INPUTS, hadamards).amplitudes
+        dirty = np.random.default_rng(7).normal(size=2 * fresh.size).view(np.complex128)
+        dirty[::3] = complex(np.nan, -0.0)
+        state = sv.prepare(3, self.INPUTS, hadamards, out=dirty)
+        assert state.amplitudes is dirty
+        assert dirty.tobytes() == fresh.tobytes()
 
 
 class TestExactMarginal:
