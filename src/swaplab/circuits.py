@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Sequence
 
 import numpy as np
@@ -195,12 +195,10 @@ def check_naive_battery(n: int) -> None:
     if n < 2:
         raise ValueError(f"need at least 2 inputs, got {n}")
     entries = n * (n - 1) // 2
-    nbytes = entries * _BATTERY_ENTRY_BYTES
-    if nbytes > statevec.MAX_STATE_BYTES:
-        raise ResourceError(
-            f"the naive battery for n={n} holds {entries} circuits, which need "
-            f"{nbytes} bytes, over the ceiling of {statevec.MAX_STATE_BYTES} bytes"
-        )
+    statevec.check_bytes(
+        entries * _BATTERY_ENTRY_BYTES,
+        f"the naive battery for n={n} holds {entries} circuits and",
+    )
 
 
 def require_power_of_two(n: int) -> None:
@@ -384,16 +382,14 @@ def derive_pair_map(n: int) -> PairMap:
 
 
 def state_bytes(circuit: CircuitSpec) -> int:
-    """The bytes of the circuit's simulated state, checked against the
-    simulator ceiling by ``statevec.check_state_bytes`` before anything is
-    allocated; its ResourceError names the circuit's registers."""
+    """The bytes of the circuit's simulated state, checked by
+    ``statevec.check_bytes`` before anything is allocated."""
     layout = circuit.layout
-    try:
-        return statevec.check_state_bytes(layout.total_qubits)
-    except ResourceError as exc:
-        raise ResourceError(
-            f"circuit on {layout.n} registers of width {layout.w}: {exc}"
-        ) from None
+    return statevec.check_bytes(
+        16 * 2**layout.total_qubits,
+        f"the {layout.total_qubits}-qubit state of a circuit on {layout.n} "
+        f"registers of width {layout.w}",
+    )
 
 
 def simulate(
@@ -406,13 +402,12 @@ def simulate(
     The gates up to the first that is not a Hadamard on a fresh ancilla
     (every builder here opens with H on its ancillas) are part of the one
     state that ``statevec.prepare`` builds.  The later gates write in place
-    into that state, so the inputs are never touched.  Each run of
-    consecutive CSWAPs that ``_kernel_runs`` groups (a controlled register
-    swap, or several that share their controls) is one
-    ``statevec.apply_cswap`` call, which moves each amplitude it permutes
-    once for the whole run; the gate list and its counts stay per qubit.
-    Each call adds only one block of ``statevec._BLOCK`` amplitudes of
-    scratch, so the run peaks at that one state plus a few blocks.
+    into that state, so the inputs are never touched: one
+    ``statevec.apply_hadamard`` call per Hadamard, and one
+    ``statevec.apply_cswap`` call per maximal stretch of consecutive CSWAPs,
+    which cuts it into passes over the state; the gate list and its counts
+    stay per qubit.  Each call adds only one block of scratch, so the run
+    peaks at that one state plus a few blocks.
     """
     layout = circuit.layout
     if len(inputs) != layout.n:
@@ -430,52 +425,14 @@ def simulate(
             break
         opening.append(q)
     state = statevec.prepare(layout.ancilla_count, inputs, opening, out=out)
-    for run in _kernel_runs(circuit.gates[len(opening) :], layout.total_qubits):
-        if run[0].kind == "h":
-            (q,) = run[0].qubits
-            state = statevec.apply_hadamard(state, q, out=state.amplitudes)
+    for kind, run in groupby(circuit.gates[len(opening) :], key=lambda g: g.kind):
+        qubits = [g.qubits for g in run]
+        if kind == "cswap":
+            state = statevec.apply_cswap(state, *zip(*qubits), out=state.amplitudes)
         else:
-            control, a, b = zip(*(g.qubits for g in run))
-            state = statevec.apply_cswap(state, control, a, b, out=state.amplitudes)
+            for (q,) in qubits:
+                state = statevec.apply_hadamard(state, q, out=state.amplitudes)
     return state
-
-
-def _kernel_runs(gates: Sequence[Gate], num_qubits: int) -> list[list[Gate]]:
-    """The gates in order, in runs of one kernel call each, on a state of
-    ``num_qubits`` qubits: a Hadamard alone, and each maximal run of
-    consecutive CSWAPs in which
-    - no control is a target, so the controls stay fixed through the run;
-    - the targets fit one block, at most log2(statevec._BLOCK) of them, so
-      ``statevec.apply_cswap`` makes one pass over the state;
-    - there are at most max(1, num_qubits - log2(_BLOCK)) distinct
-      controls, so each setting of them selects at least a block of the
-      state.
-    A CSWAP that would break one of them starts the next run.  All three
-    limits come from ``_BLOCK``, read at call time."""
-    width = statevec._BLOCK.bit_length() - 1
-    most_controls = max(1, num_qubits - width)
-    runs: list[list[Gate]] = []
-    controls: set[int] = set()
-    targets: set[int] = set()
-    for g in gates:
-        c, *pair = g.qubits
-        last = runs[-1] if runs else None
-        if (
-            g.kind == "cswap"
-            and last is not None
-            and last[0].kind == "cswap"
-            and c not in targets
-            and controls.isdisjoint(pair)
-            and len(targets.union(pair)) <= width
-            and len(controls | {c}) <= most_controls
-        ):
-            last.append(g)
-        else:
-            runs.append([g])
-            controls, targets = set(), set()
-        controls.add(c)
-        targets.update(pair)
-    return runs
 
 
 def circuit_to_json(circuit: CircuitSpec) -> dict:

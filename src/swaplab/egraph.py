@@ -432,12 +432,9 @@ def _swap_test_values(encoded, shots, rng):
     checked in bytes against statevec.MAX_STATE_BYTES before either is
     allocated."""
     n = len(encoded)
-    nbytes = n * (n - 1) // 2 * _PAIR_TABLE_BYTES
-    if nbytes > statevec.MAX_STATE_BYTES:
-        raise statevec.ResourceError(
-            f"the pair table for n={n} points needs {nbytes} bytes, over the "
-            f"ceiling of {statevec.MAX_STATE_BYTES} bytes"
-        )
+    statevec.check_bytes(
+        n * (n - 1) // 2 * _PAIR_TABLE_BYTES, f"the pair table for n={n} points"
+    )
     amps = np.stack([state.amplitudes for state in encoded])
     probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
     i, j = np.triu_indices(n, 1)

@@ -16,13 +16,14 @@ its result in place into ``out`` and returns a StateVector over it.
 Without ``out`` it first copies its input, so a gate never mutates its
 input unless given that input's own buffer as ``out``.
 ``circuits.simulate`` does exactly that, with one ``apply_cswap`` call per
-run of controlled swaps whose controls are never targets, so each
-amplitude such a run permutes is moved once per pass of the run, not once
-per gate.  A gate walks the state in blocks of at most ``_BLOCK``
-amplitudes through one block of scratch, and ``exact_marginal`` folds it a
-block at a time, so a simulate-and-measure run holds one state plus a few
-blocks.  Sampling takes an explicit Generator; there is no hidden global RNG
-state.
+stretch of consecutive controlled swaps; ``apply_cswap`` alone cuts a
+stretch into passes, so each amplitude a pass permutes is moved once per
+pass, not once per gate.  A gate walks the state in blocks of at most
+``_BLOCK`` amplitudes through one block of scratch, and ``exact_marginal``
+folds it a block at a time, so a simulate-and-measure run holds one state
+plus a few blocks.  Sampling takes an explicit Generator; there is no
+hidden global RNG state.  ``check_bytes`` is the one byte-ceiling check,
+for states and for the package's other large tables alike.
 """
 
 from __future__ import annotations
@@ -51,18 +52,23 @@ class ResourceError(RuntimeError):
     """Raised when a requested state or enumeration exceeds its ceiling."""
 
 
-def check_state_bytes(num_qubits: int) -> int:
-    """The bytes a state of ``num_qubits`` qubits holds, 16 per amplitude,
-    checked against MAX_STATE_BYTES before anything is allocated."""
-    if num_qubits < 1:
-        raise ValueError(f"need at least one qubit, got {num_qubits}")
-    nbytes = 16 * 2**num_qubits
+def check_bytes(nbytes: int, what: str) -> int:
+    """``nbytes``, checked against MAX_STATE_BYTES (read at call time) before
+    anything is allocated: over it, a ResourceError reads "{what} needs
+    {nbytes} bytes, over the ceiling of {MAX_STATE_BYTES} bytes"."""
     if nbytes > MAX_STATE_BYTES:
         raise ResourceError(
-            f"a {num_qubits}-qubit state needs {nbytes} bytes, over the simulator "
-            f"ceiling of {MAX_STATE_BYTES} bytes ({MAX_QUBITS} qubits)"
+            f"{what} needs {nbytes} bytes, over the ceiling of {MAX_STATE_BYTES} bytes"
         )
     return nbytes
+
+
+def check_state_bytes(num_qubits: int) -> int:
+    """The bytes a state of ``num_qubits`` qubits holds, 16 per amplitude,
+    checked by ``check_bytes``."""
+    if num_qubits < 1:
+        raise ValueError(f"need at least one qubit, got {num_qubits}")
+    return check_bytes(16 * 2**num_qubits, f"a {num_qubits}-qubit state")
 
 
 @dataclass(frozen=True)
@@ -265,20 +271,27 @@ def apply_cswap(
     ``b[k]`` for every k: ``a`` and ``b`` are single qubits (one Fredkin
     gate) or equal-length sequences of qubits (a width-w register swap, the
     w Fredkin gates at once, which commute).  With a sequence of controls,
-    one per pair, apply the gates (control[k], a[k], b[k]) in order k; the
-    targets may repeat across gates, but no control may be a target.
+    one per pair, apply the gates (control[k], a[k], b[k]) in order k; a
+    qubit may be a target of one gate and the control of another.
 
     A pure basis-index permutation, hence exactly unitary (amplitudes are
     moved, never recombined); a register swap is exactly its own inverse.
-    The gates are cut, in order, into passes whose target qubits fit one
-    block, at most log2(_BLOCK) of them (a pass takes at least one gate).
-    The control bits stay fixed through a pass, so for each setting of its
-    controls the pass is one permutation of the target axes, composed once;
-    the all-zero setting is the identity and is skipped.  For each other
-    setting the cube of the remaining qubits has its leading non-target
-    qubits fixed in turn until a block holds at most ``_BLOCK`` amplitudes;
-    each block is copied into one block of scratch and written back through
-    the permutation, so a pass moves each amplitude it permutes once.
+    This is the one place that cuts gates into passes over the state.  The
+    gates are taken in order, and the next gate (c, x, y) starts a new pass
+    when
+    - c is a target of the pass, or x or y is one of its controls, so the
+      control bits stay fixed through a pass;
+    - the pass's targets would exceed log2(_BLOCK), so they fit one block;
+    - the pass's distinct controls would exceed max(1, n - log2(_BLOCK)), so
+      each setting of them selects at least a block of the state.
+    A pass takes at least one gate, and ``_BLOCK`` is read at call time.
+    For each setting of its controls a pass is one permutation of the
+    target axes, composed once; the all-zero setting is the identity and is
+    skipped.  For each other setting the cube of the remaining qubits has
+    its leading non-target qubits fixed in turn until a block holds at most
+    ``_BLOCK`` amplitudes; each block is copied into one block of scratch
+    and written back through the permutation, so a pass moves each
+    amplitude it permutes once.
     """
     controls, a, b = _register(control), _register(a), _register(b)
     for q in (*controls, *a, *b):
@@ -303,18 +316,22 @@ def apply_cswap(
     for gate in gates:
         if len(set(gate)) != 3:
             raise ValueError(f"cswap gate {gate} needs three distinct qubits")
-    for q in controls:
-        if q in a or q in b:
-            raise ValueError(f"cswap run control {q} is also one of its targets")
     n = state.num_qubits
     amps = _gate_target(state, out)
     cube = amps.reshape((2,) * n)
     width = _BLOCK.bit_length() - 1
-    start, targets = 0, set()
-    for k, (_, x, y) in enumerate(gates):
-        if k > start and len(targets | {x, y}) > width:
+    most_controls = max(1, n - width)
+    start, fixed, targets = 0, set(), set()  # the pass's controls and targets
+    for k, (c, x, y) in enumerate(gates):
+        if k > start and (
+            c in targets
+            or not fixed.isdisjoint((x, y))
+            or len(targets | {x, y}) > width
+            or len(fixed | {c}) > most_controls
+        ):
             _swap_pass(cube, gates[start:k])
-            start, targets = k, set()
+            start, fixed, targets = k, set(), set()
+        fixed.add(c)
         targets |= {x, y}
     _swap_pass(cube, gates[start:])
     return StateVector(n, amps)

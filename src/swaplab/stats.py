@@ -294,18 +294,6 @@ def threshold_aligned(N: int, alpha: float) -> bool:
     return _threshold(N, alpha)[1]
 
 
-def _check_window_bytes(N: int, terms: int) -> None:
-    """ResourceError, before any allocation, when the kernel's working set
-    for a window of ``terms`` terms is over the simulator's byte ceiling."""
-    nbytes = terms * _WINDOW_BYTES_PER_TERM
-    if nbytes > statevec.MAX_STATE_BYTES:
-        raise statevec.ResourceError(
-            f"the exact tail at N={N} sums a window of {terms} terms, which "
-            f"needs {nbytes} bytes, over the ceiling of "
-            f"{statevec.MAX_STATE_BYTES} bytes"
-        )
-
-
 def false_negative_exact(N: int, alpha: float, p: float) -> float:
     """Exact false-negative probability: the upper binomial tail
     sum_{i=ceil(N(1-alpha))}^{N} C(N,i) (1-p)^i p^{N-i}.
@@ -329,7 +317,11 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
     drop = math.log(N) + _TAIL_DROP
     while True:
         end = min(N, peak + int(width))
-        _check_window_bytes(N, end - k + 1)
+        terms = end - k + 1
+        statevec.check_bytes(
+            terms * _WINDOW_BYTES_PER_TERM,
+            f"the exact tail at N={N} sums a window of {terms} terms and",
+        )
         log_terms = _binom_logpmf(np.arange(k, end + 1), N, p)
         top = log_terms.max()
         if end == N or log_terms[-1] <= top - drop:

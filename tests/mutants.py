@@ -1,0 +1,172 @@
+"""Mutation checks: each mutant makes one textual change to a copy of
+``src/swaplab`` and names the test node that must fail on it.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the package is copied to a temporary directory and the
+replacement applied; a replacement that does not match exactly once is an
+error, so a mutant cannot go stale unnoticed.  The named node then runs in
+a subprocess with ``-o pythonpath=<copy>/src``: the project's own
+``pythonpath = ["src"]`` would otherwise put the checkout ahead of
+PYTHONPATH and test the unmutated code, so the subprocess also reports the
+file it imported ``swaplab`` from, and the runner checks that it is the
+copy's.  A mutant is killed when its test fails.  The file's name keeps it
+out of the pytest collection, so the suite does not run it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file under src/swaplab
+    old: str
+    new: str
+    node: str  # test node id, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "cut-without-control-in-targets",
+        "statevec.py",
+        "c in targets\n            or not fixed",
+        "not fixed",
+        "tests/test_statevec.py::TestCswapRun::test_controls_and_targets_mixed",
+    ),
+    Mutant(
+        "cut-without-controls-limit",
+        "statevec.py",
+        "\n            or len(fixed | {c}) > most_controls",
+        "",
+        "tests/test_circuits.py::TestCircuitJson::test_runs_follow_the_block",
+    ),
+    Mutant(
+        "last-pass-dropped",
+        "statevec.py",
+        "    _swap_pass(cube, gates[start:])\n",
+        "",
+        "tests/test_statevec.py::TestCswapRun::test_matches_per_gate_chain",
+    ),
+    Mutant(
+        "run-composed-in-reverse",
+        "statevec.py",
+        "for c, x, y in steps:",
+        "for c, x, y in reversed(steps):",
+        "tests/test_statevec.py::TestCswapRun::test_matches_per_gate_chain",
+    ),
+    Mutant(
+        "inv-sqrt2-one-ulp-high",
+        "statevec.py",
+        "_INV_SQRT2 = 1.0 / math.sqrt(2.0)",
+        "_INV_SQRT2 = math.nextafter(1.0 / math.sqrt(2.0), 1.0)",
+        "tests/test_statevec.py::TestBlockedKernels::test_hadamard_every_qubit",
+    ),
+    Mutant(
+        "opening-hadamards-skip-new-blocks",
+        "statevec.py",
+        "        filled += [lo + step for lo in filled]\n",
+        "",
+        "tests/test_circuits.py::TestCircuitJson::test_simulate_matches_reference_kernels",
+    ),
+    Mutant(
+        "byte-ceiling-exclusive",
+        "statevec.py",
+        "if nbytes > MAX_STATE_BYTES:",
+        "if nbytes >= MAX_STATE_BYTES:",
+        "tests/test_statevec.py::TestInvariants::test_ceiling_is_in_bytes",
+    ),
+    Mutant(
+        "kd-leaf-test-inclusive",
+        "egraph.py",
+        "[0] < r_sq",
+        "[0] <= r_sq",
+        "tests/test_egraph.py::TestKDTreeTies",
+    ),
+    Mutant(
+        "stirling-index-15-to-14",
+        "stats.py",
+        "idx = np.minimum(n, 15.0)",
+        "idx = np.minimum(n, 14.0)",
+        "tests/test_stats.py::TestFalseNegativeExact::test_matches_fraction_oracle_small_n",
+    ),
+)
+
+# runs pytest in the subprocess, then reports the swaplab it imported
+_RUN = """\
+import sys, pytest
+code = pytest.main(sys.argv[1:])
+module = sys.modules.get("swaplab")
+print("imported swaplab from", getattr(module, "__file__", None))
+sys.exit(code)
+"""
+
+
+def mutate(src: Path, mutant: Mutant) -> None:
+    """Apply the mutant's one replacement to ``src``'s copy of its module."""
+    path = src / "swaplab" / mutant.module
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(
+            f"mutant {mutant.name}: {mutant.old!r} matches {count} times in "
+            f"{mutant.module}, not once"
+        )
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """'killed', 'survived' or an error line for one mutant, and its seconds."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="swaplab-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src" / "swaplab", src / "swaplab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        mutate(src, mutant)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        args = ["-q", "-x", "-p", "no:cacheprovider", "-o", f"pythonpath={src}",
+                mutant.node]
+        proc = subprocess.run([sys.executable, "-c", _RUN, *args], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        lines = proc.stdout.splitlines()
+        imported = lines[-1].removeprefix("imported swaplab from ") if lines else ""
+        if not imported.startswith(str(src / "swaplab")):
+            verdict = f"error: imported swaplab from {imported or 'nowhere'}"
+        elif proc.returncode == 1:
+            verdict = "killed"
+        elif proc.returncode == 0:
+            verdict = "survived"
+        else:
+            verdict = f"error: pytest exited {proc.returncode}"
+    return verdict, time.perf_counter() - start
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    not_killed = 0
+    for mutant in chosen:
+        verdict, seconds = run(mutant)
+        not_killed += verdict != "killed"
+        print(f"{verdict:8} {mutant.name} by {mutant.node} ({seconds:.1f} s)", flush=True)
+    print(f"{len(chosen) - not_killed} of {len(chosen)} mutants killed")
+    return 1 if not_killed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -38,10 +38,11 @@ def padded_negative_registers():
 
 def unmerged_runs_circuit():
     """Opening Hadamards, then CSWAPs on 12 qubits, where at the real block
-    a run of one kernel call has one distinct control: three on one control
-    that share targets fold into one call; four on alternating controls and
-    one cut off by a Hadamard are a call each; two on one control close it
-    as one call.  Seven calls in all."""
+    a pass has one distinct control: three on one control that share
+    targets fold into one pass; four on alternating controls and one cut
+    off by a Hadamard are a pass each; two on one control close it as one
+    pass.  Seven passes in all, in two apply_cswap calls, one on each side
+    of the Hadamard."""
     layout = qc._layout(4, 2, top=True, mid=True)
     gates = [qc.hadamard(q) for q in range(4)]
     gates += [qc.cswap(1, 4, 6), qc.cswap(1, 6, 8), qc.cswap(1, 5, 4)]
@@ -449,40 +450,56 @@ class TestCircuitJson:
         assert got.tobytes() == simulate_reference(circuit, inputs).amplitudes.tobytes()
 
     @staticmethod
-    def _call_widths(monkeypatch, circuit, inputs):
-        """The number of CSWAPs in each apply_cswap call of simulate, and
-        the state it returns."""
-        widths = []
-        kernel = sv.apply_cswap
+    def _passes(monkeypatch, circuit, inputs):
+        """The number of apply_cswap calls simulate makes, the number of
+        CSWAPs in each pass that apply_cswap cuts them into, and the state
+        simulate returns."""
+        calls, widths = [], []
+        kernel, swap_pass = sv.apply_cswap, sv._swap_pass
 
         def counted(state, control, a, b, out=None):
-            widths.append(len(a))
+            calls.append(len(a))
             return kernel(state, control, a, b, out=out)
 
+        def spied(cube, gates):
+            widths.append(len(gates))
+            return swap_pass(cube, gates)
+
         monkeypatch.setattr(sv, "apply_cswap", counted)
-        return widths, qc.simulate(circuit, inputs)
+        monkeypatch.setattr(sv, "_swap_pass", spied)
+        state = qc.simulate(circuit, inputs)
+        return len(calls), widths, state
+
+    @staticmethod
+    def _stretches(circuit):
+        """The maximal stretches of consecutive CSWAPs in the gate list."""
+        kinds = groupby(g.kind for g in circuit.gates)
+        return sum(1 for kind, _ in kinds if kind == "cswap")
 
     @pytest.mark.parametrize(
-        "circuit,calls",
+        "circuit,passes",
         [
-            # 16 qubits allow two controls a run: C and B's swaps, then A's
-            # and the closing swap test's
+            # one call; 16 qubits allow two controls a pass: C and B's swaps,
+            # then A's and the closing swap test's
             (qc.build_multiswap_full(4, 3), 2),
             (qc.build_swap_test(3), 1),
+            # two calls, one on each side of the Hadamard on qubit 1
             (unmerged_runs_circuit(), 7),
         ],
     )
-    def test_one_kernel_call_per_register_swap(self, monkeypatch, circuit, calls):
+    def test_one_kernel_call_per_register_swap(self, monkeypatch, circuit, passes):
+        # one apply_cswap call per stretch of CSWAPs, cut into passes there
         layout = circuit.layout
         inputs = [sv.make_basis_state(layout.w, 0)] * layout.n
-        widths, _ = self._call_widths(monkeypatch, circuit, inputs)
-        assert len(widths) == calls
+        calls, widths, _ = self._passes(monkeypatch, circuit, inputs)
+        assert calls == self._stretches(circuit)
+        assert len(widths) == passes
         assert sum(widths) == circuit.cswap_count
 
     @pytest.mark.parametrize(
         "block,gates,widths",
         [
-            # at 64 amplitudes a run has at most 6 targets and, on these 12
+            # at 64 amplitudes a pass has at most 6 targets and, on these 12
             # qubits, at most 6 controls
             (64, [(1, 4, 5), (1, 6, 7), (1, 8, 9), (1, 10, 11)], [3, 1]),
             (64, [(1, 4, 5), (1, 5, 6), (1, 6, 7), (1, 7, 8), (1, 8, 9), (1, 9, 10)],
@@ -493,7 +510,7 @@ class TestCircuitJson:
             (64, [(1, 4, 6), (2, 1, 5)], [1, 1]),
             (64, [(1, 4, 6), (4, 5, 7)], [1, 1]),
             (64, [(1, 4, 6), "h2", (1, 5, 7)], [1, 1]),
-            # at 1024 amplitudes a run has at most 12 - 10 = 2 controls; at
+            # at 1024 amplitudes a pass has at most 12 - 10 = 2 controls; at
             # the real block, 1
             (1024, [(1, 4, 5), (2, 6, 7), (3, 8, 9), (1, 10, 11)], [2, 2]),
             (None, [(1, 4, 5), (2, 6, 7), (1, 8, 9), (1, 10, 11)], [1, 1, 2]),
@@ -506,8 +523,9 @@ class TestCircuitJson:
         body = [qc.hadamard(int(g[1])) if g[0] == "h" else qc.cswap(*g) for g in gates]
         circuit = qc.CircuitSpec(layout, tuple(qc.hadamard(q) for q in range(4)) + tuple(body))
         inputs = complex_registers(np.random.default_rng(len(gates)), 4, 2)
-        got, state = self._call_widths(monkeypatch, circuit, inputs)
+        calls, got, state = self._passes(monkeypatch, circuit, inputs)
         assert got == widths
+        assert calls == self._stretches(circuit)
         expected = simulate_reference(circuit, inputs).amplitudes
         assert state.amplitudes.tobytes() == expected.tobytes()
 

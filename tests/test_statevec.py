@@ -383,7 +383,8 @@ class TestCswapRun:
     """With one control per pair, one call applies the CSWAPs in order: bit
     for bit the per-gate chain, at the real block and at 64 amplitudes,
     where a run's targets take several passes and its control settings
-    split the state into many blocks."""
+    split the state into many blocks, also where a qubit is a control in
+    one gate and a target in another."""
 
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("case", range(12))
@@ -427,11 +428,51 @@ class TestCswapRun:
         assert peak <= 16 * sv._BLOCK + 2**14, peak
 
     @pytest.mark.parametrize(
+        "controls,a,b",
+        [
+            ((0, 1), (1, 2), (3, 4)),
+            ((0, 2), (1, 0), (3, 4)),
+            ((0, 1), (2, 3), (3, 0)),
+        ],
+    )
+    def test_control_of_one_gate_target_of_another(self, monkeypatch, controls, a, b):
+        # the second gate's control is a target of the first, or one of its
+        # targets is the first's control: two passes of one gate each
+        widths = []
+        swap_pass = sv._swap_pass
+
+        def spied(cube, gates):
+            widths.append(len(gates))
+            return swap_pass(cube, gates)
+
+        monkeypatch.setattr(sv, "_swap_pass", spied)
+        state = random_state(np.random.default_rng(sum(a)), 5)
+        expected = run_reference(state, controls, a, b).amplitudes.tobytes()
+        assert sv.apply_cswap(state, controls, a, b).amplitudes.tobytes() == expected
+        assert widths == [1, 1]
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("case", range(8))
+    def test_controls_and_targets_mixed(self, monkeypatch, block, case):
+        # every gate draws its three qubits from all of them, so qubits are
+        # controls in some gates and targets in others
+        if block is not None:
+            monkeypatch.setattr(sv, "_BLOCK", block)
+        n = 5 + case
+        rng = np.random.default_rng(200 + case)
+        state = random_state(rng, n)
+        gates = [rng.choice(n, 3, replace=False).tolist()
+                 for _ in range(int(rng.integers(4, 16)))]
+        controls, a, b = (list(q) for q in zip(*gates))
+        assert set(controls) & set(a + b)
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, controls, a, b)
+
+    @pytest.mark.parametrize(
         "controls,a,b,problem",
         [
-            ((0, 1), (1, 2), (3, 4), "control 1 is also one of its targets"),
-            ((0, 2), (1, 0), (3, 4), "control 0 is also one of its targets"),
-            ((0, 1), (2, 3), (3, 0), "control 0 is also one of its targets"),
+            ((0, 1), (2, 3), (4,), "equal length, got (2, 3) and (4,)"),
+            ((), (), (), "nonempty"),
+            ((0,), (2, 3), (1, 4), "one control per pair, got 1 controls for 2 pairs"),
             ((0, 1, 2), (3, 4), (4, 3), "one control per pair, got 3 controls for 2 pairs"),
             ((0, 1), (2, 3), (2, 4), "cswap gate (0, 2, 2) needs three distinct qubits"),
             ((0, 5), (2, 3), (1, 4), "qubit index 5 out of range"),
