@@ -12,18 +12,22 @@ i*n + j with i < j.
 
 The quantum modes reduce their pairs to columns (i, j, a hit count or an
 exact probability at infinite shots, and a constant c), which one estimate
-table carries to both output files; one mask decides every pair: edge iff
-p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive
-modes (per-pair swap tests, the naive battery) take c = 1/2 and read each
-pair's probability from the closed-form swap-test law p = (1 + |<a|b>|^2)/2
-over one Gram product of the encodings; the multi mode takes the pair's
-calibrated constant and still simulates the recursive multi-state circuit on
-the state vector, as do the ``swap-test`` and ``eq1-audit`` runners.
+table carries to the edge list and the estimates file; one mask decides
+every pair: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and
+naive modes (per-pair swap tests, the naive battery) take c = 1/2 and read
+each pair's probability from the closed-form swap-test law
+p = (1 + |<a|b>|^2)/2 over one Gram product of the encodings; the multi
+mode takes the pair's calibrated constant and still simulates the recursive
+multi-state circuit on the state vector, as do the ``swap-test`` and
+``eq1-audit`` runners.
 
 Edges use the strict inequality distance < eps.  The quantum routes operate
 on amplitude-encoded *normalized* points and estimate sqrt(2*(1-|u.w|)), so
 classical and quantum targets coincide exactly on unit-norm clouds with
 non-negative pairwise dot products; tests use such clouds.
+
+The module reads point clouds from CSV and writes no file: harness owns
+every output format, the edge lists too.
 
 Constructors are pure given (inputs, seed).  A sampled quantum run draws
 every count from one Generator seeded SeedSequence([seed]), in the fixed pair
@@ -482,44 +486,3 @@ def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff
     spurious = np.setdiff1d(estimate.codes, reference.codes, assume_unique=True)
     missing.flags.writeable = spurious.flags.writeable = False
     return GraphDiff(false_negatives=missing, false_positives=spurious)
-
-
-# write_edge_list formats this many edges with one % operation
-_EDGE_BLOCK_ROWS = 4096
-
-
-def write_edge_list(
-    path,
-    graph: EpsilonGraph,
-    estimates: stats.OverlapEstimate | None = None,
-) -> None:
-    """CSV edge list: columns i, j, distance_estimate, with the CRLF line
-    ends of the csv module, formatted ``_EDGE_BLOCK_ROWS`` edges at a time
-    with one % operation per block.  The distance is empty without
-    ``estimates`` (classical modes), else read from the table row of the
-    edge's pair (%.17g, as format(x, ".17g")); an edge without one raises."""
-    n = graph.n
-    i, j = np.divmod(graph.codes, n)
-    columns = [i, j]
-    line = "%d,%d,\r\n"
-    if estimates is not None:
-        pairs = estimates.pairs
-        found, row, _ = np.intersect1d(
-            pairs[:, 0] * n + pairs[:, 1], graph.codes, return_indices=True
-        )
-        if found.size < graph.codes.size:
-            missing = np.setdiff1d(graph.codes, found)[0]
-            raise ValueError(
-                f"edge ({missing // n}, {missing % n}) has no row in the estimates"
-            )
-        columns.append(estimates.distance_hat[row])
-        line = "%d,%d,%.17g\r\n"
-    width, size = len(columns), graph.codes.size
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,distance_estimate\r\n")
-        for start in range(0, size, _EDGE_BLOCK_ROWS):
-            stop = min(start + _EDGE_BLOCK_ROWS, size)
-            cells = [None] * (width * (stop - start))
-            for k, column in enumerate(columns):
-                cells[k::width] = column[start:stop].tolist()
-            fh.write(line * (stop - start) % tuple(cells))

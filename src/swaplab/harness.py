@@ -3,12 +3,15 @@
 Every table runner returns (records, metadata): records are flat dicts (one
 per experiment unit, deterministically ordered by parameter tuple), metadata
 names the source formula behind each theory column.  run_egraph_trial writes
-a whole output directory instead, and hands its per-pair estimate table to
-write_records as the numpy columns of stats.OverlapEstimate; write_records
-formats every table from columns, after one transpose of row dicts, and
-converts numpy columns to Python scalars one CSV block at a time.  CSV is
-the canonical output format (header row, '.' decimal separator, 17
-significant digits for reals); JSON mirrors the records and carries the
+a whole output directory instead: both edge lists, as the columns i, j and
+distance_estimate decoded from each graph's pair codes, and the per-pair
+estimate table, as the numpy columns of stats.OverlapEstimate.  This module
+owns every output format, and write_records is the one CSV writer: it
+formats every table from columns, after one transpose of row dicts, one
+block of rows at a time, a CSV block with one % operation and a JSON block
+with one encoder call.  CSV is the canonical output format (header row,
+CRLF line ends, '.' decimal separator, 17 significant digits for reals,
+the csv module's quoting); JSON mirrors the records and carries the
 metadata.  The CLI calls each runner with its parsed flags as keyword
 arguments, so a runner's keyword names are its flags' destinations.
 
@@ -35,9 +38,9 @@ from . import circuits, egraph, statevec, stats
 
 Record = dict
 
-# write_records formats and writes CSV rows a block at a time, so the
-# formatted fields of only this many rows are held at once
-_CSV_BLOCK_ROWS = 256
+# write_records formats max(1, _CSV_BLOCK_CELLS // width) rows at a time,
+# so the fields of only this many cells are held at once
+_CSV_BLOCK_CELLS = 6144
 
 
 def _fmt_cell(value) -> str:
@@ -62,24 +65,32 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _fmt_column(values: list) -> list[str]:
-    """The CSV fields of one column, by _fmt_cell's rules.  A column of plain
-    floats, bools or ints is formatted in one comprehension; none of their
-    fields needs quoting."""
-    kinds = set(map(type, values))
-    if kinds <= {float}:
-        # format() writes infinities as inf/-inf, _fmt_cell's spelling
-        return ["" if v != v else format(v, ".17g") for v in values]
-    if kinds <= {bool}:
-        return ["true" if v else "false" for v in values]
-    if kinds <= {int}:
-        return list(map(str, values))
-    return [_csv_field(_fmt_cell(v)) for v in values]
-
-
-def _csv_lines(rows) -> str:
-    # csv.writer quotes a lone empty field, so that the row is not blank
-    return "".join((",".join(row) or '""') + "\r\n" for row in rows)
+def _conversion(column, empty: str):
+    """A column's % conversion, by _fmt_cell's rules (%.17g writes
+    format(v, ".17g")), and the function that turns a block of the column
+    into its arguments.  An all-NaN numpy column is the literal ``empty``,
+    with no function; a field that would be empty is written ``empty``."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu":
+            return "%d", np.ndarray.tolist
+        if column.dtype.kind == "f":
+            nan = np.isnan(column)
+            if nan.all():
+                return empty, None
+            if not nan.any():
+                return "%.17g", np.ndarray.tolist
+        bools = column.dtype.kind == "b"
+    else:
+        kinds = set(map(type, column))
+        if kinds <= {float} and not any(map(math.isnan, column)):
+            return "%.17g", list
+        if kinds <= {int}:
+            return "%d", list
+        bools = kinds <= {bool}
+    if bools:
+        return "%s", lambda block: ["true" if v else "false" for v in _as_list(block)]
+    return "%s", lambda block: [_csv_field(_fmt_cell(v)) or empty
+                                for v in _as_list(block)]
 
 
 def _jsonable(value):
@@ -98,22 +109,18 @@ def write_records(records: Sequence[Record] | Mapping[str, Sequence],
                   path_or_file, fmt: str = "csv",
                   metadata: dict | None = None) -> None:
     """Write a table as CSV (data only) or JSON (data plus metadata), both
-    formatted from its columns.  ``records`` is a sequence of row dicts or a
+    formatted from its columns a block of rows at a time: one % operation
+    per CSV block, one encoder call per JSON block, in the bytes of
+    json.dump(indent=2).  ``records`` is a sequence of row dicts or a
     mapping from column name to an equal-length sequence or 1-D numpy
-    array; either gives the same bytes.  CSV turns a numpy column into
-    Python scalars one block of rows at a time.  ``path_or_file`` may be a
-    filesystem path or an open text stream.  Rows take their header from the
-    first record; a record with other keys, or a column of another length,
-    raises ValueError naming it before anything is written."""
+    array; either gives the same bytes.  ``path_or_file`` may be a
+    filesystem path or an open text stream.  Rows take their header from
+    the first record; a record with other keys, or a column of another
+    length, raises ValueError naming it before anything is written."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
     if isinstance(records, Mapping):
         header, columns = list(records), list(records.values())
-        nrows = len(columns[0]) if columns else 0
-        for name, column in records.items():
-            if len(column) != nrows:
-                raise ValueError(f"column {name!r} has {len(column)} entries, but "
-                                 f"column {header[0]!r} has {nrows}")
     else:
         header = list(records[0].keys()) if records else []
         keys = set(header)
@@ -125,26 +132,43 @@ def write_records(records: Sequence[Record] | Mapping[str, Sequence],
                     f"{fmt.upper()} record {row} does not have the header's keys "
                     f"(those of record 0): extra {extra}, missing {missing}"
                 )
-        columns, nrows = [[rec[k] for rec in records] for k in header], len(records)
+        columns = [[rec[k] for rec in records] for k in header]
+    nrows = len(columns[0]) if columns else 0
+    for name, column in zip(header, columns):
+        if len(column) != nrows:
+            raise ValueError(f"column {name!r} has {len(column)} entries, but "
+                             f"column {header[0]!r} has {nrows}")
+    step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
     own = not hasattr(path_or_file, "write")
     newline = "" if fmt == "csv" else None
     fh = open(path_or_file, "w", newline=newline) if own else path_or_file
     try:
         if fmt == "csv":
-            if nrows:
-                fh.write(_csv_lines([map(_csv_field, header)]))
-            for start in range(0, nrows, _CSV_BLOCK_ROWS):
-                block = (_fmt_column(_as_list(c[start:start + _CSV_BLOCK_ROWS]))
-                         for c in columns)
-                fh.write(_csv_lines(zip(*block)))
+            if header:
+                fh.write((",".join(map(_csv_field, header)) or '""') + "\r\n")
+            # csv.writer quotes a lone empty field, so that its row is not blank
+            empty = '""' if len(columns) == 1 else ""
+            conversions = [_conversion(c, empty) for c in columns]
+            line = ",".join(spec for spec, _ in conversions) + "\r\n"
+            args = [(c, f) for c, (_, f) in zip(columns, conversions) if f is not None]
+            for start in range(0, nrows, step):
+                rows = min(step, nrows - start)
+                cells = [None] * (len(args) * rows)
+                for k, (column, f) in enumerate(args):
+                    cells[k::len(args)] = f(column[start:start + step])
+                fh.write(line * rows % tuple(cells))
         else:
-            cells = [list(map(_jsonable, _as_list(column))) for column in columns]
-            payload = {
-                "metadata": metadata or {},
-                "records": [dict(zip(header, row)) for row in zip(*cells)],
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            # the metadata and each block's rows are encoded at the top level,
+            # then re-indented one level; a block's list loses its brackets
+            encoder = json.JSONEncoder(indent=2)
+            meta = encoder.encode(metadata or {}).replace("\n", "\n  ")
+            fh.write('{\n  "metadata": ' + meta + ',\n  "records": [')
+            for start in range(0, nrows, step):
+                cells = [map(_jsonable, _as_list(c[start:start + step]))
+                         for c in columns]
+                text = encoder.encode([dict(zip(header, r)) for r in zip(*cells)])
+                fh.write("," * (start > 0) + text[1:-2].replace("\n", "\n  "))
+            fh.write("\n  ]\n}\n" if nrows else "]\n}\n")
     finally:
         if own:
             fh.close()
@@ -564,6 +588,23 @@ def run_gatecount_report(
     return records, metadata
 
 
+def _edge_columns(graph: egraph.EpsilonGraph,
+                  estimates: stats.OverlapEstimate | None = None) -> dict:
+    """Columns i, j, distance_estimate of the edges of ``graph``.  The
+    distance is NaN (an empty field) without ``estimates``, else that of the
+    edge's table row; an edge without one leaves the column short."""
+    n = graph.n
+    i, j = np.divmod(graph.codes, n)
+    distance = np.full(graph.codes.size, math.nan)
+    if estimates is not None:
+        pairs = estimates.pairs
+        _, rows, _ = np.intersect1d(
+            pairs[:, 0] * n + pairs[:, 1], graph.codes, return_indices=True
+        )
+        distance = estimates.distance_hat[rows]
+    return {"i": i, "j": j, "distance_estimate": distance}
+
+
 def run_egraph_trial(
     points_path,
     eps: float,
@@ -591,10 +632,10 @@ def run_egraph_trial(
     diff = egraph.compare_graphs(reference, estimate)
 
     os.makedirs(out_dir, exist_ok=True)
-    egraph.write_edge_list(os.path.join(out_dir, "reference_edges.csv"), reference)
-    egraph.write_edge_list(
-        os.path.join(out_dir, "estimate_edges.csv"), estimate, estimates
-    )
+    write_records(_edge_columns(reference),
+                  os.path.join(out_dir, "reference_edges.csv"))
+    write_records(_edge_columns(estimate, estimates),
+                  os.path.join(out_dir, "estimate_edges.csv"))
     if estimates is not None and estimates.p_hat.size:
         columns = {
             "i": estimates.pairs[:, 0],

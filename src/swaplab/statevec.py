@@ -124,12 +124,6 @@ def make_qubit_state(theta: float, phi: float) -> StateVector:
     return StateVector(1, amps)
 
 
-def tensor(states: Sequence[StateVector]) -> StateVector:
-    """Kronecker product of the given states, in the given qubit order, in a
-    fresh array that shares no memory with any input."""
-    return prepare(0, states)
-
-
 def prepare(
     ancillas: int,
     inputs: Sequence[StateVector],

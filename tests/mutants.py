@@ -96,6 +96,41 @@ MUTANTS = (
         "tests/test_egraph.py::TestKDTreeTies",
     ),
     Mutant(
+        "numpy-nan-guard-dropped",
+        "harness.py",
+        "if not nan.any():",
+        "if True:",
+        "tests/test_harness.py::TestWriters::test_numpy_columns_write_the_bytes_of_their_lists",
+    ),
+    Mutant(
+        "list-nan-guard-dropped",
+        "harness.py",
+        " and not any(map(math.isnan, column))",
+        "",
+        "tests/test_harness.py::TestWriters::test_csv_nan_becomes_empty",
+    ),
+    Mutant(
+        "lone-empty-field-unquoted",
+        "harness.py",
+        "'\"\"' if len(columns) == 1",
+        "'' if len(columns) == 1",
+        "tests/test_harness.py::TestWriters::test_csv_single_empty_column",
+    ),
+    Mutant(
+        "all-nan-column-as-digits",
+        "harness.py",
+        "return empty, None",
+        'return "%.17g", np.ndarray.tolist',
+        "tests/test_harness.py::TestEdgeListOutput::test_classical_rows_have_empty_estimate",
+    ),
+    Mutant(
+        "json-block-separator-dropped",
+        "harness.py",
+        '"," * (start > 0)',
+        '""',
+        "tests/test_harness.py::TestWriters::test_numpy_columns_write_the_bytes_of_their_lists[json]",
+    ),
+    Mutant(
         "stirling-index-15-to-14",
         "stats.py",
         "idx = np.minimum(n, 15.0)",

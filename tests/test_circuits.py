@@ -109,8 +109,8 @@ class TestSwapTest:
     def test_width_law_w2(self):
         # per-qubit expansion must preserve the overlap law on wide registers
         rng = np.random.default_rng(9)
-        a = sv.tensor(random_qubits(rng, 2))
-        b = sv.tensor(random_qubits(rng, 2))
+        a = sv.prepare(0, random_qubits(rng, 2))
+        b = sv.prepare(0, random_qubits(rng, 2))
         state = qc.simulate(qc.build_swap_test(2), [a, b])
         p0 = sv.exact_marginal(state, [0])[0]
         assert abs(p0 - (0.5 + 0.5 * abs(sv.inner_product(a, b)) ** 2)) < 1e-12
@@ -432,7 +432,7 @@ class TestCircuitJson:
 
     def test_simulate_leaves_inputs_unchanged(self):
         rng = np.random.default_rng(3)
-        inputs = [sv.tensor(random_qubits(rng, 2)) for _ in range(4)]
+        inputs = [sv.prepare(0, random_qubits(rng, 2)) for _ in range(4)]
         before = [s.amplitudes.tobytes() for s in inputs]
         qc.simulate(qc.build_multiswap_full(4, 2), inputs)
         assert [s.amplitudes.tobytes() for s in inputs] == before
@@ -567,7 +567,7 @@ class TestCircuitJson:
     def test_padded_negative_case_has_negative_zeros(self):
         # the state the circuit opens on carries -0.0 parts
         _, inputs = SIMULATED["multi-padded-negative"](None)
-        parts = sv.tensor(inputs).amplitudes.view(np.float64)
+        parts = sv.prepare(0, inputs).amplitudes.view(np.float64)
         assert (np.signbit(parts) & (parts == 0.0)).any()
 
     @pytest.mark.parametrize("block", [None, 128])
@@ -598,7 +598,7 @@ class TestCircuitJson:
         rng = np.random.default_rng(4)
         if case == "swap-19":
             circuit = qc.build_swap_test(9)
-            inputs = [sv.tensor(random_qubits(rng, 9)) for _ in range(2)]
+            inputs = [sv.prepare(0, random_qubits(rng, 9)) for _ in range(2)]
         elif case == "multi-15":
             monkeypatch.setattr(sv, "_BLOCK", 1024)
             circuit = qc.build_multiswap_full(8, 1)

@@ -1,7 +1,4 @@
-import csv
-import io
 import math
-import re
 import tempfile
 import tracemalloc
 import warnings
@@ -724,53 +721,3 @@ class TestCompareGraphs:
         graph = eg.EpsilonGraph(3, 1.0, [1, 2, 5])
         assert graph.edges == {(0, 1), (0, 2), (1, 2)}
         assert graph.codes.dtype == np.int64 and not graph.codes.flags.writeable
-
-
-def csv_edge_list(rows):
-    """The edge-list bytes that the csv module writes for ``rows``."""
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows([["i", "j", "distance_estimate"], *rows])
-    return buf.getvalue().encode()
-
-
-class TestEdgeListOutput:
-    def test_classical_rows_have_empty_estimate(self, tmp_path):
-        graph = eg.EpsilonGraph(3, 1.0, [1, 5])  # (0, 1), (1, 2)
-        path = tmp_path / "edges.csv"
-        eg.write_edge_list(path, graph)
-        assert path.read_bytes() == b"i,j,distance_estimate\r\n0,1,\r\n1,2,\r\n"
-        assert path.read_bytes() == csv_edge_list([[0, 1, ""], [1, 2, ""]])
-
-    def test_empty_graph(self, tmp_path):
-        path = tmp_path / "edges.csv"
-        eg.write_edge_list(path, eg.EpsilonGraph(4, 1.0, []))
-        assert path.read_bytes() == b"i,j,distance_estimate\r\n"
-
-    @pytest.mark.parametrize(
-        "codes,table_pairs,missing",
-        [
-            ([1, 5], [(0, 1), (0, 2)], "(1, 2)"),  # past the last row
-            ([2], [(0, 1), (1, 2)], "(0, 2)"),  # between two rows
-            ([1], [], "(0, 1)"),
-        ],
-    )
-    def test_edge_without_estimate_row_raises(self, tmp_path, codes, table_pairs,
-                                              missing):
-        graph = eg.EpsilonGraph(3, 1.0, codes)
-        values = [0.9] * len(table_pairs)
-        estimates = stats.estimate_overlaps(values, math.inf, pairs=table_pairs)
-        with pytest.raises(ValueError, match=re.escape(f"edge {missing} has no row")):
-            eg.write_edge_list(tmp_path / "edges.csv", graph, estimates)
-
-    def test_quantum_rows_carry_estimates(self, tmp_path):
-        cloud = ring_cloud(4)
-        # eps between the 24- and 36-degree chords: some pairs are not edges
-        graph, estimates = eg.quantum_egraph(cloud, 0.5, eg.EXACT_SHOTS, "standard", 0)
-        path = tmp_path / "edges.csv"
-        eg.write_edge_list(path, graph, estimates)
-        distance = dict(
-            zip(map(tuple, estimates.pairs.tolist()), estimates.distance_hat.tolist())
-        )
-        rows = [[i, j, f"{distance[i, j]:.17g}"] for i, j in sorted(graph.edges)]
-        assert 0 < len(rows) < len(estimates.p_hat)
-        assert path.read_bytes() == csv_edge_list(rows)

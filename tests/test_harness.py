@@ -15,6 +15,23 @@ from swaplab.statevec import ResourceError
 from oracles import multi_pair_probabilities, per_pair_swap_tests
 
 
+def cell_by_cell(columns, fmt, metadata):
+    """A table's bytes by the per-cell rules: csv.writer over _fmt_cell, or
+    json.dump(indent=2) over one _jsonable dict per row."""
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    want = io.StringIO(newline="")
+    if fmt == "csv":
+        writer = csv.writer(want)
+        writer.writerow(columns)
+        for rec in rows:
+            writer.writerow([harness._fmt_cell(v) for v in rec.values()])
+    else:
+        records = [{k: harness._jsonable(v) for k, v in rec.items()} for rec in rows]
+        json.dump({"metadata": metadata, "records": records}, want, indent=2)
+        want.write("\n")
+    return want.getvalue()
+
+
 class TestWriters:
     def test_csv_float_formatting(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -60,9 +77,16 @@ class TestWriters:
         assert got.getvalue() == want.getvalue()
 
     def test_csv_single_empty_column(self):
-        got = io.StringIO(newline="")
-        harness.write_records([{"x": None}, {"x": 1.0}], got)
-        assert got.getvalue() == 'x\r\n""\r\n1\r\n'
+        # csv.writer quotes a lone empty field: a None, a NaN in a float
+        # list, and an all-NaN numpy column, which is one literal per row
+        for table, want in [
+            ([{"x": None}, {"x": 1.0}], 'x\r\n""\r\n1\r\n'),
+            ({"x": [1.5, math.nan]}, 'x\r\n1.5\r\n""\r\n'),
+            ({"x": np.full(3, math.nan)}, 'x\r\n""\r\n""\r\n""\r\n'),
+        ]:
+            got = io.StringIO(newline="")
+            harness.write_records(table, got)
+            assert got.getvalue() == want
 
     @pytest.mark.parametrize(
         "records,problem",
@@ -104,42 +128,46 @@ class TestWriters:
         }
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         metadata = {"f": "test column"}
-        want = io.StringIO(newline="")
-        if fmt == "csv":
-            writer = csv.writer(want)
-            writer.writerow(columns)
-            for rec in rows:
-                writer.writerow([harness._fmt_cell(v) for v in rec.values()])
-        else:
-            records = [{k: harness._jsonable(v) for k, v in rec.items()} for rec in rows]
-            json.dump({"metadata": metadata, "records": records}, want, indent=2)
-            want.write("\n")
+        want = cell_by_cell(columns, fmt, metadata)
         for table in (rows, columns):
             got = io.StringIO(newline="")
             harness.write_records(table, got, fmt, metadata)
-            assert got.getvalue() == want.getvalue()
+            assert got.getvalue() == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_numpy_columns_write_the_bytes_of_their_lists(self, fmt):
-        # more rows than one CSV block, so blocks join at a row boundary
-        n = harness._CSV_BLOCK_ROWS * 2 + 3
+        # more rows than two blocks at each width, so blocks join at a row
+        # boundary, and a column whose one NaN is in its last block, which
+        # moves the whole column from %.17g to a field per cell
         rng = np.random.default_rng(4)
-        floats = rng.uniform(-1, 1, n)
-        floats[:4] = [math.nan, math.inf, -math.inf, -0.0]
-        columns = {
-            "i": np.arange(n, dtype=np.int64) - 5,
-            "f": floats,
-            "b": rng.uniform(size=n) < 0.5,
-        }
-        want, got = io.StringIO(newline=""), io.StringIO(newline="")
-        harness.write_records({k: v.tolist() for k, v in columns.items()}, want, fmt)
-        harness.write_records(columns, got, fmt)
-        assert got.getvalue() == want.getvalue()
+        for width in (1, 3, 8):
+            n = harness._CSV_BLOCK_CELLS // width * 2 + 3
+            floats = rng.uniform(-1, 1, n)
+            floats[:4] = [math.nan, math.inf, -math.inf, -0.0]
+            late_nan = rng.uniform(-1e300, 1e300, n)
+            late_nan[-1] = math.nan
+            columns = {
+                "f": floats,
+                "i": np.arange(n, dtype=np.int64) - 5,
+                "nan": np.full(n, math.nan),
+                "b": rng.uniform(size=n) < 0.5,
+                "late_nan": late_nan,
+                "u": np.arange(n, dtype=np.uint32),
+                "tiny": rng.uniform(size=n) * 5e-324,
+                "inf": np.full(n, -math.inf),
+            }
+            columns = dict(list(columns.items())[:width])
+            lists = {k: v.tolist() for k, v in columns.items()}
+            want = cell_by_cell(lists, fmt, {})
+            for table in (lists, columns):
+                got = io.StringIO(newline="")
+                harness.write_records(table, got, fmt)
+                assert got.getvalue() == want, (width, type(table["f"]))
 
     def test_numpy_columns_are_converted_a_block_at_a_time(self):
         # the eight estimate columns of a 100,000-row table: as whole lists of
-        # Python scalars they take about 25 MB; block by block the writer
-        # peaks near 0.2 MiB
+        # Python scalars they take about 25 MB, as one JSON dict per row about
+        # 50 MiB; block by block CSV peaks near 0.4 MiB and JSON near 2 MiB
         class Sink:
             size = 0
 
@@ -154,15 +182,30 @@ class TestWriters:
             "p_hat": rng.uniform(size=rows), "overlap_sq_hat": rng.uniform(size=rows),
             "distance_hat": rng.uniform(size=rows), "clamped": rng.uniform(size=rows) < 0.1,
         }
-        sink = Sink()
-        tracemalloc.start()
-        try:
-            harness.write_records(columns, sink)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sink.size > 80 * rows
-        assert peak < 512 * 1024
+        for fmt, bound in (("csv", 512 * 1024), ("json", 4 * 1024 * 1024)):
+            sink = Sink()
+            tracemalloc.start()
+            try:
+                harness.write_records(columns, sink, fmt)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sink.size > 80 * rows
+            assert peak < bound, fmt
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_tables(self, fmt):
+        # no rows: CSV writes a mapping's header only, JSON an empty list
+        # under the metadata, as json.dump does
+        metadata = {"nested": {"a": [1, 2]}, "s": "x\ny"}
+        for table, meta in (([], None), ({"a": [], "b": np.zeros(0)}, metadata)):
+            got = io.StringIO(newline="")
+            harness.write_records(table, got, fmt, meta)
+            if fmt == "csv":
+                assert got.getvalue() == ("a,b\r\n" if table else "")
+            else:
+                want = json.dumps({"metadata": meta or {}, "records": []}, indent=2)
+                assert got.getvalue() == want + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_rejected_before_writing(self, tmp_path, fmt):
@@ -509,6 +552,94 @@ class TestEgraphTrial:
             harness.run_egraph_trial(
                 tmp_path / "nope.csv", 0.7, "brute", 10, 0, tmp_path / "y"
             )
+
+
+def csv_edge_list(rows):
+    """The edge-list bytes that the csv module writes for ``rows``."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["i", "j", "distance_estimate"], *rows])
+    return buf.getvalue().encode()
+
+
+def write_cloud(path, points):
+    path.write_text("".join(",".join(map(repr, p)) + "\n" for p in points))
+    return path
+
+
+class TestEdgeListOutput:
+    """reference_edges.csv and estimate_edges.csv, which write_records
+    writes from the columns _edge_columns decodes from a graph."""
+
+    def test_classical_rows_have_empty_estimate(self, tmp_path):
+        # (0, 1) and (1, 2) are at distance 1, (0, 2) at 2
+        cloud = write_cloud(tmp_path / "cloud.csv", [[0.0], [1.0], [2.0]])
+        harness.run_egraph_trial(cloud, 1.5, "kdtree", math.inf, 0, tmp_path)
+        want = b"i,j,distance_estimate\r\n0,1,\r\n1,2,\r\n"
+        assert want == csv_edge_list([[0, 1, ""], [1, 2, ""]])
+        for name in ("reference_edges.csv", "estimate_edges.csv"):
+            assert (tmp_path / name).read_bytes() == want
+
+    def test_empty_graph(self, tmp_path):
+        cloud = write_cloud(tmp_path / "cloud.csv", [[0.0], [1.0], [2.0], [3.0]])
+        harness.run_egraph_trial(cloud, 0.5, "brute", math.inf, 0, tmp_path)
+        for name in ("reference_edges.csv", "estimate_edges.csv"):
+            assert (tmp_path / name).read_bytes() == b"i,j,distance_estimate\r\n"
+
+    def test_edge_list_spans_blocks(self, tmp_path):
+        # a clique of more edges than two blocks of three-column rows
+        rows = harness._CSV_BLOCK_CELLS // 3
+        n = math.ceil(math.sqrt(4 * rows)) + 2
+        assert n * (n - 1) // 2 > 2 * rows
+        points = [[k / n, 0.0] for k in range(n)]
+        cloud = write_cloud(tmp_path / "cloud.csv", points)
+        reference, _, _ = harness.run_egraph_trial(
+            cloud, 2.0, "kdtree", math.inf, 0, tmp_path
+        )
+        want = csv_edge_list([[i, j, ""] for i, j in sorted(reference.edges)])
+        assert len(reference.edges) == n * (n - 1) // 2
+        assert (tmp_path / "estimate_edges.csv").read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "codes,table_pairs",
+        [
+            ([1, 5], [(0, 1), (0, 2)]),  # (1, 2) past the last row
+            ([2], [(0, 1), (1, 2)]),  # (0, 2) between two rows
+            ([1], []),
+        ],
+    )
+    def test_edge_without_estimate_row_raises(self, tmp_path, codes, table_pairs):
+        # the estimate column comes out short, and write_records' column
+        # length check rejects the table before it opens the file
+        graph = egraph.EpsilonGraph(3, 1.0, codes)
+        values = [0.9] * len(table_pairs)
+        estimates = stats.estimate_overlaps(values, math.inf, pairs=table_pairs)
+        found = len(codes) - 1
+        path = tmp_path / "edges.csv"
+        with pytest.raises(ValueError, match=re.escape(
+            f"column 'distance_estimate' has {found} entries, but column 'i' "
+            f"has {len(codes)}"
+        )):
+            harness.write_records(harness._edge_columns(graph, estimates), path)
+        assert not path.exists()
+
+    def test_quantum_rows_carry_estimates(self, tmp_path):
+        # six unit vectors 12 degrees apart; eps between the 24- and
+        # 36-degree chords, so some pairs are not edges
+        angles = [math.radians(12 * k) for k in range(6)]
+        cloud = write_cloud(tmp_path / "cloud.csv",
+                            [[math.cos(a), math.sin(a)] for a in angles])
+        _, graph, _ = harness.run_egraph_trial(
+            cloud, 0.5, "quantum-standard", math.inf, 0, tmp_path
+        )
+        _, estimates = egraph.quantum_egraph(
+            egraph.load_point_cloud(cloud), 0.5, math.inf, "standard", 0
+        )
+        distance = dict(
+            zip(map(tuple, estimates.pairs.tolist()), estimates.distance_hat.tolist())
+        )
+        rows = [[i, j, f"{distance[i, j]:.17g}"] for i, j in sorted(graph.edges)]
+        assert 0 < len(rows) < len(distance)
+        assert (tmp_path / "estimate_edges.csv").read_bytes() == csv_edge_list(rows)
 
 
 def _oracle_rows(table, shots):

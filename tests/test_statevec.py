@@ -37,7 +37,7 @@ class TestMakeBasisState:
 
     def test_qubit0_is_most_significant(self):
         # |10> must put qubit 0 in |1>: index 2 for two qubits
-        state = sv.tensor([sv.make_basis_state(1, 1), sv.make_basis_state(1, 0)])
+        state = sv.prepare(0, [sv.make_basis_state(1, 1), sv.make_basis_state(1, 0)])
         assert state.amplitudes[2] == 1.0
 
 
@@ -59,23 +59,23 @@ class TestMakeQubitState:
 
 class TestTensor:
     def test_basis_product(self):
-        state = sv.tensor([sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)])
+        state = sv.prepare(0, [sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)])
         assert np.array_equal(state.amplitudes, [0, 1, 0, 0])
 
     def test_plus_zero(self):
         plus = sv.make_qubit_state(math.pi / 2, 0)
-        state = sv.tensor([plus, sv.make_basis_state(1, 0)])
+        state = sv.prepare(0, [plus, sv.make_basis_state(1, 0)])
         s = 1 / math.sqrt(2)
         assert np.allclose(state.amplitudes, [s, 0, s, 0])
 
     def test_norm_multiplicative(self):
         rng = np.random.default_rng(11)
-        state = sv.tensor([random_state(rng, 1) for _ in range(3)])
+        state = sv.prepare(0, [random_state(rng, 1) for _ in range(3)])
         assert abs(state.norm() - 1.0) < 1e-12
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            sv.tensor([])
+            sv.prepare(0, [])
 
 
 class TestHadamard:
@@ -113,7 +113,7 @@ class TestCswap:
 
     def test_superposed_control(self):
         plus = sv.make_qubit_state(math.pi / 2, 0)
-        state = sv.tensor([plus, sv.make_basis_state(2, 0b01)])
+        state = sv.prepare(0, [plus, sv.make_basis_state(2, 0b01)])
         out = sv.apply_cswap(state, 0, 1, 2)
         s = 1 / math.sqrt(2)
         expected = np.zeros(8, complex)
@@ -206,9 +206,9 @@ class TestGateOut:
         parts = [random_state(rng, 2), random_state(rng, 1)]
         before = [p.amplitudes.tobytes() for p in parts]
         for group in ([parts[0]], parts):
-            fresh = sv.tensor(group)
+            fresh = sv.prepare(0, group)
             assert not any(np.shares_memory(fresh.amplitudes, p.amplitudes) for p in parts)
-        state = sv.tensor(parts)
+        state = sv.prepare(0, parts)
         snapshot = state.amplitudes.tobytes()
         for out in (None, np.empty_like(state.amplitudes)):
             sv.apply_hadamard(state, 1, out=out)
@@ -537,8 +537,9 @@ class TestExactMarginal:
 
     def test_orthogonal_swap_test_ancilla(self):
         # built by hand: H, CSWAP, H on |0>|0>|1>
-        state = sv.tensor(
-            [sv.make_basis_state(1, 0), sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)]
+        state = sv.prepare(
+            0,
+            [sv.make_basis_state(1, 0), sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)],
         )
         state = sv.apply_hadamard(state, 0)
         state = sv.apply_cswap(state, 0, 1, 2)
