@@ -11,8 +11,9 @@ index 2 = binary ``10`` is the state |1>|0> with qubit 0 in |1>.
 
 ``prepare`` builds a circuit's one state in a single allocation, or in a
 caller's buffer: the ancillas in |0...0>, the inputs' product, and the
-opening Hadamards on those ancillas.  Each gate is one kernel that writes
-its result in place into ``out`` and returns a StateVector over it.
+opening Hadamards on those ancillas, in one write of each block but two.
+Each gate is one kernel that writes its result in place into ``out`` and
+returns a StateVector over it.
 Without ``out`` it first copies its input, so a gate never mutates its
 input unless given that input's own buffer as ``out``.
 ``circuits.simulate`` does exactly that, with one ``apply_cswap`` call per
@@ -43,9 +44,11 @@ MAX_STATE_BYTES = 16 * 2**MAX_QUBITS
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Largest number of amplitudes a gate touches per step, and the size of its
-# one scratch block: 2^14 complex amplitudes (256 KiB) stay in L2 cache
-# while a whole state streams through it.
-_BLOCK = 2**14
+# one scratch block: 2^16 complex amplitudes (1 MiB) stay in a 2 MiB L2
+# cache while a whole state streams through it, and a swap pass keeps up to
+# 16 target qubits in one block.  apply_hadamard, which streams three arrays
+# of its step's size, steps a quarter block at a time.
+_BLOCK = 2**16
 
 
 class ResourceError(RuntimeError):
@@ -135,16 +138,25 @@ def prepare(
     ``out`` (checked as a gate checks it) with the same bits whatever it
     held before.
 
-    The state's bytes are checked before its one allocation.  The ancillas
-    lead, so only the first 2^(n - ancillas) amplitudes are nonzero, and the
-    inputs' Kronecker product is written there: np.kron's chain from 1 over
-    all inputs but the last, then its outer product with the last straight
-    into the state, in rows of at most ``_BLOCK`` amplitudes, so only the
-    product of the others and a block are built beside it, with the bits of
-    the whole chain.  A Hadamard on an ancilla still in |0> meets zero
-    partners, so it is applied only to the blocks filled so far: with
-    a1 = +0, a1' = (a0 - a1)c and a0' = (a0 + 0)c in ``apply_hadamard``'s
-    order, the bits that kernel gives, while the zero blocks are never read.
+    The state's bytes are checked before its one allocation, and every
+    block of it but two is then written once.  The ancillas lead,
+    so the state is one block of 2^(n - ancillas) amplitudes per setting of
+    them, and the inputs' Kronecker product x is written into the first:
+    np.kron's chain from 1 over all inputs but the last, then its outer
+    product with the last straight into the state, in rows of at most
+    ``_BLOCK`` amplitudes, so only the product of the others and a block
+    are built beside it, with the bits of the whole chain.
+
+    A Hadamard on an ancilla still in |0> meets zero partners: in
+    ``apply_hadamard``'s order a1' = (a0 - 0)c and a0' = (a0 + 0)c.  After
+    k opening Hadamards a block thus holds one of two bit patterns, the
+    bits that kernel gives:
+    - x c ... c (k factors) on the one block that took every Hadamard's |1>
+      branch, computed in place there; it keeps some of x's -0.0 parts;
+    - ((x + 0) c) ... c on every other block a Hadamard reaches, where
+      + 0 has turned every -0.0 part to +0.0 for good; it is computed in
+      the first block and copied to the others.
+    The blocks no Hadamard reaches are zeroed.
     """
     if not inputs:
         raise ValueError("need at least one input register")
@@ -159,7 +171,7 @@ def prepare(
     total = ancillas + sum(s.num_qubits for s in inputs)
     check_state_bytes(total)
     if out is None:
-        amps = np.zeros(2**total, dtype=np.complex128)
+        amps = np.empty(2**total, dtype=np.complex128)
     else:
         _check_out(out, total)
         amps = out
@@ -168,24 +180,29 @@ def prepare(
         prefix = np.kron(prefix, s.amplitudes)
     last = inputs[-1].amplitudes
     size = prefix.size * last.size
-    if out is not None:
-        amps[size:] = 0  # the opening Hadamards read these as zero partners
     product = amps[:size].reshape(prefix.size, last.size)
     # numpy buffers a broadcast product, up to two operands of 8192 entries;
     # rows of at most _BLOCK amplitudes keep that within the block
     rows = max(1, _BLOCK // last.size)
     for r in range(0, prefix.size, rows):
         np.multiply.outer(prefix[r : r + rows], last, out=product[r : r + rows])
-    filled = [0]  # offsets of the blocks that hold amplitudes
+    blocks = amps.reshape(2**ancillas, size)  # one block per ancilla setting
+    filled = [0]  # the blocks the opening Hadamards reach, |1> branches last
     for q in hadamards:
-        step = 2 ** (total - 1 - q)
-        for lo in filled:
-            a0, a1 = amps[lo : lo + size], amps[lo + step : lo + step + size]
-            np.subtract(a0, a1, out=a1)
-            a0 += 0j
-            a0 *= _INV_SQRT2
-            a1 *= _INV_SQRT2
-        filled += [lo + step for lo in filled]
+        filled += [b + 2 ** (ancillas - 1 - q) for b in filled]
+    unfilled = np.ones(len(blocks), dtype=bool)
+    unfilled[filled] = False
+    blocks[unfilled] = 0
+    if hadamards:
+        first, raw = blocks[0], blocks[filled[-1]]
+        np.multiply(first, _INV_SQRT2, out=raw)
+        for _ in hadamards[1:]:
+            raw *= _INV_SQRT2
+        first += 0j
+        for _ in hadamards:
+            first *= _INV_SQRT2
+        for b in filled[1:-1]:
+            np.copyto(blocks[b], first)
     return StateVector(total, amps)
 
 
@@ -222,20 +239,23 @@ def apply_hadamard(
     state: StateVector, qubit: int, out: np.ndarray | None = None
 ) -> StateVector:
     """Hadamard on one qubit, written into ``out`` (see the module
-    docstring).  Scratch: one block of at most ``_BLOCK`` amplitudes.
+    docstring).  Scratch: one step of at most ``_BLOCK // 4`` amplitudes.
 
-    The state is viewed as (2^qubit, 2, 2^(n-1-qubit)) and walked in blocks
-    of the inner axis, several outer rows at once where the inner run is
-    shorter than a block; each block gets the same four elementwise
-    operations, so the bits do not depend on the block size.
+    The state is viewed as (2^qubit, 2, 2^(n-1-qubit)) and walked in steps
+    of at most ``_BLOCK // 4`` amplitudes of the inner axis, several outer
+    rows at once where the inner run is shorter than a step, so that a
+    step's two halves and its scratch stay in cache together; each step
+    gets the same four elementwise operations, so the bits do not depend
+    on the step size.
     """
     state._check_qubit(qubit)
     n = state.num_qubits
     amps = _gate_target(state, out)
     inner = 2 ** (n - 1 - qubit)
     halves = amps.reshape(2**qubit, 2, inner)
-    rows, cols = max(1, _BLOCK // inner), min(inner, _BLOCK)
-    scratch = np.empty(min(_BLOCK, 2 ** (n - 1)), dtype=np.complex128)
+    step = max(1, _BLOCK // 4)
+    rows, cols = max(1, step // inner), min(inner, step)
+    scratch = np.empty(min(step, 2 ** (n - 1)), dtype=np.complex128)
     for r in range(0, 2**qubit, rows):
         for c in range(0, inner, cols):
             a0 = halves[r : r + rows, 0, c : c + cols]

@@ -77,9 +77,23 @@ MUTANTS = (
     Mutant(
         "opening-hadamards-skip-new-blocks",
         "statevec.py",
-        "        filled += [lo + step for lo in filled]\n",
-        "",
+        "for b in filled]",
+        "for b in filled[:1]]",
         "tests/test_circuits.py::TestCircuitJson::test_simulate_matches_reference_kernels",
+    ),
+    Mutant(
+        "all-ones-block-canonical",
+        "statevec.py",
+        "for b in filled[1:-1]:",
+        "for b in filled[1:]:",
+        "tests/test_statevec.py::TestPrepare::test_every_ancilla_opened_matches_the_kernel",
+    ),
+    Mutant(
+        "unopened-blocks-of-out-kept",
+        "statevec.py",
+        "    blocks[unfilled] = 0\n",
+        "    if out is None:\n        blocks[unfilled] = 0\n",
+        "tests/test_statevec.py::TestPrepare::test_dirty_out_gives_the_fresh_bits",
     ),
     Mutant(
         "byte-ceiling-exclusive",
@@ -122,6 +136,13 @@ MUTANTS = (
         "return empty, None",
         'return "%.17g", np.ndarray.tolist',
         "tests/test_harness.py::TestEdgeListOutput::test_classical_rows_have_empty_estimate",
+    ),
+    Mutant(
+        "csv-columns-converted-whole",
+        "harness.py",
+        "args = [(c, f) for c, (_, f)",
+        "args = [(f(c), list) for c, (_, f)",
+        "tests/test_harness.py::TestWriters::test_numpy_columns_are_converted_a_block_at_a_time",
     ),
     Mutant(
         "json-block-separator-dropped",

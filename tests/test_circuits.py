@@ -479,9 +479,9 @@ class TestCircuitJson:
     @pytest.mark.parametrize(
         "circuit,passes",
         [
-            # one call; 16 qubits allow two controls a pass: C and B's swaps,
-            # then A's and the closing swap test's
-            (qc.build_multiswap_full(4, 3), 2),
+            # one call; at 16 qubits a pass has one control, so each
+            # register swap is a pass
+            (qc.build_multiswap_full(4, 3), 4),
             (qc.build_swap_test(3), 1),
             # two calls, one on each side of the Hadamard on qubit 1
             (unmerged_runs_circuit(), 7),
@@ -495,6 +495,20 @@ class TestCircuitJson:
         assert calls == self._stretches(circuit)
         assert len(widths) == passes
         assert sum(widths) == circuit.cswap_count
+
+    def test_multi_w2_stretch_is_one_pass(self, monkeypatch):
+        # build_multiswap_full(8, 2): 23 qubits, whose one stretch of CSWAPs
+        # has 16 targets and 7 controls, one pass at the real block.  The
+        # pass is spied, not run, so the zero state is never written.
+        circuit = qc.build_multiswap_full(8, 2)
+        assert self._stretches(circuit) == 1
+        stretch = [g.qubits for g in circuit.gates if g.kind == "cswap"]
+        widths = []
+        monkeypatch.setattr(sv, "_swap_pass", lambda cube, gates: widths.append(len(gates)))
+        n = circuit.layout.total_qubits
+        amps = np.zeros(2**n, dtype=np.complex128)
+        sv.apply_cswap(sv.StateVector(n, amps), *zip(*stretch), out=amps)
+        assert widths == [len(stretch)] == [circuit.cswap_count]
 
     @pytest.mark.parametrize(
         "block,gates,widths",
@@ -586,9 +600,9 @@ class TestCircuitJson:
             assert got.tobytes() == marginal_reference(state, qubits).tobytes(), qubits
 
     @pytest.mark.parametrize("measure", [None, "marginal", "sample"])
-    @pytest.mark.parametrize("case", ["swap-19", "multi-15", "multi-w3"])
+    @pytest.mark.parametrize("case", ["swap-21", "multi-15", "multi-w3"])
     def test_simulate_peak_is_one_state_and_a_few_blocks(self, monkeypatch, case, measure):
-        # swap-19: two 9-qubit registers, an 8 MiB state at the real block
+        # swap-21: two 10-qubit registers, a 32 MiB state at the real block
         # size.  multi-15: build_multiswap_full(8, 1) in blocks of 1024
         # amplitudes, where a Kronecker chain's last partial product is half
         # the state.  multi-w3: build_multiswap_full(4, 3), 16 qubits, in
@@ -596,9 +610,9 @@ class TestCircuitJson:
         # Copy-per-gate kernels peak at 2.5 states, whole-array in-place
         # kernels, that chain and a whole-array |amp|^2 at 1.5.
         rng = np.random.default_rng(4)
-        if case == "swap-19":
-            circuit = qc.build_swap_test(9)
-            inputs = [sv.prepare(0, random_qubits(rng, 9)) for _ in range(2)]
+        if case == "swap-21":
+            circuit = qc.build_swap_test(10)
+            inputs = [sv.prepare(0, random_qubits(rng, 10)) for _ in range(2)]
         elif case == "multi-15":
             monkeypatch.setattr(sv, "_BLOCK", 1024)
             circuit = qc.build_multiswap_full(8, 1)

@@ -165,16 +165,16 @@ class TestWriters:
                 assert got.getvalue() == want, (width, type(table["f"]))
 
     def test_numpy_columns_are_converted_a_block_at_a_time(self):
-        # the eight estimate columns of a 100,000-row table: as whole lists of
-        # Python scalars they take about 25 MB, as one JSON dict per row about
-        # 50 MiB; block by block CSV peaks near 0.4 MiB and JSON near 2 MiB
+        # the eight estimate columns of a 20,000-row table: as whole lists of
+        # Python scalars they take about 5 MB, as one JSON dict per row about
+        # 10 MiB; block by block CSV peaks near 0.35 MiB and JSON near 1.7 MiB
         class Sink:
             size = 0
 
             def write(self, text):
                 self.size += len(text)
 
-        rows = 100_000
+        rows = 20_000
         rng = np.random.default_rng(5)
         columns = {
             "i": np.arange(rows), "j": np.arange(rows) + 1,

@@ -310,10 +310,11 @@ class TestRegisterSwap:
         TestBlockedKernels._check(sv.apply_cswap, register_swap_reference, state,
                                   control, a, b)
 
-    @pytest.mark.parametrize("w", [2, 8])
-    def test_real_block_17_qubits(self, w):
-        # w = 8 takes two passes of at most 7 pairs; the scratch stays one block
-        n = 17
+    @pytest.mark.parametrize("w", [2, 9])
+    def test_real_block_19_qubits(self, w):
+        # w = 9 takes two passes of at most 8 pairs; the scratch stays one
+        # block, an eighth of the state, which a half-state kernel overruns
+        n = 19
         state = random_state(np.random.default_rng(w), n)
         a, b = list(range(1, 1 + w)), list(range(n - w, n))
         TestBlockedKernels._check(sv.apply_cswap, register_swap_reference, state,
@@ -407,16 +408,16 @@ class TestCswapRun:
         assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
 
     def test_real_block_two_passes_in_one_block(self):
-        # 15 targets over two controls at 17 qubits: two passes, and the
-        # scratch stays one block
-        n = 17
+        # 17 targets over two controls at 19 qubits: two passes, and the
+        # scratch stays one block, an eighth of the state
+        n = 19
         rng = np.random.default_rng(41)
         state = random_state(rng, n)
         targets = [q for q in range(n) if q not in (0, 9)]
-        a = targets[:8] + targets[1:8]
-        b = targets[7:] + targets[:7]
-        controls = [0, 9] * 7 + [9]
-        assert len(set(a + b)) == 15
+        a = targets[:9] + targets[1:9]
+        b = targets[8:] + targets[:8]
+        controls = [0, 9] * 8 + [9]
+        assert len(set(a + b)) == 17
         TestBlockedKernels._check(sv.apply_cswap, run_reference, state, controls, a, b)
         own = state.amplitudes.copy()
         tracemalloc.start()
@@ -504,6 +505,20 @@ class TestPrepare:
         for q in (2, 0):
             ref = sv.apply_hadamard(ref, q)
         assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    def test_every_ancilla_opened_matches_the_kernel(self):
+        # a register whose product keeps a -0.0 real part through x c: only
+        # the block on every Hadamard's |1> branch, never added to +0, keeps it
+        inputs = [sv.StateVector(1, np.array([complex(-0.0, 0.6), -0.8])),
+                  self.INPUTS[1]]
+        state = sv.prepare(3, inputs, [0, 1, 2])
+        ref = sv.prepare(3, inputs)
+        for q in (0, 1, 2):
+            ref = sv.apply_hadamard(ref, q)
+        assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        parts = state.amplitudes.view(np.float64).reshape(8, 16)
+        negative_zero = (np.signbit(parts) & (parts == 0.0)).any(axis=1)
+        assert negative_zero.tolist() == [False] * 7 + [True]
 
     @pytest.mark.parametrize("hadamards", [[0, 0], [3], [-1]])
     def test_rejects_other_hadamards(self, hadamards):
