@@ -405,9 +405,10 @@ def simulate(
     into that state, so the inputs are never touched: one
     ``statevec.apply_hadamard`` call per Hadamard, and one
     ``statevec.apply_cswap`` call per maximal stretch of consecutive CSWAPs,
-    which cuts it into passes over the state; the gate list and its counts
-    stay per qubit.  Each call adds only one block of scratch, so the run
-    peaks at that one state plus a few blocks.
+    on the stretch's (control, a, b) ``Gate.qubits`` as they stand, and
+    that call cuts the stretch into passes over the state; the gate list
+    and its counts stay per qubit.  Each call adds only one block of
+    scratch, so the run peaks at that one state plus a few blocks.
     """
     layout = circuit.layout
     if len(inputs) != layout.n:
@@ -428,7 +429,7 @@ def simulate(
     for kind, run in groupby(circuit.gates[len(opening) :], key=lambda g: g.kind):
         qubits = [g.qubits for g in run]
         if kind == "cswap":
-            state = statevec.apply_cswap(state, *zip(*qubits), out=state.amplitudes)
+            state = statevec.apply_cswap(state, qubits, out=state.amplitudes)
         else:
             for (q,) in qubits:
                 state = statevec.apply_hadamard(state, q, out=state.amplitudes)

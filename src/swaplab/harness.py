@@ -133,7 +133,8 @@ def write_records(records: Sequence[Record] | Mapping[str, Sequence],
                     f"(those of record 0): extra {extra}, missing {missing}"
                 )
         columns = [[rec[k] for rec in records] for k in header]
-    nrows = len(columns[0]) if columns else 0
+    # row dicts with no keys are rows of no columns: JSON writes each as {}
+    nrows = len(columns[0]) if columns else len(records)
     for name, column in zip(header, columns):
         if len(column) != nrows:
             raise ValueError(f"column {name!r} has {len(column)} entries, but "
@@ -151,7 +152,8 @@ def write_records(records: Sequence[Record] | Mapping[str, Sequence],
             conversions = [_conversion(c, empty) for c in columns]
             line = ",".join(spec for spec, _ in conversions) + "\r\n"
             args = [(c, f) for c, (_, f) in zip(columns, conversions) if f is not None]
-            for start in range(0, nrows, step):
+            # a table with no columns writes no CSV lines
+            for start in range(0, nrows if columns else 0, step):
                 rows = min(step, nrows - start)
                 cells = [None] * (len(args) * rows)
                 for k, (column, f) in enumerate(args):
@@ -166,7 +168,8 @@ def write_records(records: Sequence[Record] | Mapping[str, Sequence],
             for start in range(0, nrows, step):
                 cells = [map(_jsonable, _as_list(c[start:start + step]))
                          for c in columns]
-                text = encoder.encode([dict(zip(header, r)) for r in zip(*cells)])
+                rows = zip(*cells) if columns else [()] * min(step, nrows - start)
+                text = encoder.encode([dict(zip(header, r)) for r in rows])
                 fh.write("," * (start > 0) + text[1:-2].replace("\n", "\n  "))
             fh.write("\n  ]\n}\n" if nrows else "]\n}\n")
     finally:

@@ -1,9 +1,9 @@
 """Dense state-vector simulation of a multi-qubit register.
 
 Only the two gate types needed by the swap-test circuits are provided
-(Hadamard and controlled-SWAP, the latter also as a whole controlled register
-swap or a run of controlled swaps in one call), plus basis/Bloch state
-preparation, exact marginal extraction and seeded shot sampling.
+(Hadamard, and controlled-SWAP as a sequence of (control, a, b) gates
+applied in order in one call), plus basis/Bloch state preparation, exact
+marginal extraction and seeded shot sampling.
 
 Qubit ordering convention (fixed everywhere in this package): qubit 0 is
 the MOST significant bit of the basis-state index.  For a 2-qubit register,
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -267,26 +268,20 @@ def apply_hadamard(
     return StateVector(n, amps)
 
 
-def _register(qubits: int | Sequence[int]) -> tuple[int, ...]:
-    return tuple(qubits) if isinstance(qubits, Sequence) else (qubits,)
-
-
 def apply_cswap(
     state: StateVector,
-    control: int | Sequence[int],
-    a: int | Sequence[int],
-    b: int | Sequence[int],
+    gates: Sequence[Sequence[int]],
     out: np.ndarray | None = None,
 ) -> StateVector:
-    """Controlled register swap, or a run of controlled swaps, written into
-    ``out`` (see the module docstring).
+    """Controlled swaps, applied in order and written into ``out`` (see the
+    module docstring).
 
-    With one ``control``, where it is |1> exchange qubit ``a[k]`` with
-    ``b[k]`` for every k: ``a`` and ``b`` are single qubits (one Fredkin
-    gate) or equal-length sequences of qubits (a width-w register swap, the
-    w Fredkin gates at once, which commute).  With a sequence of controls,
-    one per pair, apply the gates (control[k], a[k], b[k]) in order k; a
-    qubit may be a target of one gate and the control of another.
+    ``gates`` is a non-empty sequence of (control, a, b) triples: where
+    qubit ``control`` is |1>, exchange qubits ``a`` and ``b``.  A width-w
+    controlled register swap is its w triples on one control, and a qubit
+    may be a target of one gate and the control of another.  Each gate
+    needs three distinct qubits of the state; a ValueError names the first
+    gate that has not, before anything is written.
 
     A pure basis-index permutation, hence exactly unitary (amplitudes are
     moved, never recombined); a register swap is exactly its own inverse.
@@ -307,30 +302,15 @@ def apply_cswap(
     and written back through the permutation, so a pass moves each
     amplitude it permutes once.
     """
-    controls, a, b = _register(control), _register(a), _register(b)
-    for q in (*controls, *a, *b):
-        state._check_qubit(q)
-    if not a or len(a) != len(b):
-        raise ValueError(
-            f"cswap registers must be nonempty and of equal length, got {a} and {b}"
-        )
-    if not isinstance(control, Sequence):
-        if len({control, *a, *b}) != 1 + 2 * len(a):
-            raise ValueError(
-                f"cswap qubits must be distinct, got control {control} and "
-                f"registers {a} and {b}"
-            )
-        controls *= len(a)
-    elif len(controls) != len(a):
-        raise ValueError(
-            f"a cswap run needs one control per pair, got {len(controls)} "
-            f"controls for {len(a)} pairs"
-        )
-    gates = list(zip(controls, a, b))
-    for gate in gates:
-        if len(set(gate)) != 3:
-            raise ValueError(f"cswap gate {gate} needs three distinct qubits")
     n = state.num_qubits
+    gates = [tuple(map(operator.index, gate)) for gate in gates]
+    if not gates:
+        raise ValueError("apply_cswap needs at least one (control, a, b) gate")
+    for gate in gates:
+        if len(gate) != 3 or len(set(gate)) != 3 or not all(0 <= q < n for q in gate):
+            raise ValueError(
+                f"cswap gate {gate} needs three distinct qubits of 0..{n - 1}"
+            )
     amps = _gate_target(state, out)
     cube = amps.reshape((2,) * n)
     width = _BLOCK.bit_length() - 1

@@ -68,6 +68,20 @@ MUTANTS = (
         "tests/test_statevec.py::TestCswapRun::test_matches_per_gate_chain",
     ),
     Mutant(
+        "lead-blocks-after-the-first-skipped",
+        "statevec.py",
+        "itertools.product((0, 1), repeat=len(lead))",
+        "itertools.product((0,), repeat=len(lead))",
+        "tests/test_statevec.py::TestBlockedKernels::test_real_block_cswap_18_qubits",
+    ),
+    Mutant(
+        "cswap-gate-distinctness-dropped",
+        "statevec.py",
+        " or len(set(gate)) != 3",
+        "",
+        "tests/test_statevec.py::TestCswap::test_bad_gates_named",
+    ),
+    Mutant(
         "inv-sqrt2-one-ulp-high",
         "statevec.py",
         "_INV_SQRT2 = 1.0 / math.sqrt(2.0)",
@@ -150,6 +164,20 @@ MUTANTS = (
         '"," * (start > 0)',
         '""',
         "tests/test_harness.py::TestWriters::test_numpy_columns_write_the_bytes_of_their_lists[json]",
+    ),
+    Mutant(
+        "keyless-json-rows-dropped",
+        "harness.py",
+        "if columns else len(records)",
+        "if columns else 0",
+        "tests/test_harness.py::TestWriters::test_empty_tables[json]",
+    ),
+    Mutant(
+        "scaling-kl-at-the-other-endpoint",
+        "harness.py",
+        '"kl_multi": stats.kl_bernoulli(alpha_multi, p_max)',
+        '"kl_multi": stats.kl_bernoulli(alpha_multi, p_min)',
+        "tests/test_golden.py::test_outputs_match_manifest",
     ),
     Mutant(
         "stirling-index-15-to-14",

@@ -457,9 +457,9 @@ class TestCircuitJson:
         calls, widths = [], []
         kernel, swap_pass = sv.apply_cswap, sv._swap_pass
 
-        def counted(state, control, a, b, out=None):
-            calls.append(len(a))
-            return kernel(state, control, a, b, out=out)
+        def counted(state, gates, out=None):
+            calls.append(len(gates))
+            return kernel(state, gates, out=out)
 
         def spied(cube, gates):
             widths.append(len(gates))
@@ -507,7 +507,7 @@ class TestCircuitJson:
         monkeypatch.setattr(sv, "_swap_pass", lambda cube, gates: widths.append(len(gates)))
         n = circuit.layout.total_qubits
         amps = np.zeros(2**n, dtype=np.complex128)
-        sv.apply_cswap(sv.StateVector(n, amps), *zip(*stretch), out=amps)
+        sv.apply_cswap(sv.StateVector(n, amps), stretch, out=amps)
         assert widths == [len(stretch)] == [circuit.cswap_count]
 
     @pytest.mark.parametrize(

@@ -196,16 +196,21 @@ class TestWriters:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_tables(self, fmt):
         # no rows: CSV writes a mapping's header only, JSON an empty list
-        # under the metadata, as json.dump does
+        # under the metadata; rows with no keys, in one block or more: CSV
+        # writes nothing, JSON each row as {}; both as json.dump does
         metadata = {"nested": {"a": [1, 2]}, "s": "x\ny"}
-        for table, meta in (([], None), ({"a": [], "b": np.zeros(0)}, metadata)):
+        keyless = [{}] * (harness._CSV_BLOCK_CELLS + 1)
+        cases = [([], None, ""), ({"a": [], "b": np.zeros(0)}, metadata, "a,b\r\n"),
+                 ([{}, {}], None, ""), (keyless, metadata, "")]
+        for table, meta, csv_text in cases:
             got = io.StringIO(newline="")
             harness.write_records(table, got, fmt, meta)
             if fmt == "csv":
-                assert got.getvalue() == ("a,b\r\n" if table else "")
+                assert got.getvalue() == csv_text
             else:
-                want = json.dumps({"metadata": meta or {}, "records": []}, indent=2)
-                assert got.getvalue() == want + "\n"
+                rows = table if isinstance(table, list) else []
+                want = json.dumps({"metadata": meta or {}, "records": rows}, indent=2)
+                assert got.getvalue() == want + "\n", len(rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_rejected_before_writing(self, tmp_path, fmt):

@@ -18,6 +18,11 @@ def random_state(rng, num_qubits):
     return sv.StateVector(num_qubits, amps)
 
 
+def run_reference(state, gates):
+    """(control, a, b) CSWAPs one after another, each whole-array."""
+    return functools.reduce(lambda s, gate: cswap_reference(s, *gate), gates, state)
+
+
 class TestMakeBasisState:
     def test_zero(self):
         assert np.array_equal(sv.make_basis_state(1, 0).amplitudes, [1, 0])
@@ -103,18 +108,18 @@ class TestCswap:
     def test_control_on(self):
         # |1,01> -> |1,10>
         state = sv.make_basis_state(3, 0b101)
-        out = sv.apply_cswap(state, 0, 1, 2)
+        out = sv.apply_cswap(state, [(0, 1, 2)])
         assert out.amplitudes[0b110] == 1.0
 
     def test_control_off(self):
         state = sv.make_basis_state(3, 0b001)
-        out = sv.apply_cswap(state, 0, 1, 2)
+        out = sv.apply_cswap(state, [(0, 1, 2)])
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_superposed_control(self):
         plus = sv.make_qubit_state(math.pi / 2, 0)
         state = sv.prepare(0, [plus, sv.make_basis_state(2, 0b01)])
-        out = sv.apply_cswap(state, 0, 1, 2)
+        out = sv.apply_cswap(state, [(0, 1, 2)])
         s = 1 / math.sqrt(2)
         expected = np.zeros(8, complex)
         expected[0b001] = s  # control 0 branch untouched
@@ -124,7 +129,7 @@ class TestCswap:
     def test_involution_bitwise_exact(self):
         rng = np.random.default_rng(17)
         state = random_state(rng, 4)
-        twice = sv.apply_cswap(sv.apply_cswap(state, 2, 0, 3), 2, 0, 3)
+        twice = sv.apply_cswap(sv.apply_cswap(state, [(2, 0, 3)]), [(2, 0, 3)])
         assert np.array_equal(twice.amplitudes, state.amplitudes)
 
     @pytest.mark.parametrize("control,a,b", list(itertools.permutations(range(4), 3)))
@@ -140,17 +145,57 @@ class TestCswap:
                 bit[a], bit[b] = bit[b], bit[a]
             target = sum(v << (n - 1 - q) for q, v in enumerate(bit))
             expected[target] = state.amplitudes[idx]
-        out = sv.apply_cswap(state, control, a, b)
+        out = sv.apply_cswap(state, [(control, a, b)])
         assert np.array_equal(out.amplitudes, expected)
 
     def test_duplicate_indices(self):
         state = sv.make_basis_state(3, 0)
         with pytest.raises(ValueError):
-            sv.apply_cswap(state, 0, 0, 1)
+            sv.apply_cswap(state, [(0, 0, 1)])
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            sv.apply_cswap(sv.make_basis_state(3, 0), 0, 1, 3)
+            sv.apply_cswap(sv.make_basis_state(3, 0), [(0, 1, 3)])
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            [(1, 3, 0)],
+            [[1, 3, 0]],
+            ((1, 3, 0),),
+            np.array([[1, 3, 0]]),
+            [(np.int64(1), np.int64(3), 0)],
+        ],
+        ids=["tuple", "list", "tuple-of-tuples", "numpy-rows", "numpy-ints"],
+    )
+    def test_gate_forms_agree(self, gates):
+        state = random_state(np.random.default_rng(29), 5)
+        expected = cswap_reference(state, 1, 3, 0).amplitudes.tobytes()
+        assert sv.apply_cswap(state, gates).amplitudes.tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "gates,problem",
+        [
+            ([], "apply_cswap needs at least one (control, a, b) gate"),
+            ([(0, 1, 3), (0, 2, 2)], "cswap gate (0, 2, 2) needs three distinct"),
+            ([(2, 1, 3), (2, 2, 4)], "cswap gate (2, 2, 4) needs three distinct"),
+            ([(np.int64(4), 4, 1)], "cswap gate (4, 4, 1) needs three distinct"),
+            ([(0, 1, 2), (0, 5, 3)], "cswap gate (0, 5, 3) needs three distinct "
+                                     "qubits of 0..4"),
+            ([(-1, 1, 2)], "cswap gate (-1, 1, 2) needs three distinct"),
+            ([(0, 2, 1), (3, 4)], "cswap gate (3, 4) needs three distinct"),
+            ([(0, 1, 2, 3)], "cswap gate (0, 1, 2, 3) needs three distinct"),
+        ],
+        ids=["empty", "repeated-target", "control-is-target", "numpy-int-named",
+             "out-of-range", "negative", "short", "long"],
+    )
+    def test_bad_gates_named(self, gates, problem):
+        # the first bad gate is named before the output is written
+        state = sv.make_basis_state(5, 3)
+        out = np.full(32, np.nan, dtype=np.complex128)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            sv.apply_cswap(state, gates, out=out)
+        assert np.isnan(out).all()
 
 
 class TestGateOut:
@@ -178,7 +223,7 @@ class TestGateOut:
     def test_cswap_every_ordered_triple(self, n):
         state = random_state(np.random.default_rng(n), n)
         for triple in itertools.permutations(range(n), 3):
-            self._check_out(sv.apply_cswap, state, *triple)
+            self._check_out(sv.apply_cswap, state, [triple])
 
     @pytest.mark.parametrize(
         "out,problem",
@@ -196,7 +241,7 @@ class TestGateOut:
         with pytest.raises(ValueError, match=problem):
             sv.apply_hadamard(state, 0, out=out)
         with pytest.raises(ValueError, match=problem):
-            sv.apply_cswap(state, 0, 1, 2, out=out)
+            sv.apply_cswap(state, [(0, 1, 2)], out=out)
         with pytest.raises(ValueError, match=problem):
             sv.prepare(2, [sv.make_basis_state(1, 0)] * 2, [0], out=out)
         assert state.amplitudes[3] == 1.0
@@ -212,7 +257,7 @@ class TestGateOut:
         snapshot = state.amplitudes.tobytes()
         for out in (None, np.empty_like(state.amplitudes)):
             sv.apply_hadamard(state, 1, out=out)
-            sv.apply_cswap(state, 1, 0, 2, out=out)
+            sv.apply_cswap(state, [(1, 0, 2)], out=out)
         assert state.amplitudes.tobytes() == snapshot
         assert [p.amplitudes.tobytes() for p in parts] == before
 
@@ -245,7 +290,7 @@ class TestBlockedKernels:
         monkeypatch.setattr(sv, "_BLOCK", block)
         state = random_state(np.random.default_rng(5), 5)
         for triple in itertools.permutations(range(5), 3):
-            self._check(sv.apply_cswap, cswap_reference, state, *triple)
+            self._check(sv.apply_cswap, run_reference, state, [triple])
 
     @pytest.mark.parametrize("block", [1, 2, 8])
     def test_cswap_sampled_triples(self, monkeypatch, block):
@@ -254,7 +299,7 @@ class TestBlockedKernels:
         state = random_state(rng, 9)
         triples = list(itertools.permutations(range(9), 3))
         for i in rng.choice(len(triples), 40, replace=False):
-            self._check(sv.apply_cswap, cswap_reference, state, *triples[i])
+            self._check(sv.apply_cswap, run_reference, state, [triples[i]])
 
     def test_real_block_17_qubits(self):
         n = 17
@@ -262,17 +307,18 @@ class TestBlockedKernels:
         state = random_state(rng, n)
         for q in range(n):
             self._check(sv.apply_hadamard, hadamard_reference, state, q)
-        triples = [(0, 1, 2), (16, 15, 14), (0, 15, 16), (16, 0, 1), (8, 0, 16)]
+
+    def test_real_block_cswap_18_qubits(self):
+        # a single CSWAP keeps the n - 1 non-control qubits; past a block,
+        # _swap_pass fixes a lead qubit and walks a block per setting of it
+        n = 18
+        assert n - 1 > sv._BLOCK.bit_length() - 1
+        rng = np.random.default_rng(18)
+        state = random_state(rng, n)
+        triples = [(0, 1, 2), (17, 16, 15), (0, 16, 17), (17, 0, 1), (9, 0, 17)]
         triples += [tuple(rng.choice(n, 3, replace=False).tolist()) for _ in range(5)]
         for triple in triples:
-            self._check(sv.apply_cswap, cswap_reference, state, *triple)
-
-
-def register_swap_reference(state, control, a, b):
-    """A register swap as its CSWAPs one after another, whole-array."""
-    return functools.reduce(
-        lambda s, pair: cswap_reference(s, control, *pair), zip(a, b), state
-    )
+            self._check(sv.apply_cswap, run_reference, state, [triple])
 
 
 def register_layout(roles):
@@ -280,6 +326,11 @@ def register_layout(roles):
     control, a and b the registers' qubits in order, f a free qubit."""
     where = {r: [q for q, x in enumerate(roles) if x == r] for r in "cab"}
     return where["c"][0], where["a"], where["b"], len(roles)
+
+
+def register_swap(control, a, b):
+    """The (control, a[k], b[k]) gates of a controlled register swap."""
+    return [(control, x, y) for x, y in zip(a, b)]
 
 
 # control before, between and after two contiguous registers, and the
@@ -293,9 +344,10 @@ REGISTER_LAYOUTS = {
 
 
 class TestRegisterSwap:
-    """One call swaps a whole register pair: bit for bit the w CSWAPs one
-    after another, at the real block and at 64 amplitudes, where states of
-    8 to 15 qubits span many blocks and four pairs take two passes."""
+    """One call swaps a whole register pair, given as its w gates on one
+    control: bit for bit the w CSWAPs one after another, at the real block
+    and at 64 amplitudes, where states of 8 to 15 qubits span many blocks
+    and four pairs take two passes."""
 
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("layout", sorted(REGISTER_LAYOUTS))
@@ -307,8 +359,8 @@ class TestRegisterSwap:
         if layout == "interleaved":
             b = b[::-1]
         state = random_state(np.random.default_rng(w * n), n)
-        TestBlockedKernels._check(sv.apply_cswap, register_swap_reference, state,
-                                  control, a, b)
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state,
+                                  register_swap(control, a, b))
 
     @pytest.mark.parametrize("w", [2, 9])
     def test_real_block_19_qubits(self, w):
@@ -316,13 +368,12 @@ class TestRegisterSwap:
         # block, an eighth of the state, which a half-state kernel overruns
         n = 19
         state = random_state(np.random.default_rng(w), n)
-        a, b = list(range(1, 1 + w)), list(range(n - w, n))
-        TestBlockedKernels._check(sv.apply_cswap, register_swap_reference, state,
-                                  0, a, b)
+        gates = register_swap(0, range(1, 1 + w), range(n - w, n))
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, gates)
         own = state.amplitudes.copy()
         tracemalloc.start()
         try:
-            sv.apply_cswap(sv.StateVector(n, own), 0, a, b, out=own)
+            sv.apply_cswap(sv.StateVector(n, own), gates, out=own)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -330,62 +381,42 @@ class TestRegisterSwap:
 
     def test_involution_bitwise_exact(self):
         state = random_state(np.random.default_rng(23), 9)
-        once = sv.apply_cswap(state, 4, [0, 2, 7], [8, 1, 3])
+        gates = register_swap(4, [0, 2, 7], [8, 1, 3])
+        once = sv.apply_cswap(state, gates)
         assert once.amplitudes.tobytes() != state.amplitudes.tobytes()
-        twice = sv.apply_cswap(once, 4, [0, 2, 7], [8, 1, 3])
+        twice = sv.apply_cswap(once, gates)
         assert twice.amplitudes.tobytes() == state.amplitudes.tobytes()
 
     @pytest.mark.parametrize(
-        "a,b", [([3], [0]), ((3,), (0,)), (range(3, 4), range(1)), (np.int64(3), 0)]
+        "a,b", [((1, 2), (2, 3)), ((1, 1), (2, 3))], ids=["shared", "repeated"]
     )
-    def test_single_qubit_forms_agree(self, a, b):
-        state = random_state(np.random.default_rng(29), 5)
-        expected = cswap_reference(state, 1, 3, 0).amplitudes.tobytes()
-        assert sv.apply_cswap(state, 1, a, b).amplitudes.tobytes() == expected
-
-    @pytest.mark.parametrize(
-        "control,a,b,problem",
-        [
-            (0, (1, 2), (3,), "equal length, got (1, 2) and (3,)"),
-            (0, (), (), "nonempty"),
-            (0, (1, 2), (2, 3), "distinct, got control 0 and registers (1, 2) and (2, 3)"),
-            (0, (1, 1), (2, 3), "distinct, got control 0 and registers (1, 1) and (2, 3)"),
-            (2, (1, 2), (3, 4), "distinct, got control 2 and registers (1, 2) and (3, 4)"),
-            (0, (1, 5), (2, 3), "qubit index 5 out of range"),
-        ],
-    )
-    def test_bad_registers_named(self, control, a, b, problem):
-        state = sv.make_basis_state(5, 3)
-        with pytest.raises(ValueError, match=re.escape(problem)):
-            sv.apply_cswap(state, control, a, b)
-
-
-def run_reference(state, controls, a, b):
-    """A run of CSWAPs as its gates one after another, whole-array."""
-    return functools.reduce(
-        lambda s, gate: cswap_reference(s, *gate), zip(controls, a, b), state
-    )
+    def test_overlapping_registers_are_sequential_gates(self, a, b):
+        # registers that share a qubit are no register swap, but their gates
+        # are well defined one after another
+        state = random_state(np.random.default_rng(37), 5)
+        gates = register_swap(0, a, b)
+        expected = run_reference(state, gates).amplitudes.tobytes()
+        assert sv.apply_cswap(state, gates).amplitudes.tobytes() == expected
 
 
 def random_run(rng, n, controls):
-    """(controls, a, b) of a run on ``n`` qubits with ``controls`` distinct
-    controls, each used at least once, and targets drawn from every other
-    qubit, so that gates share targets."""
+    """The (control, a, b) gates of a run on ``n`` qubits with ``controls``
+    distinct controls, each used at least once, and targets drawn from
+    every other qubit, so that gates share targets."""
     ctrl = rng.choice(n, controls, replace=False).tolist()
     others = [q for q in range(n) if q not in ctrl]
     length = int(rng.integers(controls, 3 * controls + 6))
     gate_controls = ctrl + rng.choice(ctrl, length - controls).tolist()
     pairs = [rng.choice(others, 2, replace=False).tolist() for _ in gate_controls]
-    a, b = zip(*pairs)
-    return gate_controls, list(a), list(b)
+    return [(c, x, y) for c, (x, y) in zip(gate_controls, pairs)]
 
 
 class TestCswapRun:
-    """With one control per pair, one call applies the CSWAPs in order: bit
-    for bit the per-gate chain, at the real block and at 64 amplitudes,
-    where a run's targets take several passes and its control settings
-    split the state into many blocks, also where a qubit is a control in
-    one gate and a target in another."""
+    """One call applies a run of CSWAPs in order: bit for bit the per-gate
+    chain, at the real block and at 64 amplitudes, where a run's targets
+    take several passes and its control settings split the state into many
+    blocks, also where a qubit is a control in one gate and a target in
+    another."""
 
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("case", range(12))
@@ -395,16 +426,16 @@ class TestCswapRun:
         n, controls = 6 + case, 1 + case % 4
         rng = np.random.default_rng(100 + case)
         state = random_state(rng, n)
-        run = random_run(rng, n, controls)
-        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, *run)
+        gates = random_run(rng, n, controls)
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, gates)
 
     def test_run_then_reverse_restores(self):
         rng = np.random.default_rng(31)
         state = random_state(rng, 10)
-        controls, a, b = random_run(rng, 10, 3)
-        once = sv.apply_cswap(state, controls, a, b)
+        gates = random_run(rng, 10, 3)
+        once = sv.apply_cswap(state, gates)
         assert once.amplitudes.tobytes() != state.amplitudes.tobytes()
-        back = sv.apply_cswap(once, controls[::-1], a[::-1], b[::-1])
+        back = sv.apply_cswap(once, gates[::-1])
         assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
 
     def test_real_block_two_passes_in_one_block(self):
@@ -416,13 +447,13 @@ class TestCswapRun:
         targets = [q for q in range(n) if q not in (0, 9)]
         a = targets[:9] + targets[1:9]
         b = targets[8:] + targets[:8]
-        controls = [0, 9] * 8 + [9]
+        gates = list(zip([0, 9] * 8 + [9], a, b))
         assert len(set(a + b)) == 17
-        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, controls, a, b)
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, gates)
         own = state.amplitudes.copy()
         tracemalloc.start()
         try:
-            sv.apply_cswap(sv.StateVector(n, own), controls, a, b, out=own)
+            sv.apply_cswap(sv.StateVector(n, own), gates, out=own)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -448,8 +479,9 @@ class TestCswapRun:
 
         monkeypatch.setattr(sv, "_swap_pass", spied)
         state = random_state(np.random.default_rng(sum(a)), 5)
-        expected = run_reference(state, controls, a, b).amplitudes.tobytes()
-        assert sv.apply_cswap(state, controls, a, b).amplitudes.tobytes() == expected
+        gates = list(zip(controls, a, b))
+        expected = run_reference(state, gates).amplitudes.tobytes()
+        assert sv.apply_cswap(state, gates).amplitudes.tobytes() == expected
         assert widths == [1, 1]
 
     @pytest.mark.parametrize("block", [None, 64])
@@ -464,25 +496,8 @@ class TestCswapRun:
         state = random_state(rng, n)
         gates = [rng.choice(n, 3, replace=False).tolist()
                  for _ in range(int(rng.integers(4, 16)))]
-        controls, a, b = (list(q) for q in zip(*gates))
-        assert set(controls) & set(a + b)
-        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, controls, a, b)
-
-    @pytest.mark.parametrize(
-        "controls,a,b,problem",
-        [
-            ((0, 1), (2, 3), (4,), "equal length, got (2, 3) and (4,)"),
-            ((), (), (), "nonempty"),
-            ((0,), (2, 3), (1, 4), "one control per pair, got 1 controls for 2 pairs"),
-            ((0, 1, 2), (3, 4), (4, 3), "one control per pair, got 3 controls for 2 pairs"),
-            ((0, 1), (2, 3), (2, 4), "cswap gate (0, 2, 2) needs three distinct qubits"),
-            ((0, 5), (2, 3), (1, 4), "qubit index 5 out of range"),
-        ],
-    )
-    def test_bad_runs_named(self, controls, a, b, problem):
-        state = sv.make_basis_state(5, 3)
-        with pytest.raises(ValueError, match=re.escape(problem)):
-            sv.apply_cswap(state, controls, a, b)
+        assert {c for c, _, _ in gates} & {q for _, x, y in gates for q in (x, y)}
+        TestBlockedKernels._check(sv.apply_cswap, run_reference, state, gates)
 
 
 class TestPrepare:
@@ -557,7 +572,7 @@ class TestExactMarginal:
             [sv.make_basis_state(1, 0), sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)],
         )
         state = sv.apply_hadamard(state, 0)
-        state = sv.apply_cswap(state, 0, 1, 2)
+        state = sv.apply_cswap(state, [(0, 1, 2)])
         state = sv.apply_hadamard(state, 0)
         table = sv.exact_marginal(state, [0])
         assert abs(table[0] - 0.5) < 1e-12
@@ -673,9 +688,8 @@ class TestInvariants:
                 q = int(rng.integers(4))
                 a, b = sv.apply_hadamard(a, q), sv.apply_hadamard(b, q)
             else:
-                qs = rng.permutation(4)[:3]
-                a = sv.apply_cswap(a, int(qs[0]), int(qs[1]), int(qs[2]))
-                b = sv.apply_cswap(b, int(qs[0]), int(qs[1]), int(qs[2]))
+                gates = [rng.permutation(4)[:3]]
+                a, b = sv.apply_cswap(a, gates), sv.apply_cswap(b, gates)
         assert abs(a.norm() - 1.0) < 1e-10
         assert abs(b.norm() - 1.0) < 1e-10
         assert abs(sv.inner_product(a, b) - before) < 1e-10
