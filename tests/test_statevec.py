@@ -398,6 +398,23 @@ class TestRegisterSwap:
         expected = run_reference(state, gates).amplitudes.tobytes()
         assert sv.apply_cswap(state, gates).amplitudes.tobytes() == expected
 
+    @pytest.mark.parametrize(
+        "control,a,b,problem",
+        [
+            pytest.param(0, (), (), "needs at least one (control, a, b) gate",
+                         id="0-a1-b1-nonempty"),
+            pytest.param(0, (1, 5), (2, 3), "cswap gate (0, 5, 3) needs three "
+                         "distinct qubits of 0..4",
+                         id="0-a5-b5-qubit index 5 out of range"),
+        ],
+    )
+    def test_bad_registers_named(self, control, a, b, problem):
+        # an empty register pair is no gate; a register qubit out of range is
+        # named by its gate
+        state = sv.make_basis_state(5, 3)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            sv.apply_cswap(state, register_swap(control, a, b))
+
 
 def random_run(rng, n, controls):
     """The (control, a, b) gates of a run on ``n`` qubits with ``controls``
@@ -498,6 +515,22 @@ class TestCswapRun:
                  for _ in range(int(rng.integers(4, 16)))]
         assert {c for c, _, _ in gates} & {q for _, x, y in gates for q in (x, y)}
         TestBlockedKernels._check(sv.apply_cswap, run_reference, state, gates)
+
+    @pytest.mark.parametrize(
+        "controls,a,b,problem",
+        [
+            pytest.param((), (), (), "needs at least one (control, a, b) gate",
+                         id="controls1-a1-b1-nonempty"),
+            pytest.param((0, 5), (2, 3), (1, 4), "cswap gate (5, 3, 4) needs "
+                         "three distinct qubits of 0..4",
+                         id="controls5-a5-b5-qubit index 5 out of range"),
+        ],
+    )
+    def test_bad_runs_named(self, controls, a, b, problem):
+        # an empty run is no gate; a control out of range is named by its gate
+        state = sv.make_basis_state(5, 3)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            sv.apply_cswap(state, list(zip(controls, a, b)))
 
 
 class TestPrepare:
