@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands: swap-test, pair-map, eq1-audit, bounds, lemma1, scaling,
-gatecount, egraph.  Each subparser binds its runner in ``harness`` and names
-its flags' destinations after that runner's keyword arguments, so ``main``
-calls the runner with the parsed flags as they are.  ``--seed`` is accepted
-everywhere and passed on only to the runners that take one.  All
+gatecount, egraph.  Each subparser names its runner in ``harness`` and its
+flags' destinations after that runner's keyword arguments, so ``main``
+calls the runner with the parsed flags as they are.  ``main`` may be called
+any number of times in one process: every call parses with one parser,
+built on the first call, which callers must not mutate.  Each call looks its
+runner up in ``harness`` by name when it runs it, so a runner replaced in
+``harness`` after the parser was built is the one that runs.  ``--seed`` is
+accepted everywhere and passed on only to the runners that take one.  All
 configuration is explicit flags; no environment variables are consulted.
 Reruns with identical flags and seed produce byte-identical output files.
 A flag that takes a value takes the next token, even one that starts with
@@ -17,6 +21,7 @@ ResourceError ends the run as an argparse error does: one line
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 
@@ -95,7 +100,12 @@ def _add_common(parser: argparse.ArgumentParser, runner) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and the same object on every
+    later one; ``main`` parses every call with it, so callers must not mutate
+    it.  Each subparser's ``runner`` default is the ``harness`` function it
+    names, and ``main`` looks that name up in ``harness`` when it runs."""
     parser = _Parser(
         prog="swaplab",
         description="Swap-test distance estimation lab: circuit audits, "
@@ -170,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     kwargs = vars(build_parser().parse_args(argv))
     subcommand = kwargs.pop("subcommand")
-    runner = kwargs.pop("runner")
+    # by name, not the function bound when the parser was built: a runner
+    # replaced in harness since (a test's fake, a tracer's wrapper) must run
+    runner = getattr(harness, kwargs.pop("runner").__name__)
     out = kwargs.pop("out")
     fmt = kwargs.pop("format")
     if "seed" not in inspect.signature(runner).parameters:

@@ -186,6 +186,20 @@ MUTANTS = (
         "idx = np.minimum(n, 14.0)",
         "tests/test_stats.py::TestFalseNegativeExact::test_matches_fraction_oracle_small_n",
     ),
+    Mutant(
+        "parser-built-per-call",
+        "cli.py",
+        "@functools.cache\ndef build_parser",
+        "def build_parser",
+        "tests/test_cli.py::TestSharedParser::test_two_calls_build_the_parser_once",
+    ),
+    Mutant(
+        "runner-bound-at-parser-build",
+        "cli.py",
+        'getattr(harness, kwargs.pop("runner").__name__)',
+        'kwargs.pop("runner")',
+        "tests/test_cli.py::TestSharedParser::test_runner_replaced_after_the_parser_is_built",
+    ),
 )
 
 # runs pytest in the subprocess, then reports the swaplab it imported

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import swaplab
-from swaplab import statevec
+from swaplab import cli, harness, statevec
 from swaplab.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -312,6 +312,8 @@ def _readme_cli_lines():
 def test_readme_cli_examples_parse(line):
     args = build_parser().parse_args(shlex.split(line)[1:])
     assert callable(args.runner)
+    # main runs the runner of that name in harness: it must be this one
+    assert getattr(harness, args.runner.__name__) is args.runner
 
 
 def test_import_leaves_scipy_out():
@@ -359,13 +361,76 @@ def _cloud(tmp_path):
     return cloud
 
 
+def _written(out):
+    """The bytes of ``out``, or of every file in it if it is a directory."""
+    if out.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return out.read_bytes()
+
+
 def _output_bytes(args, out):
     """Run the CLI writing to ``out`` and return the bytes it wrote (every
     file of the output directory, for egraph)."""
     run_cli(args + ["--out", str(out)])
-    if out.is_dir():
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    return out.read_bytes()
+    return _written(out)
+
+
+def _fresh_output_bytes(args, out):
+    """As ``_output_bytes``, from the CLI in a fresh child process."""
+    proc = _swaplab(*args, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return _written(out)
+
+
+class TestSharedParser:
+    """``main`` parses every call in a process with one parser, and runs the
+    runner that ``harness`` holds at the time of the call."""
+
+    def test_two_calls_build_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert main(["lemma1"]) == 0
+        first = list(built)
+        assert main(["lemma1"]) == 0
+        # the first call builds the tree unless an earlier one did
+        assert first.count("swaplab") <= 1 and built == first
+        assert build_parser() is build_parser()
+
+    def test_no_flag_carries_to_the_next_call(self, tmp_path):
+        base = ["egraph", "--points", str(_cloud(tmp_path)), "--eps", "0.6"]
+        flagged = _output_bytes(
+            base + ["--mode", "kdtree", "--seed", "3", "--format", "json"],
+            tmp_path / "flagged",
+        )
+        plain = _output_bytes(base, tmp_path / "plain")
+        assert plain == _fresh_output_bytes(base, tmp_path / "fresh")
+        assert plain["summary.json"] != flagged["summary.json"]  # mode, seed
+
+    def test_bad_flag_leaves_nothing_behind(self, tmp_path, capsys):
+        # every flag before --bogus is parsed into the namespace, then argparse
+        # exits; the next call must see none of them
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n-list", "2", "--alpha-grid", "0.5", "--p-grid", "0.9",
+                  "--format", "json", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        good = ["bounds", "--n-list", "2"]
+        assert (_output_bytes(good, tmp_path / "after.csv")
+                == _fresh_output_bytes(good, tmp_path / "fresh.csv"))
+
+    def test_runner_replaced_after_the_parser_is_built(self, monkeypatch, capsys):
+        assert main(["lemma1"]) == 0
+        assert capsys.readouterr().out.startswith("alpha,p,")
+        monkeypatch.setattr(harness, "run_lemma1_example",
+                            lambda: ([{"patched": 1}], {}))
+        assert main(["lemma1"]) == 0
+        assert capsys.readouterr().out == "patched\r\n1\r\n"
 
 
 UNSEEDED = [
