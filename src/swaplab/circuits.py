@@ -23,8 +23,10 @@ allocated depth-first: the three new ancillas (A, B, C top to bottom) stack
 on top of the shared block used by both sub-circuits, giving exactly
 d_n = 3*log2(n/2) mid ancillas and 3n/2-3 register swaps.
 
-All ancillas start in |0> and every circuit opens with explicit Hadamards,
-so only two gate kinds exist.  CircuitSpec and PairMap are immutable after
+All ancillas start in |0> and every circuit opens with one explicit
+Hadamard on each ancilla, which ``simulate`` requires, so only two gate
+kinds exist.  The ancillas lead the layout, so the measured qubits are the
+leading ``ancilla_count`` ones.  CircuitSpec and PairMap are immutable after
 construction and safe to share between threads.
 """
 
@@ -96,12 +98,6 @@ class RegisterLayout:
     @property
     def ancilla_count(self) -> int:
         return (0 if self.top_ancilla is None else 1) + len(self.mid_ancillas)
-
-    @property
-    def measured_qubits(self) -> tuple[int, ...]:
-        """Top ancilla (if present) followed by the mid ancillas."""
-        top = () if self.top_ancilla is None else (self.top_ancilla,)
-        return top + self.mid_ancillas
 
 
 @dataclass(frozen=True)
@@ -399,11 +395,11 @@ def simulate(
     in a fresh state or in ``out``, which ``statevec.prepare`` checks and
     fills whatever it held before.
 
-    The gates up to the first that is not a Hadamard on a fresh ancilla
-    (every builder here opens with H on its ancillas) are part of the one
-    state that ``statevec.prepare`` builds.  The later gates write in place
-    into that state, so the inputs are never touched: one
-    ``statevec.apply_hadamard`` call per Hadamard, and one
+    The circuit must open with one Hadamard on each ancilla, as every
+    builder here does; a ValueError says so before anything is allocated.
+    Those gates are part of the one state that ``statevec.prepare`` builds.
+    The later gates write in place into that state, so the inputs are never
+    touched: one ``statevec.apply_hadamard`` call per Hadamard, and one
     ``statevec.apply_cswap`` call per maximal stretch of consecutive CSWAPs,
     on the stretch's (control, a, b) ``Gate.qubits`` as they stand, and
     that call cuts the stretch into passes over the state; the gate list
@@ -418,21 +414,22 @@ def simulate(
             raise ValueError(
                 f"circuit expects width-{layout.w} registers, got {s.num_qubits}"
             )
+    ancillas = layout.ancilla_count
+    opening = circuit.gates[:ancillas]
+    if sorted(g.qubits[0] for g in opening if g.kind == "h") != list(range(ancillas)):
+        raise ValueError(
+            f"the circuit must open with one Hadamard on each of its {ancillas} "
+            f"ancillas, got {[(g.kind, *g.qubits) for g in opening]}"
+        )
     state_bytes(circuit)
-    opening: list[int] = []
-    for g in circuit.gates:
-        q = g.qubits[0]
-        if g.kind != "h" or q >= layout.ancilla_count or q in opening:
-            break
-        opening.append(q)
-    state = statevec.prepare(layout.ancilla_count, inputs, opening, out=out)
-    for kind, run in groupby(circuit.gates[len(opening) :], key=lambda g: g.kind):
+    state = statevec.prepare(ancillas, inputs, out=out)
+    for kind, run in groupby(circuit.gates[ancillas:], key=lambda g: g.kind):
         qubits = [g.qubits for g in run]
         if kind == "cswap":
-            state = statevec.apply_cswap(state, qubits, out=state.amplitudes)
+            statevec.apply_cswap(state, qubits)
         else:
             for (q,) in qubits:
-                state = statevec.apply_hadamard(state, q, out=state.amplitudes)
+                statevec.apply_hadamard(state, q)
     return state
 
 

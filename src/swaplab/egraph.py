@@ -459,7 +459,7 @@ def _multi_values(encoded, shots, rng):
     circuits.state_bytes(circuit)
     pair_map = circuits.derive_pair_map(m)
     state = circuits.simulate(circuit, padded)
-    measured = circuit.layout.measured_qubits
+    measured = circuit.layout.ancilla_count
     if math.isfinite(shots):
         table = statevec.sample_outcomes(state, measured, shots, rng)
     else:

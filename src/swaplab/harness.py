@@ -223,12 +223,12 @@ def run_swap_test(
     shots = statevec.check_shots(shots)
     circuit = circuits.build_swap_test(a.num_qubits)
     state = circuits.simulate(circuit, [a, b])
-    p_exact = statevec.exact_marginal(state, [0])[0].item()
+    p_exact = statevec.exact_marginal(state, 1)[0].item()
     overlap_sq_true = abs(statevec.inner_product(a, b)) ** 2
     value = p_exact
     if math.isfinite(shots):
         value = statevec.sample_outcomes(
-            state, [0], shots, np.random.default_rng(np.random.SeedSequence([seed]))
+            state, 1, shots, np.random.default_rng(np.random.SeedSequence([seed]))
         )[0]
     est = stats.estimate_overlaps(value, shots)
     record = {
@@ -303,7 +303,7 @@ def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[Record], dic
     pm = circuits.derive_pair_map(n)
     circuit = circuits.build_multiswap_full(n, 1)
     d = pm.d
-    measured = circuit.layout.measured_qubits
+    measured = circuit.layout.ancilla_count
     pair_i, pair_j = np.triu_indices(n, 1)  # the pair order of reduce_by_pair
     labels_i, labels_j = (pair_i + 1).tolist(), (pair_j + 1).tolist()
     records = []
@@ -412,19 +412,22 @@ def run_bounds_sweep(
             f"no (alpha, p) cell with alpha < p < 1: alpha grid {alphas}, "
             f"p grid {p_grid}"
         )
+    # the kl column once per (alpha, p), not once per N; the bounds are
+    # chernoff_upper's and chernoff_lower's own expressions on it, bit for bit
+    kls = [stats.kl_bernoulli(alpha, p) for alpha, p in cells]
     records = []
     for N in n_values:
         aligned = {alpha: stats.threshold_aligned(N, alpha) for alpha in alphas}
-        for alpha, p in cells:
+        for (alpha, p), kl in zip(cells, kls):
             xi = stats.false_negative_exact(N, alpha, p)
-            upper = stats.chernoff_upper(N, alpha, p)
-            lower = stats.chernoff_lower(N, alpha, p)
+            upper = math.exp(-N * kl)
+            lower = upper / math.sqrt(2.0 * N)
             records.append(
                 {
                     "N": N,
                     "alpha": alpha,
                     "p": p,
-                    "kl": stats.kl_bernoulli(alpha, p),
+                    "kl": kl,
                     "xi_exact": xi,
                     "upper": upper,
                     "lower": lower,

@@ -10,21 +10,20 @@ the MOST significant bit of the basis-state index.  For a 2-qubit register,
 index 2 = binary ``10`` is the state |1>|0> with qubit 0 in |1>.
 
 ``prepare`` builds a circuit's one state in a single allocation, or in a
-caller's buffer: the ancillas in |0...0>, the inputs' product, and the
-opening Hadamards on those ancillas, in one write of each block but two.
-Each gate is one kernel that writes its result in place into ``out`` and
-returns a StateVector over it.
-Without ``out`` it first copies its input, so a gate never mutates its
-input unless given that input's own buffer as ``out``.
-``circuits.simulate`` does exactly that, with one ``apply_cswap`` call per
-stretch of consecutive controlled swaps; ``apply_cswap`` alone cuts a
-stretch into passes, so each amplitude a pass permutes is moved once per
-pass, not once per gate.  A gate walks the state in blocks of at most
-``_BLOCK`` amplitudes through one block of scratch, and ``exact_marginal``
-folds it a block at a time, so a simulate-and-measure run holds one state
-plus a few blocks.  Sampling takes an explicit Generator; there is no
-hidden global RNG state.  ``check_bytes`` is the one byte-ceiling check,
-for states and for the package's other large tables alike.
+caller's buffer: the ancillas in |0...0>, the inputs' product, and an
+opening Hadamard on every ancilla, in one write of each block but two.
+Each gate is one kernel that writes its result in place into the state's
+own amplitudes and returns that state.  ``circuits.simulate`` makes one
+``apply_cswap`` call per stretch of consecutive controlled swaps;
+``apply_cswap`` alone cuts a stretch into passes, so each amplitude a pass
+permutes is moved once per pass, not once per gate.  A gate walks the state
+in blocks of at most ``_BLOCK`` amplitudes through one block of scratch,
+and ``exact_marginal`` folds it a block at a time, so a
+simulate-and-measure run holds one state plus a few blocks.  The measured
+qubits are always the leading ones (the ancillas lead).  Sampling takes an
+explicit Generator; there is no hidden global RNG state.  ``check_bytes``
+is the one byte-ceiling check, for states and for the package's other
+large tables alike.
 """
 
 from __future__ import annotations
@@ -129,15 +128,12 @@ def make_qubit_state(theta: float, phi: float) -> StateVector:
 
 
 def prepare(
-    ancillas: int,
-    inputs: Sequence[StateVector],
-    hadamards: Sequence[int] = (),
-    out: np.ndarray | None = None,
+    ancillas: int, inputs: Sequence[StateVector], out: np.ndarray | None = None
 ) -> StateVector:
     """``ancillas`` qubits in |0...0> followed by the input registers, then a
-    Hadamard on each listed ancilla in turn, in one fresh state, or in
-    ``out`` (checked as a gate checks it) with the same bits whatever it
-    held before.
+    Hadamard on every ancilla, in one fresh state, or in ``out`` (a
+    writable, C-contiguous complex128 array of 2^n entries) with the same
+    bits whatever it held before.
 
     The state's bytes are checked before its one allocation, and every
     block of it but two is then written once.  The ancillas lead,
@@ -150,31 +146,23 @@ def prepare(
 
     A Hadamard on an ancilla still in |0> meets zero partners: in
     ``apply_hadamard``'s order a1' = (a0 - 0)c and a0' = (a0 + 0)c.  After
-    k opening Hadamards a block thus holds one of two bit patterns, the
-    bits that kernel gives:
-    - x c ... c (k factors) on the one block that took every Hadamard's |1>
-      branch, computed in place there; it keeps some of x's -0.0 parts;
-    - ((x + 0) c) ... c on every other block a Hadamard reaches, where
-      + 0 has turned every -0.0 part to +0.0 for good; it is computed in
-      the first block and copied to the others.
-    The blocks no Hadamard reaches are zeroed.
+    the k = ``ancillas`` opening Hadamards a block thus holds one of two bit
+    patterns, the bits that kernel gives:
+    - x c ... c (k factors) on the last block, the one that took every
+      Hadamard's |1> branch, computed in place there; it keeps some of x's
+      -0.0 parts;
+    - ((x + 0) c) ... c on every other block, where + 0 has turned every
+      -0.0 part to +0.0 for good; it is computed in the first block and
+      copied to each block between.
     """
     if not inputs:
         raise ValueError("need at least one input register")
-    hadamards = list(hadamards)
-    if len(set(hadamards)) != len(hadamards) or not all(
-        0 <= q < ancillas for q in hadamards
-    ):
-        raise ValueError(
-            f"opening Hadamards must be on distinct ancillas 0..{ancillas - 1}, "
-            f"got {hadamards}"
-        )
     total = ancillas + sum(s.num_qubits for s in inputs)
     check_state_bytes(total)
     if out is None:
         amps = np.empty(2**total, dtype=np.complex128)
     else:
-        _check_out(out, total)
+        _check_buffer(out, total, "out")
         amps = out
     prefix = np.ones(1, dtype=np.complex128)
     for s in inputs[:-1]:
@@ -187,60 +175,43 @@ def prepare(
     rows = max(1, _BLOCK // last.size)
     for r in range(0, prefix.size, rows):
         np.multiply.outer(prefix[r : r + rows], last, out=product[r : r + rows])
-    blocks = amps.reshape(2**ancillas, size)  # one block per ancilla setting
-    filled = [0]  # the blocks the opening Hadamards reach, |1> branches last
-    for q in hadamards:
-        filled += [b + 2 ** (ancillas - 1 - q) for b in filled]
-    unfilled = np.ones(len(blocks), dtype=bool)
-    unfilled[filled] = False
-    blocks[unfilled] = 0
-    if hadamards:
-        first, raw = blocks[0], blocks[filled[-1]]
+    if ancillas:
+        blocks = amps.reshape(2**ancillas, size)  # one block per ancilla setting
+        first, raw = blocks[0], blocks[-1]
         np.multiply(first, _INV_SQRT2, out=raw)
-        for _ in hadamards[1:]:
+        for _ in range(ancillas - 1):
             raw *= _INV_SQRT2
         first += 0j
-        for _ in hadamards:
+        for _ in range(ancillas):
             first *= _INV_SQRT2
-        for b in filled[1:-1]:
-            np.copyto(blocks[b], first)
+        for block in blocks[1:-1]:
+            np.copyto(block, first)
     return StateVector(total, amps)
 
 
-def _check_out(out: np.ndarray, num_qubits: int) -> None:
-    """Check that ``out`` can hold a state of ``num_qubits`` qubits: a
-    writable, C-contiguous complex128 array of 2^n entries."""
+def _check_buffer(amps: np.ndarray, num_qubits: int, what: str) -> None:
+    """Check that ``amps`` can hold a state of ``num_qubits`` qubits written
+    in place: a writable, C-contiguous complex128 array of 2^n entries.  A
+    ValueError names ``what`` was checked."""
     size = 2**num_qubits
-    if not isinstance(out, np.ndarray) or out.dtype != np.complex128:
-        got = getattr(out, "dtype", type(out).__name__)
-        raise ValueError(f"out must be a complex128 array, got dtype {got}")
-    if out.shape != (size,):
+    if not isinstance(amps, np.ndarray) or amps.dtype != np.complex128:
+        got = getattr(amps, "dtype", type(amps).__name__)
+        raise ValueError(f"{what} must be a complex128 array, got dtype {got}")
+    if amps.shape != (size,):
         raise ValueError(
-            f"out must be of length {size} for {num_qubits} qubits, "
-            f"got shape {out.shape}"
+            f"{what} must be of length {size} for {num_qubits} qubits, "
+            f"got shape {amps.shape}"
         )
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    if not out.flags.writeable:
-        raise ValueError("out must be writable, got a read-only array")
+    if not amps.flags.c_contiguous:
+        raise ValueError(f"{what} must be C-contiguous")
+    if not amps.flags.writeable:
+        raise ValueError(f"{what} must be writable, got a read-only array")
 
 
-def _gate_target(state: StateVector, out: np.ndarray | None) -> np.ndarray:
-    """The array a gate writes into, holding the input amplitudes: a copy of
-    them, or ``out`` (which may be ``state.amplitudes`` itself)."""
-    if out is None:
-        return state.amplitudes.copy()
-    _check_out(out, state.num_qubits)
-    if out is not state.amplitudes:
-        np.copyto(out, state.amplitudes)
-    return out
-
-
-def apply_hadamard(
-    state: StateVector, qubit: int, out: np.ndarray | None = None
-) -> StateVector:
-    """Hadamard on one qubit, written into ``out`` (see the module
-    docstring).  Scratch: one step of at most ``_BLOCK // 4`` amplitudes.
+def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
+    """Hadamard on one qubit, written in place into the state's amplitudes;
+    returns ``state``.  Scratch: one step of at most ``_BLOCK // 4``
+    amplitudes.
 
     The state is viewed as (2^qubit, 2, 2^(n-1-qubit)) and walked in steps
     of at most ``_BLOCK // 4`` amplitudes of the inner axis, several outer
@@ -250,8 +221,8 @@ def apply_hadamard(
     on the step size.
     """
     state._check_qubit(qubit)
-    n = state.num_qubits
-    amps = _gate_target(state, out)
+    n, amps = state.num_qubits, state.amplitudes
+    _check_buffer(amps, n, "the state a Hadamard writes")
     inner = 2 ** (n - 1 - qubit)
     halves = amps.reshape(2**qubit, 2, inner)
     step = max(1, _BLOCK // 4)
@@ -265,16 +236,12 @@ def apply_hadamard(
             a0 += a1
             a0 *= _INV_SQRT2
             np.multiply(diff, _INV_SQRT2, out=a1)
-    return StateVector(n, amps)
+    return state
 
 
-def apply_cswap(
-    state: StateVector,
-    gates: Sequence[Sequence[int]],
-    out: np.ndarray | None = None,
-) -> StateVector:
-    """Controlled swaps, applied in order and written into ``out`` (see the
-    module docstring).
+def apply_cswap(state: StateVector, gates: Sequence[Sequence[int]]) -> StateVector:
+    """Controlled swaps, applied in order and written in place into the
+    state's amplitudes; returns ``state``.
 
     ``gates`` is a non-empty sequence of (control, a, b) triples: where
     qubit ``control`` is |1>, exchange qubits ``a`` and ``b``.  A width-w
@@ -311,8 +278,8 @@ def apply_cswap(
             raise ValueError(
                 f"cswap gate {gate} needs three distinct qubits of 0..{n - 1}"
             )
-    amps = _gate_target(state, out)
-    cube = amps.reshape((2,) * n)
+    _check_buffer(state.amplitudes, n, "the state a cswap writes")
+    cube = state.amplitudes.reshape((2,) * n)
     width = _BLOCK.bit_length() - 1
     most_controls = max(1, n - width)
     start, fixed, targets = 0, set(), set()  # the pass's controls and targets
@@ -328,7 +295,7 @@ def apply_cswap(
         fixed.add(c)
         targets |= {x, y}
     _swap_pass(cube, gates[start:])
-    return StateVector(n, amps)
+    return state
 
 
 def _swap_pass(cube: np.ndarray, gates: list[tuple[int, int, int]]) -> None:
@@ -360,49 +327,35 @@ def _swap_pass(cube: np.ndarray, gates: list[tuple[int, int, int]]) -> None:
             blk[...] = moved
 
 
-def exact_marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Exact outcome probabilities of measuring the listed qubits.
+def exact_marginal(state: StateVector, k: int) -> np.ndarray:
+    """Exact outcome probabilities of measuring the leading ``k`` qubits.
 
     Returns a float64 array of the 2^k probabilities indexed by outcome
-    number, the first listed qubit as the most significant bit.  They sum
-    |amplitude|^2 over the unlisted qubits and add up to 1 within 1e-10.
+    number, qubit 0 as the most significant bit.  They sum |amplitude|^2
+    over the other qubits and add up to 1 within 1e-10.
 
     The state is read a block of at most ``_BLOCK`` amplitudes at a time.
-    Each run of amplitudes that share the qubits up to the last listed one
-    is summed pairwise; a run longer than a block is summed in blocks whose
-    sums add as a binary tree, which is how numpy's pairwise sum splits a
-    whole run (for blocks of at least its 128-element base case), so the
-    bits do not depend on the block size.  The table over those leading
-    qubits is then summed to the listed ones.  Beside the state this holds
-    one block and one float per piece summed, 2^n / min(run, ``_BLOCK``);
-    every caller in the package measures a prefix of the qubits (the
-    ancillas lead), where that is the larger of 2^k and 2^n / _BLOCK.
+    Each run of 2^(n - k) amplitudes that share an outcome is summed
+    pairwise; a run longer than a block is summed in blocks whose sums add
+    as a binary tree, which is how numpy's pairwise sum splits a whole run
+    (for blocks of at least its 128-element base case), so the bits do not
+    depend on the block size.  Beside the state this holds one block and
+    one float per piece summed, the larger of 2^k and 2^n / ``_BLOCK``.
     """
-    qubits = list(qubits)
-    for q in qubits:
-        state._check_qubit(q)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"measurement qubits must be distinct, got {qubits}")
-    lead = max(qubits, default=-1) + 1
-    run = 2 ** (state.num_qubits - lead)
-    chunk = min(run, _BLOCK)
+    n = state.num_qubits
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot measure the leading {k} of {n} qubits")
+    chunk = min(2 ** (n - k), _BLOCK)
     chunks = state.amplitudes.reshape(-1, chunk)
     rows = _BLOCK // chunk
     sums = np.empty(len(chunks))
     for r in range(0, len(chunks), rows):
         block = np.abs(chunks[r : r + rows])
         np.square(block, out=block).sum(axis=1, out=sums[r : r + rows])
-    sums = sums.reshape(2**lead, -1)
+    sums = sums.reshape(2**k, -1)
     while sums.shape[1] > 1:
         sums = sums[:, 0::2] + sums[:, 1::2]
-    probs = sums.reshape((2,) * lead)
-    other = tuple(ax for ax in range(lead) if ax not in qubits)
-    marg = probs.sum(axis=other) if other else probs
-    # marg axes are the kept qubits in increasing index order; reorder to the
-    # requested order.
-    kept_sorted = sorted(qubits)
-    order = [kept_sorted.index(q) for q in qubits]
-    return np.transpose(marg, axes=order).reshape(-1)
+    return sums.reshape(-1)
 
 
 # Largest finite shot budget: counts up to 2^53 are exact in float64, where
@@ -423,12 +376,9 @@ def check_shots(shots):
 
 
 def sample_outcomes(
-    state: StateVector,
-    qubits: Sequence[int],
-    shots: int,
-    rng: np.random.Generator,
+    state: StateVector, k: int, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``shots`` i.i.d. measurement samples of the listed qubits.
+    """Draw ``shots`` i.i.d. measurement samples of the leading ``k`` qubits.
 
     Returns int64 counts indexed by outcome number, as exact_marginal.
     Implemented as one multinomial draw from ``rng`` over the exact marginal,
@@ -439,7 +389,7 @@ def sample_outcomes(
     shots = check_shots(shots)
     if shots == math.inf:
         raise ValueError(f"shots must be finite to sample, got {shots}")
-    pvals = np.clip(exact_marginal(state, qubits), 0.0, None)
+    pvals = np.clip(exact_marginal(state, k), 0.0, None)
     pvals /= pvals.sum()
     return rng.multinomial(shots, pvals)
 

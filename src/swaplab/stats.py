@@ -260,6 +260,12 @@ def kl_bernoulli(a: float, p: float) -> float:
     return -a * math.log1p(delta / a) - (1.0 - a) * math.log1p(-delta / (1.0 - a))
 
 
+# Cap on the threshold snap's tolerance N*1e-12, far below 1/2: uncapped it
+# reaches 1/2 at N = 5*10^11, and every N*(1-alpha) then snaps to its
+# nearest integer.  The cap binds only past N = 10^9.
+_SNAP_CAP = 1e-3
+
+
 def _threshold(N: int, alpha: float) -> tuple[int, bool]:
     """(tail_threshold, threshold_aligned) from the exact rational
     N*(1-alpha) = N*(b-a)/b, where a/b is alpha's binary fraction.  Python's
@@ -270,14 +276,14 @@ def _threshold(N: int, alpha: float) -> tuple[int, bool]:
     num = N * (b - a)
     x = num / b
     nearest = round(x)
-    if abs(x - nearest) <= 1e-12 * N:
+    if abs(x - nearest) <= min(1e-12 * N, _SNAP_CAP):
         return nearest, True
     return -(-num // b), False
 
 
 def tail_threshold(N: int, alpha: float) -> int:
     """ceil(N*(1-alpha)), evaluated in exact rational arithmetic and snapped
-    to the nearest integer when within N*1e-12 of one.
+    to the nearest integer when within min(N*1e-12, 1e-3) of one.
 
     The snap honours decimal intent: a threshold like 0.95 is not exactly
     representable in binary, and without it N*(1-alpha) can land a hair above
@@ -298,7 +304,10 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
     """Exact false-negative probability: the upper binomial tail
     sum_{i=ceil(N(1-alpha))}^{N} C(N,i) (1-p)^i p^{N-i}.
 
-    Relative error <= 1e-12 for N up to 10^6 (within double range).  Only
+    Relative error <= 1e-12 for N up to 10^5 (worst measured 6.4e-13, near
+    alpha).  Near alpha it grows past that: 1.79e-12 at N = 10^6, alpha =
+    0.3, p = 0.313487321026845, and 6.5e-12 at N = 10^7, because the means
+    N*q and N*p are rounded to doubles (ROADMAP item 9).  Only
     the window of terms described in the module docstring is summed; the
     terms past it add less than 4.3e-18 of the tail.  Raises
     statevec.ResourceError when that window would not fit in

@@ -6,7 +6,8 @@
 
 For each mutant the package is copied to a temporary directory and the
 replacement applied; a replacement that does not match exactly once is an
-error, so a mutant cannot go stale unnoticed.  The named node then runs in
+error, so a mutant cannot go stale unnoticed (``tests/test_mutants.py``
+applies every replacement in the suite, with no subprocess).  The named node then runs in
 a subprocess with ``-o pythonpath=<copy>/src``: the project's own
 ``pythonpath = ["src"]`` would otherwise put the checkout ahead of
 PYTHONPATH and test the unmutated code, so the subprocess also reports the
@@ -89,25 +90,46 @@ MUTANTS = (
         "tests/test_statevec.py::TestBlockedKernels::test_hadamard_every_qubit",
     ),
     Mutant(
-        "opening-hadamards-skip-new-blocks",
+        "one-middle-block-left-unwritten",
         "statevec.py",
-        "for b in filled]",
-        "for b in filled[:1]]",
+        "for block in blocks[1:-1]:",
+        "for block in blocks[2:-1]:",
         "tests/test_circuits.py::TestCircuitJson::test_simulate_matches_reference_kernels",
     ),
     Mutant(
         "all-ones-block-canonical",
         "statevec.py",
-        "for b in filled[1:-1]:",
-        "for b in filled[1:]:",
+        "for block in blocks[1:-1]:",
+        "for block in blocks[1:]:",
         "tests/test_statevec.py::TestPrepare::test_every_ancilla_opened_matches_the_kernel",
     ),
     Mutant(
-        "unopened-blocks-of-out-kept",
+        "middle-blocks-of-out-kept",
         "statevec.py",
-        "    blocks[unfilled] = 0\n",
-        "    if out is None:\n        blocks[unfilled] = 0\n",
+        "for block in blocks[1:-1]:",
+        "for block in blocks[1:-1] if out is None else ():",
         "tests/test_statevec.py::TestPrepare::test_dirty_out_gives_the_fresh_bits",
+    ),
+    Mutant(
+        "hadamard-buffer-unchecked",
+        "statevec.py",
+        '    _check_buffer(amps, n, "the state a Hadamard writes")\n',
+        "",
+        "tests/test_statevec.py::TestGateOut::test_gates_refuse_a_buffer_they_cannot_write",
+    ),
+    Mutant(
+        "cswap-buffer-unchecked",
+        "statevec.py",
+        '    _check_buffer(state.amplitudes, n, "the state a cswap writes")\n',
+        "",
+        "tests/test_statevec.py::TestGateOut::test_gates_refuse_a_buffer_they_cannot_write",
+    ),
+    Mutant(
+        "simulate-opening-unchecked",
+        "circuits.py",
+        'if sorted(g.qubits[0] for g in opening if g.kind == "h") != list(range(ancillas)):',
+        "if False:",
+        "tests/test_circuits.py::TestCircuitJson::test_simulate_needs_one_opening_hadamard_per_ancilla",
     ),
     Mutant(
         "byte-ceiling-exclusive",
@@ -178,6 +200,13 @@ MUTANTS = (
         '"kl_multi": stats.kl_bernoulli(alpha_multi, p_max)',
         '"kl_multi": stats.kl_bernoulli(alpha_multi, p_min)',
         "tests/test_golden.py::test_outputs_match_manifest",
+    ),
+    Mutant(
+        "snap-tolerance-uncapped",
+        "stats.py",
+        "<= min(1e-12 * N, _SNAP_CAP):",
+        "<= 1e-12 * N:",
+        "tests/test_stats.py::TestFalseNegativeExact::test_snap_tolerance_capped_at_large_n",
     ),
     Mutant(
         "stirling-index-15-to-14",

@@ -12,7 +12,7 @@ fused them, so the fused kernel is checked bit for bit against code it does
 not share.  hadamard_reference, cswap_reference and marginal_reference are
 the whole-array gate kernels and marginal, which the library's blocked ones
 must match bit for bit; simulate_reference runs a circuit through them from
-a state of its own np.kron chain.
+unopened_state, a state of its own np.kron chain.
 """
 
 import functools
@@ -28,23 +28,28 @@ from scipy.special import logsumexp
 from swaplab import circuits, egraph, statevec, stats
 
 
+def _snap_tolerance(N: int) -> float:
+    """N*1e-12, capped at 1e-3 (decimal-intent boundary semantics, part of
+    the tail definition)."""
+    return min(1e-12 * max(1, N), 1e-3)
+
+
 def oracle_threshold(N: int, alpha: float) -> int:
     """ceil(N * (1 - alpha)) over exact rationals, snapped to the nearest
-    integer within N*1e-12 (decimal-intent boundary semantics, part of the
-    tail definition)."""
+    integer within _snap_tolerance(N)."""
     frac = Fraction(N) * (1 - Fraction(alpha))
     x = float(frac)
     nearest = round(x)
-    if abs(x - nearest) <= 1e-12 * max(1, N):
+    if abs(x - nearest) <= _snap_tolerance(N):
         return int(nearest)
     return int(-((-frac) // 1))
 
 
 def oracle_threshold_aligned(N: int, alpha: float) -> bool:
-    """True when the rational N * (1 - alpha) is within N*1e-12 of an
-    integer, the snap of oracle_threshold."""
+    """True when the rational N * (1 - alpha) is within _snap_tolerance(N)
+    of an integer, the snap of oracle_threshold."""
     x = float(Fraction(N) * (1 - Fraction(alpha)))
-    return abs(x - round(x)) <= 1e-12 * max(1, N)
+    return abs(x - round(x)) <= _snap_tolerance(N)
 
 
 def xi_fraction(N: int, alpha: float, p: float) -> Fraction:
@@ -201,32 +206,35 @@ def cswap_reference(state, control, a, b):
     return statevec.StateVector(n, amps)
 
 
-def marginal_reference(state, qubits):
+def marginal_reference(state, k):
     """``statevec.exact_marginal`` over the whole state at once: |amp|^2 of
-    every amplitude in one array, summed over the unlisted qubits' axes and
-    transposed to the listed order."""
-    qubits = list(qubits)
+    every amplitude in one array, summed over the axes of all qubits but the
+    leading ``k``."""
     n = state.num_qubits
     probs = state.probabilities().reshape((2,) * n)
-    other = tuple(ax for ax in range(n) if ax not in qubits)
+    other = tuple(range(k, n))
     marg = probs.sum(axis=other) if other else probs
-    kept_sorted = sorted(qubits)
-    order = [kept_sorted.index(q) for q in qubits]
-    return np.transpose(marg, axes=order).reshape(-1)
+    return marg.reshape(-1)
+
+
+def unopened_state(ancillas, inputs):
+    """``ancillas`` qubits in |0...0> ahead of the input registers, before
+    any gate: the inputs' np.kron chain (from 1) in the first amplitudes and
+    zeros after them.  Multiplying by a basis state instead, 1 + 0j, could
+    flip the sign of a zero part."""
+    product = functools.reduce(
+        np.kron, [s.amplitudes for s in inputs], np.ones(1, dtype=np.complex128)
+    )
+    amps = np.zeros(2**ancillas * product.size, dtype=np.complex128)
+    amps[: product.size] = product
+    return statevec.StateVector(ancillas + sum(s.num_qubits for s in inputs), amps)
 
 
 def simulate_reference(circuit, inputs):
     """``circuits.simulate`` gate by gate, the opening Hadamards included,
-    with the whole-array kernels.  The ancillas lead and start in |0...0>,
-    so the start state is the inputs' np.kron chain (from 1) in its first
-    amplitudes and zeros after them."""
-    layout = circuit.layout
-    product = functools.reduce(
-        np.kron, [s.amplitudes for s in inputs], np.ones(1, dtype=np.complex128)
-    )
-    amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
-    amps[: product.size] = product
-    state = statevec.StateVector(layout.total_qubits, amps)
+    with the whole-array kernels, from ``unopened_state``: the ancillas lead
+    and start in |0...0>."""
+    state = unopened_state(circuit.layout.ancilla_count, inputs)
     for g in circuit.gates:
         gate = hadamard_reference if g.kind == "h" else cswap_reference
         state = gate(state, *g.qubits)
@@ -246,9 +254,9 @@ def per_pair_swap_tests(cloud, shots, seed=0):
     for i, j in combinations(range(len(encoded)), 2):
         state = circuits.simulate(circuit, [encoded[i], encoded[j]])
         if shots == float("inf"):
-            table[(i, j)] = statevec.exact_marginal(state, [0])[0].item()
+            table[(i, j)] = statevec.exact_marginal(state, 1)[0].item()
         else:
-            table[(i, j)] = statevec.sample_outcomes(state, [0], shots, rng)[0].item()
+            table[(i, j)] = statevec.sample_outcomes(state, 1, shots, rng)[0].item()
     return table
 
 
@@ -264,7 +272,7 @@ def multi_pair_probabilities(cloud):
     circuit = circuits.build_multiswap_full(len(padded), w)
     pair_map = circuits.derive_pair_map(len(padded))
     state = circuits.simulate(circuit, padded)
-    marginal = statevec.exact_marginal(state, circuit.layout.measured_qubits)
+    marginal = statevec.exact_marginal(state, circuit.layout.ancilla_count)
     top0 = marginal[: marginal.size // 2].tolist()
     table = {}
     for p, pair in zip(top0, pair_map.pairs.tolist()):

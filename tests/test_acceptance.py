@@ -45,18 +45,18 @@ def test_criterion_1_swap_test_law():
             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         )
         state = circuits.simulate(circuit, [a, b])
-        p0 = statevec.exact_marginal(state, [0])[0]
+        p0 = statevec.exact_marginal(state, 1)[0]
         expected = 0.5 + 0.5 * abs(statevec.inner_product(a, b)) ** 2
         worst = max(worst, abs(p0 - expected))
     phi = statevec.make_qubit_state(1.234, 0.77)
     parallel = statevec.exact_marginal(
-        circuits.simulate(circuit, [phi, phi]), [0]
+        circuits.simulate(circuit, [phi, phi]), 1
     )[0]
     orthogonal = statevec.exact_marginal(
         circuits.simulate(
             circuit, [statevec.make_basis_state(1, 0), statevec.make_basis_state(1, 1)]
         ),
-        [0],
+        1,
     )[0]
     elapsed = time.perf_counter() - t0
     ok = (
@@ -191,7 +191,7 @@ def test_criterion_6_monte_carlo_agreement():
     a = statevec.make_qubit_state(0.0, 0.0)
     b = statevec.make_qubit_state(2 * math.acos(math.sqrt(0.8)), 0.0)
     state = circuits.simulate(circuits.build_swap_test(1), [a, b])
-    p0 = statevec.exact_marginal(state, [0])[0]
+    p0 = statevec.exact_marginal(state, 1)[0]
     circuit_ok = abs(p0 - 0.9) < 1e-12
 
     xi = stats.false_negative_exact(10, 0.5, 0.9)
@@ -292,13 +292,13 @@ def test_criterion_9_end_to_end_quantum_egraph():
     a = egraph.encode_point(cloud.points[0])
     b = egraph.encode_point(cloud.points[2])
     state = circuits.simulate(circuits.build_swap_test(1), [a, b])
-    p_pair = statevec.exact_marginal(state, [0])[0]
+    p_pair = statevec.exact_marginal(state, 1)[0]
     assert p_pair > alpha  # a true neighbour
     N = math.ceil(stats.n_gamma(0.1, alpha, p_pair))
     trials = 10**4
     fn = 0
     for stream in np.random.SeedSequence(987654).spawn(trials):
-        counts = statevec.sample_outcomes(state, [0], N, np.random.default_rng(stream))
+        counts = statevec.sample_outcomes(state, 1, N, np.random.default_rng(stream))
         fn += (counts[0] / N) <= alpha
     rate = fn / trials
     bound = 0.1 + 4 * math.sqrt(0.1 * 0.9 / trials)

@@ -87,14 +87,14 @@ class TestSwapTest:
         rng = np.random.default_rng(0)
         (phi,) = random_qubits(rng, 1)
         state = qc.simulate(qc.build_swap_test(1), [phi, phi])
-        p0 = sv.exact_marginal(state, [0])[0]
+        p0 = sv.exact_marginal(state, 1)[0]
         assert abs(p0 - 1.0) < 1e-12
 
     def test_orthogonal_states_give_half(self):
         state = qc.simulate(
             qc.build_swap_test(1), [sv.make_basis_state(1, 0), sv.make_basis_state(1, 1)]
         )
-        assert abs(sv.exact_marginal(state, [0])[0] - 0.5) < 1e-12
+        assert abs(sv.exact_marginal(state, 1)[0] - 0.5) < 1e-12
 
     def test_law_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -102,7 +102,7 @@ class TestSwapTest:
         for _ in range(50):
             a, b = random_qubits(rng, 2)
             state = qc.simulate(circuit, [a, b])
-            p0 = sv.exact_marginal(state, [0])[0]
+            p0 = sv.exact_marginal(state, 1)[0]
             expected = 0.5 + 0.5 * abs(sv.inner_product(a, b)) ** 2
             assert abs(p0 - expected) < 1e-12
 
@@ -112,7 +112,7 @@ class TestSwapTest:
         a = sv.prepare(0, random_qubits(rng, 2))
         b = sv.prepare(0, random_qubits(rng, 2))
         state = qc.simulate(qc.build_swap_test(2), [a, b])
-        p0 = sv.exact_marginal(state, [0])[0]
+        p0 = sv.exact_marginal(state, 1)[0]
         assert abs(p0 - (0.5 + 0.5 * abs(sv.inner_product(a, b)) ** 2)) < 1e-12
 
     def test_zero_width(self):
@@ -184,14 +184,16 @@ class TestMultiswapFull:
         assert qc.count_resources(qc.build_multiswap_full(8, 1)) == (10, 7, 15)
 
     def test_measured_qubits(self):
+        # the measured qubits are the leading ancilla_count: top, then mids
         c = qc.build_multiswap_full(4, 1)
-        assert c.layout.measured_qubits == (0, 1, 2, 3)
+        assert c.layout.top_ancilla == 0 and c.layout.mid_ancillas == (1, 2, 3)
+        assert c.layout.ancilla_count == 4
 
     def test_marginal_normalizes(self):
         rng = np.random.default_rng(77)
         c = qc.build_multiswap_full(4, 1)
         state = qc.simulate(c, random_qubits(rng, 4))
-        table = sv.exact_marginal(state, c.layout.measured_qubits)
+        table = sv.exact_marginal(state, c.layout.ancilla_count)
         assert abs(sum(table.tolist()) - 1.0) < 1e-10
 
 
@@ -294,7 +296,9 @@ class TestPairMap:
         pm = qc.derive_pair_map(4)
         mids = circuit.layout.mid_ancillas
         reg1, reg2 = circuit.layout.inputs[0], circuit.layout.inputs[1]
-        table = sv.exact_marginal(state, list(mids) + list(reg1) + list(reg2))
+        measured = list(mids) + list(reg1) + list(reg2)
+        assert measured == list(range(len(measured)))
+        table = sv.exact_marginal(state, len(measured))
         d = len(mids)
         seen = {}
         for index, prob in enumerate(table.tolist()):
@@ -316,7 +320,8 @@ class TestPairMap:
         state = qc.simulate(circuit, tags)
         mids = list(circuit.layout.mid_ancillas)
         all_regs = [q for reg in circuit.layout.inputs for q in reg]
-        table = sv.exact_marginal(state, mids + all_regs)
+        assert mids + all_regs == list(range(state.num_qubits))
+        table = sv.exact_marginal(state, state.num_qubits)
         for index, prob in enumerate(table.tolist()):
             if prob < 1e-12:
                 continue
@@ -335,7 +340,7 @@ class TestJointProbabilityLaw:
         d = pm.d
         inputs = random_qubits(rng, n)
         state = qc.simulate(circuit, inputs)
-        table = sv.exact_marginal(state, circuit.layout.measured_qubits)
+        table = sv.exact_marginal(state, circuit.layout.ancilla_count)
         # top = 0 is the first half: those indices are the mid outcomes
         for outcome, (i, j) in enumerate(pm.pairs.tolist()):
             ovl = abs(sv.inner_product(inputs[i - 1], inputs[j - 1])) ** 2
@@ -351,7 +356,7 @@ class TestJointProbabilityLaw:
         inputs = [phi, phi, others[0], others[1]]
         circuit = qc.build_multiswap_full(4, 1)
         state = qc.simulate(circuit, inputs)
-        table = sv.exact_marginal(state, circuit.layout.measured_qubits)
+        table = sv.exact_marginal(state, circuit.layout.ancilla_count)
         assert abs(table[0b0000] - 0.125) < 1e-12
 
     def test_orthogonal_pair_half_of_identical(self):
@@ -360,7 +365,7 @@ class TestJointProbabilityLaw:
         fillers = random_qubits(rng, 2)
         circuit = qc.build_multiswap_full(4, 1)
         state = qc.simulate(circuit, [zero, one, *fillers])
-        table = sv.exact_marginal(state, circuit.layout.measured_qubits)
+        table = sv.exact_marginal(state, circuit.layout.ancilla_count)
         assert abs(table[0b0000] - 0.0625) < 1e-12
 
     @pytest.mark.parametrize("w", [1, 2])
@@ -376,7 +381,7 @@ class TestJointProbabilityLaw:
         circuit = qc.build_multiswap_full(len(padded), w)
         pm = qc.derive_pair_map(len(padded))
         state = qc.simulate(circuit, padded)
-        table = sv.exact_marginal(state, circuit.layout.measured_qubits)
+        table = sv.exact_marginal(state, circuit.layout.ancilla_count)
         amps = np.stack([s.amplitudes for s in padded])
         gram_sq = np.abs(amps.conj() @ amps.T) ** 2
         mapped = gram_sq[pm.pairs[:, 0] - 1, pm.pairs[:, 1] - 1]
@@ -390,7 +395,7 @@ class TestJointProbabilityLaw:
         pm = qc.derive_pair_map(n)
         inputs = random_qubits(rng, n)
         state = qc.simulate(circuit, inputs)
-        table = sv.exact_marginal(state, circuit.layout.measured_qubits)
+        table = sv.exact_marginal(state, circuit.layout.ancilla_count)
         for (i, j), mult in pm.multiplicity.items():
             agg = sum(
                 table[outcome]
@@ -457,9 +462,9 @@ class TestCircuitJson:
         calls, widths = [], []
         kernel, swap_pass = sv.apply_cswap, sv._swap_pass
 
-        def counted(state, gates, out=None):
+        def counted(state, gates):
             calls.append(len(gates))
-            return kernel(state, gates, out=out)
+            return kernel(state, gates)
 
         def spied(cube, gates):
             widths.append(len(gates))
@@ -507,7 +512,7 @@ class TestCircuitJson:
         monkeypatch.setattr(sv, "_swap_pass", lambda cube, gates: widths.append(len(gates)))
         n = circuit.layout.total_qubits
         amps = np.zeros(2**n, dtype=np.complex128)
-        sv.apply_cswap(sv.StateVector(n, amps), stretch, out=amps)
+        sv.apply_cswap(sv.StateVector(n, amps), stretch)
         assert widths == [len(stretch)] == [circuit.cswap_count]
 
     @pytest.mark.parametrize(
@@ -554,8 +559,8 @@ class TestCircuitJson:
         assert dirty.tobytes() == fresh.tobytes()
 
     def test_dirty_out_keeps_the_negative_zeros(self):
-        # the opening Hadamards turn them to +0.0, so prepare the padded
-        # negative case's state without them
+        # the opening Hadamards turn them to +0.0 in every block but the
+        # last, the one on every Hadamard's |1> branch
         _, inputs = SIMULATED["multi-padded-negative"](None)
         fresh = sv.prepare(4, inputs).amplitudes
         parts = fresh.view(np.float64)
@@ -587,17 +592,17 @@ class TestCircuitJson:
     @pytest.mark.parametrize("block", [None, 128])
     @pytest.mark.parametrize("builder", sorted(SIMULATED))
     def test_marginal_matches_whole_array_marginal(self, monkeypatch, builder, block):
-        # bit for bit, on the measured prefix and on lists that are not a
-        # prefix; 128 amplitudes is the smallest block at which a run's block
-        # sums add as numpy's pairwise sum does
+        # bit for bit, on the measured ancillas and on shorter and longer
+        # prefixes; 128 amplitudes is the smallest block at which a run's
+        # block sums add as numpy's pairwise sum does
         if block is not None:
             monkeypatch.setattr(sv, "_BLOCK", block)
         circuit, inputs = SIMULATED[builder](np.random.default_rng(len(builder)))
         state = qc.simulate(circuit, inputs)
         n = state.num_qubits
-        for qubits in (circuit.layout.measured_qubits, [1, 3], [2, 0], [n - 1, 0], []):
-            got = sv.exact_marginal(state, qubits)
-            assert got.tobytes() == marginal_reference(state, qubits).tobytes(), qubits
+        for k in (circuit.layout.ancilla_count, 1, 3, n - 1, n, 0):
+            got = sv.exact_marginal(state, k)
+            assert got.tobytes() == marginal_reference(state, k).tobytes(), k
 
     @pytest.mark.parametrize("measure", [None, "marginal", "sample"])
     @pytest.mark.parametrize("case", ["swap-21", "multi-15", "multi-w3"])
@@ -621,7 +626,7 @@ class TestCircuitJson:
             monkeypatch.setattr(sv, "_BLOCK", 1024)
             circuit = qc.build_multiswap_full(4, 3)
             inputs = complex_registers(rng, 4, 3)
-        measured = circuit.layout.measured_qubits
+        measured = circuit.layout.ancilla_count
         state_bytes = 16 * 2**circuit.layout.total_qubits
         tracemalloc.start()
         try:
@@ -649,6 +654,37 @@ class TestCircuitJson:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "opening",
+        [[], [0, 0, 2, 3], [0, 1, 2, 4], [0, 1, 2]],
+        ids=["none", "repeated", "on-an-input", "one-short"],
+    )
+    def test_simulate_needs_one_opening_hadamard_per_ancilla(self, opening):
+        # build_multiswap_full(4, 3): 4 ancillas, 16 qubits, a 1 MiB state;
+        # the circuit is refused before it is allocated
+        full = qc.build_multiswap_full(4, 3)
+        body = full.gates[4:]
+        circuit = qc.CircuitSpec(full.layout, tuple(map(qc.hadamard, opening)) + body)
+        inputs = complex_registers(np.random.default_rng(1), 4, 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match="must open with one Hadamard on each"):
+                qc.simulate(circuit, inputs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_opening_hadamards_in_any_order(self):
+        full = qc.build_multiswap_full(4, 3)
+        opening = tuple(map(qc.hadamard, [2, 0, 3, 1]))
+        circuit = qc.CircuitSpec(full.layout, opening + full.gates[4:])
+        inputs = complex_registers(np.random.default_rng(1), 4, 3)
+        got = qc.simulate(circuit, inputs).amplitudes.tobytes()
+        assert got == qc.simulate(full, inputs).amplitudes.tobytes()
+        assert got == simulate_reference(circuit, inputs).amplitudes.tobytes()
 
     def test_simulate_validates_inputs(self):
         c = qc.build_swap_test(1)

@@ -566,13 +566,13 @@ class TestQuantumEgraphSampled:
         a = sv.make_qubit_state(0.0, 0.0)
         b = sv.make_qubit_state(math.pi / 2, 0.0)
         state = circuits.simulate(circuits.build_swap_test(1), [a, b])
-        p_pair = sv.exact_marginal(state, [0])[0]
+        p_pair = sv.exact_marginal(state, 1)[0]
         N = 40  # N*(1-alpha) = 15: aligned, so both bounds apply
         assert stats.threshold_aligned(N, alpha)
         trials = 10**4
         fn = 0
         for stream in np.random.SeedSequence(424242).spawn(trials):
-            counts = sv.sample_outcomes(state, [0], N, np.random.default_rng(stream))
+            counts = sv.sample_outcomes(state, 1, N, np.random.default_rng(stream))
             fn += (counts[0] / N) <= alpha
         freq = fn / trials
         xi = stats.false_negative_exact(N, alpha, p_pair)

@@ -392,6 +392,19 @@ class TestBoundsSweep:
         assert flags == [aligned(r["N"], r["alpha"]) for r in records]
         assert flags == [False] * 6 + [True] * 6
 
+    def test_kl_once_per_alpha_and_p(self, monkeypatch):
+        calls = []
+        kl = stats.kl_bernoulli
+        monkeypatch.setattr(stats, "kl_bernoulli", lambda alpha, p: (
+            calls.append((alpha, p)) or kl(alpha, p)))
+        records, _ = harness.run_bounds_sweep([3, 10, 60], [0.3, 0.5], [0.6, 0.9])
+        assert len(records) == 12
+        assert sorted(calls) == [(0.3, 0.6), (0.3, 0.9), (0.5, 0.6), (0.5, 0.9)]
+        for r in records:
+            assert r["kl"] == kl(r["alpha"], r["p"])
+            assert r["upper"] == stats.chernoff_upper(r["N"], r["alpha"], r["p"])
+            assert r["lower"] == stats.chernoff_lower(r["N"], r["alpha"], r["p"])
+
     def test_lower_holds_on_aligned(self):
         records, _ = harness.run_bounds_sweep(list(range(1, 41)))
         aligned = [r for r in records if r["threshold_aligned"]]

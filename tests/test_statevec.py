@@ -9,13 +9,18 @@ import pytest
 
 from swaplab import statevec as sv
 
-from oracles import cswap_reference, hadamard_reference
+from oracles import cswap_reference, hadamard_reference, unopened_state
 
 
 def random_state(rng, num_qubits):
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     amps /= np.linalg.norm(amps)
     return sv.StateVector(num_qubits, amps)
+
+
+def copy_of(state):
+    """A state over a copy of ``state``'s amplitudes, for a gate to write."""
+    return sv.StateVector(state.num_qubits, state.amplitudes.copy())
 
 
 def run_reference(state, gates):
@@ -96,7 +101,7 @@ class TestHadamard:
     def test_involution(self):
         rng = np.random.default_rng(5)
         state = random_state(rng, 3)
-        twice = sv.apply_hadamard(sv.apply_hadamard(state, 1), 1)
+        twice = sv.apply_hadamard(sv.apply_hadamard(copy_of(state), 1), 1)
         assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_bad_index(self):
@@ -112,9 +117,8 @@ class TestCswap:
         assert out.amplitudes[0b110] == 1.0
 
     def test_control_off(self):
-        state = sv.make_basis_state(3, 0b001)
-        out = sv.apply_cswap(state, [(0, 1, 2)])
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        out = sv.apply_cswap(sv.make_basis_state(3, 0b001), [(0, 1, 2)])
+        assert np.array_equal(out.amplitudes, sv.make_basis_state(3, 0b001).amplitudes)
 
     def test_superposed_control(self):
         plus = sv.make_qubit_state(math.pi / 2, 0)
@@ -129,7 +133,7 @@ class TestCswap:
     def test_involution_bitwise_exact(self):
         rng = np.random.default_rng(17)
         state = random_state(rng, 4)
-        twice = sv.apply_cswap(sv.apply_cswap(state, [(2, 0, 3)]), [(2, 0, 3)])
+        twice = sv.apply_cswap(sv.apply_cswap(copy_of(state), [(2, 0, 3)]), [(2, 0, 3)])
         assert np.array_equal(twice.amplitudes, state.amplitudes)
 
     @pytest.mark.parametrize("control,a,b", list(itertools.permutations(range(4), 3)))
@@ -190,40 +194,29 @@ class TestCswap:
              "out-of-range", "negative", "short", "long"],
     )
     def test_bad_gates_named(self, gates, problem):
-        # the first bad gate is named before the output is written
-        state = sv.make_basis_state(5, 3)
-        out = np.full(32, np.nan, dtype=np.complex128)
+        # the first bad gate is named before the state is written
+        state = random_state(np.random.default_rng(3), 5)
+        before = state.amplitudes.tobytes()
         with pytest.raises(ValueError, match=re.escape(problem)):
-            sv.apply_cswap(state, gates, out=out)
-        assert np.isnan(out).all()
+            sv.apply_cswap(state, gates)
+        assert state.amplitudes.tobytes() == before
 
 
 class TestGateOut:
-    """``out=`` gives the same bits as the functional call, whether it is a
-    distinct buffer or the input's own."""
-
-    @staticmethod
-    def _check_out(gate, state, *qubits):
-        expected = gate(state, *qubits).amplitudes
-        distinct = np.full_like(state.amplitudes, np.nan)
-        result = gate(state, *qubits, out=distinct)
-        assert result.amplitudes is distinct and np.array_equal(distinct, expected)
-        own = sv.StateVector(state.num_qubits, state.amplitudes.copy())
-        result = gate(own, *qubits, out=own.amplitudes)
-        assert result.amplitudes is own.amplitudes
-        assert np.array_equal(own.amplitudes, expected), qubits
+    """A gate writes its output in place into its state's own buffer and
+    returns that state; a buffer it cannot write is refused first."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_hadamard_every_qubit(self, n):
         state = random_state(np.random.default_rng(n), n)
         for q in range(n):
-            self._check_out(sv.apply_hadamard, state, q)
+            TestBlockedKernels._check(sv.apply_hadamard, hadamard_reference, state, q)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_cswap_every_ordered_triple(self, n):
         state = random_state(np.random.default_rng(n), n)
         for triple in itertools.permutations(range(n), 3):
-            self._check_out(sv.apply_cswap, state, [triple])
+            TestBlockedKernels._check(sv.apply_cswap, run_reference, state, [triple])
 
     @pytest.mark.parametrize(
         "out,problem",
@@ -237,45 +230,56 @@ class TestGateOut:
         ],
     )
     def test_bad_out_rejected(self, out, problem):
-        state = sv.make_basis_state(4, 3)
         with pytest.raises(ValueError, match=problem):
-            sv.apply_hadamard(state, 0, out=out)
+            sv.prepare(2, [sv.make_basis_state(1, 0)] * 2, out=out)
+
+    @pytest.mark.parametrize(
+        "layout,problem",
+        [("strided", "must be C-contiguous"), ("read-only", "must be writable")],
+    )
+    def test_gates_refuse_a_buffer_they_cannot_write(self, layout, problem):
+        # a StateVector keeps a complex128 view of 2^n entries as it is
+        values = random_state(np.random.default_rng(2), 5).amplitudes
+        if layout == "strided":
+            amps = values.copy()[::2]
+        else:
+            amps = np.frombuffer(values[:16].tobytes(), np.complex128)
+        state = sv.StateVector(4, amps)
+        assert state.amplitudes is amps
+        before = amps.tobytes()
         with pytest.raises(ValueError, match=problem):
-            sv.apply_cswap(state, [(0, 1, 2)], out=out)
+            sv.apply_hadamard(state, 0)
         with pytest.raises(ValueError, match=problem):
-            sv.prepare(2, [sv.make_basis_state(1, 0)] * 2, [0], out=out)
-        assert state.amplitudes[3] == 1.0
+            sv.apply_cswap(state, [(0, 1, 2)])
+        assert amps.tobytes() == before
 
     def test_inputs_unchanged(self):
         rng = np.random.default_rng(13)
         parts = [random_state(rng, 2), random_state(rng, 1)]
         before = [p.amplitudes.tobytes() for p in parts]
-        for group in ([parts[0]], parts):
-            fresh = sv.prepare(0, group)
+        for ancillas, group in ((0, [parts[0]]), (0, parts), (2, parts)):
+            fresh = sv.prepare(ancillas, group)
             assert not any(np.shares_memory(fresh.amplitudes, p.amplitudes) for p in parts)
         state = sv.prepare(0, parts)
-        snapshot = state.amplitudes.tobytes()
-        for out in (None, np.empty_like(state.amplitudes)):
-            sv.apply_hadamard(state, 1, out=out)
-            sv.apply_cswap(state, [(1, 0, 2)], out=out)
-        assert state.amplitudes.tobytes() == snapshot
+        assert sv.apply_hadamard(state, 1) is state
+        assert sv.apply_cswap(state, [(1, 0, 2)]) is state
         assert [p.amplitudes.tobytes() for p in parts] == before
 
 
 class TestBlockedKernels:
     """The blocked kernels match the whole-array oracles bit for bit, at
     block sizes small enough that every block loop runs, and at the real
-    one; a gate without ``out`` leaves its input untouched."""
+    one; a gate writes into its state's own buffer and returns the state."""
 
     @staticmethod
     def _check(gate, reference, state, *qubits):
-        before = state.amplitudes.tobytes()
+        """``gate`` on a copy of ``state``, which is left as it was."""
         expected = reference(state, *qubits).amplitudes.tobytes()
-        assert gate(state, *qubits).amplitudes.tobytes() == expected, qubits
-        assert state.amplitudes.tobytes() == before
-        own = state.amplitudes.copy()
-        gate(sv.StateVector(state.num_qubits, own), *qubits, out=own)
-        assert own.tobytes() == expected, qubits
+        own = copy_of(state)
+        buffer = own.amplitudes
+        result = gate(own, *qubits)
+        assert result is own and result.amplitudes is buffer
+        assert buffer.tobytes() == expected, qubits
 
     @pytest.mark.parametrize("block", [1, 2, 8])
     @pytest.mark.parametrize("n", range(5, 10))
@@ -373,7 +377,7 @@ class TestRegisterSwap:
         own = state.amplitudes.copy()
         tracemalloc.start()
         try:
-            sv.apply_cswap(sv.StateVector(n, own), gates, out=own)
+            sv.apply_cswap(sv.StateVector(n, own), gates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,7 +386,7 @@ class TestRegisterSwap:
     def test_involution_bitwise_exact(self):
         state = random_state(np.random.default_rng(23), 9)
         gates = register_swap(4, [0, 2, 7], [8, 1, 3])
-        once = sv.apply_cswap(state, gates)
+        once = sv.apply_cswap(copy_of(state), gates)
         assert once.amplitudes.tobytes() != state.amplitudes.tobytes()
         twice = sv.apply_cswap(once, gates)
         assert twice.amplitudes.tobytes() == state.amplitudes.tobytes()
@@ -450,7 +454,7 @@ class TestCswapRun:
         rng = np.random.default_rng(31)
         state = random_state(rng, 10)
         gates = random_run(rng, 10, 3)
-        once = sv.apply_cswap(state, gates)
+        once = sv.apply_cswap(copy_of(state), gates)
         assert once.amplitudes.tobytes() != state.amplitudes.tobytes()
         back = sv.apply_cswap(once, gates[::-1])
         assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
@@ -470,7 +474,7 @@ class TestCswapRun:
         own = state.amplitudes.copy()
         tracemalloc.start()
         try:
-            sv.apply_cswap(sv.StateVector(n, own), gates, out=own)
+            sv.apply_cswap(sv.StateVector(n, own), gates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,16 +545,17 @@ class TestPrepare:
     ]
 
     def test_inputs_fill_the_first_block(self):
-        state = sv.prepare(2, self.INPUTS)
         product = np.kron(self.INPUTS[0].amplitudes, self.INPUTS[1].amplitudes)
+        assert sv.prepare(0, self.INPUTS).amplitudes.tobytes() == product.tobytes()
+        state = sv.prepare(2, self.INPUTS)
         assert state.num_qubits == 5
-        assert state.amplitudes[:8].tobytes() == product.tobytes()
-        assert state.amplitudes[8:].tobytes() == bytes(16 * 24)
+        # the opening Hadamards spread the product over all four blocks
+        assert np.allclose(state.amplitudes.reshape(4, 8), product / 2, rtol=0, atol=1e-16)
 
     def test_opening_hadamards_match_the_kernel(self):
-        state = sv.prepare(3, self.INPUTS, [2, 0])
-        ref = sv.prepare(3, self.INPUTS)
-        for q in (2, 0):
+        state = sv.prepare(3, self.INPUTS)
+        ref = unopened_state(3, self.INPUTS)
+        for q in (2, 0, 1):
             ref = sv.apply_hadamard(ref, q)
         assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
@@ -559,8 +564,8 @@ class TestPrepare:
         # the block on every Hadamard's |1> branch, never added to +0, keeps it
         inputs = [sv.StateVector(1, np.array([complex(-0.0, 0.6), -0.8])),
                   self.INPUTS[1]]
-        state = sv.prepare(3, inputs, [0, 1, 2])
-        ref = sv.prepare(3, inputs)
+        state = sv.prepare(3, inputs)
+        ref = unopened_state(3, inputs)
         for q in (0, 1, 2):
             ref = sv.apply_hadamard(ref, q)
         assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
@@ -568,21 +573,16 @@ class TestPrepare:
         negative_zero = (np.signbit(parts) & (parts == 0.0)).any(axis=1)
         assert negative_zero.tolist() == [False] * 7 + [True]
 
-    @pytest.mark.parametrize("hadamards", [[0, 0], [3], [-1]])
-    def test_rejects_other_hadamards(self, hadamards):
-        with pytest.raises(ValueError, match="distinct ancillas"):
-            sv.prepare(3, self.INPUTS, hadamards)
-
     def test_needs_an_input(self):
         with pytest.raises(ValueError):
             sv.prepare(2, [])
 
-    @pytest.mark.parametrize("hadamards", [[], [2, 0], [0, 1, 2]])
-    def test_dirty_out_gives_the_fresh_bits(self, hadamards):
-        fresh = sv.prepare(3, self.INPUTS, hadamards).amplitudes
+    @pytest.mark.parametrize("ancillas", [0, 1, 3])
+    def test_dirty_out_gives_the_fresh_bits(self, ancillas):
+        fresh = sv.prepare(ancillas, self.INPUTS).amplitudes
         dirty = np.random.default_rng(7).normal(size=2 * fresh.size).view(np.complex128)
         dirty[::3] = complex(np.nan, -0.0)
-        state = sv.prepare(3, self.INPUTS, hadamards, out=dirty)
+        state = sv.prepare(ancillas, self.INPUTS, out=dirty)
         assert state.amplitudes is dirty
         assert dirty.tobytes() == fresh.tobytes()
 
@@ -590,12 +590,12 @@ class TestPrepare:
 class TestExactMarginal:
     def test_basis_state(self):
         state = sv.make_basis_state(2, 0b01)
-        table = sv.exact_marginal(state, [0])
+        table = sv.exact_marginal(state, 1)
         assert table.dtype == np.float64 and table.tolist() == [1.0, 0.0]
 
     def test_bell_marginal(self):
         bell = sv.StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
-        table = sv.exact_marginal(bell, [0])
+        table = sv.exact_marginal(bell, 1)
         assert abs(table[0] - 0.5) < 1e-12 and abs(table[1] - 0.5) < 1e-12
 
     def test_orthogonal_swap_test_ancilla(self):
@@ -607,7 +607,7 @@ class TestExactMarginal:
         state = sv.apply_hadamard(state, 0)
         state = sv.apply_cswap(state, [(0, 1, 2)])
         state = sv.apply_hadamard(state, 0)
-        table = sv.exact_marginal(state, [0])
+        table = sv.exact_marginal(state, 1)
         assert abs(table[0] - 0.5) < 1e-12
         assert abs(table[1] - 0.5) < 1e-12
 
@@ -618,71 +618,66 @@ class TestExactMarginal:
     def test_full_marginal_matches_probabilities(self):
         rng = np.random.default_rng(23)
         state = random_state(rng, 3)
-        table = sv.exact_marginal(state, [0, 1, 2])
+        table = sv.exact_marginal(state, 3)
         probs = state.probabilities()
         for idx in range(8):
             assert abs(table[idx] - probs[idx]) < 1e-12
 
-    def test_requested_order(self):
-        state = sv.make_basis_state(2, 0b01)  # qubit 0 = 0, qubit 1 = 1
-        table = sv.exact_marginal(state, [1, 0])
-        assert table[0b10] == 1.0
-
     def test_table_sums_to_one(self):
         rng = np.random.default_rng(3)
         state = random_state(rng, 4)
-        table = sv.exact_marginal(state, [1, 3])
+        table = sv.exact_marginal(state, 2)
         assert abs(sum(table.tolist()) - 1.0) < 1e-10
 
     def test_invalid_indices(self):
         state = sv.make_basis_state(2, 0)
-        with pytest.raises(ValueError):
-            sv.exact_marginal(state, [0, 0])
-        with pytest.raises(ValueError):
-            sv.exact_marginal(state, [2])
+        with pytest.raises(ValueError, match="leading -1 of 2 qubits"):
+            sv.exact_marginal(state, -1)
+        with pytest.raises(ValueError, match="leading 3 of 2 qubits"):
+            sv.exact_marginal(state, 3)
 
 
 class TestSampleOutcomes:
     def test_deterministic_distribution(self):
         zero = sv.make_basis_state(1, 0)
-        counts = sv.sample_outcomes(zero, [0], 1000, np.random.default_rng(42))
+        counts = sv.sample_outcomes(zero, 1, 1000, np.random.default_rng(42))
         assert counts.dtype == np.int64 and counts.tolist() == [1000, 0]
 
     def test_uniform_frequency_within_4_sigma(self):
         plus = sv.make_qubit_state(math.pi / 2, 0)
         shots = 10**5
-        counts = sv.sample_outcomes(plus, [0], shots, np.random.default_rng(7))
+        counts = sv.sample_outcomes(plus, 1, shots, np.random.default_rng(7))
         freq = counts[0] / shots
         assert abs(freq - 0.5) <= 4 * math.sqrt(0.25 / shots)
 
     def test_same_seed_identical(self):
         rng_state = sv.make_qubit_state(1.0, 0.5)
-        a = sv.sample_outcomes(rng_state, [0], 500, np.random.default_rng(99))
-        b = sv.sample_outcomes(rng_state, [0], 500, np.random.default_rng(99))
+        a = sv.sample_outcomes(rng_state, 1, 500, np.random.default_rng(99))
+        b = sv.sample_outcomes(rng_state, 1, 500, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_counts_sum_to_shots(self):
         rng = np.random.default_rng(1)
         state = random_state(rng, 3)
-        counts = sv.sample_outcomes(state, [0, 2], 1234, np.random.default_rng(5))
+        counts = sv.sample_outcomes(state, 2, 1234, np.random.default_rng(5))
         assert counts.sum() == 1234
 
     def test_zero_shots(self):
         with pytest.raises(ValueError, match="shots must be"):
             sv.sample_outcomes(
-                sv.make_basis_state(1, 0), [0], 0, np.random.default_rng(1)
+                sv.make_basis_state(1, 0), 1, 0, np.random.default_rng(1)
             )
 
     @pytest.mark.parametrize("shots", [2.5, math.nan, -math.inf, math.inf])
     def test_shots_must_be_finite_whole_and_positive(self, shots):
         with pytest.raises(ValueError, match="shots must be"):
             sv.sample_outcomes(
-                sv.make_basis_state(1, 0), [0], shots, np.random.default_rng(1)
+                sv.make_basis_state(1, 0), 1, shots, np.random.default_rng(1)
             )
 
     def test_whole_float_shots(self):
         zero = sv.make_basis_state(1, 0)
-        counts = sv.sample_outcomes(zero, [0], 3.0, np.random.default_rng(1))
+        counts = sv.sample_outcomes(zero, 1, 3.0, np.random.default_rng(1))
         assert counts.tolist() == [3, 0]
 
 
@@ -731,8 +726,8 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         state = random_state(rng, 2)
         shots = 20000
-        counts = sv.sample_outcomes(state, [0, 1], shots, np.random.default_rng(12))
-        table = sv.exact_marginal(state, [0, 1])
+        counts = sv.sample_outcomes(state, 2, shots, np.random.default_rng(12))
+        table = sv.exact_marginal(state, 2)
         for outcome, q in enumerate(table.tolist()):
             bound = 5 * math.sqrt(q * (1 - q) / shots) + 1e-9
             assert abs(counts[outcome] / shots - q) <= bound

@@ -285,6 +285,20 @@ class TestFalseNegativeExact:
         assert stats.tail_threshold(10, 0.55) == 5  # 4.5 -> 5
         assert stats.tail_threshold(10, 0.54) == 5  # 4.6 -> 5
 
+    @pytest.mark.parametrize(
+        "alpha,k,aligned",
+        [
+            # N(1-alpha) = 681690113816.209...: the uncapped tolerance N*1e-12
+            # (1 here) would snap it down to 681690113816
+            (0.3183098861837907, 681690113817, False),
+            # N(1-alpha) = 5e10 + 4.4e-5, within the cap: decimal intent holds
+            (0.95, 5 * 10**10, True),
+        ],
+    )
+    def test_snap_tolerance_capped_at_large_n(self, alpha, k, aligned):
+        assert stats.tail_threshold(10**12, alpha) == k
+        assert stats.threshold_aligned(10**12, alpha) is aligned
+
     def test_monotone_in_p(self):
         values = [stats.false_negative_exact(25, 0.4, p) for p in (0.5, 0.6, 0.8, 0.95)]
         assert values == sorted(values, reverse=True)
@@ -321,6 +335,8 @@ class TestFalseNegativeExact:
     @example(N=100, alpha=0.95)
     @example(N=3, alpha=1 / 3)
     @example(N=10**7, alpha=5e-324)
+    @example(N=10**12, alpha=0.3183098861837907)
+    @example(N=10**12, alpha=0.95)
     @settings(max_examples=300, deadline=None)
     def test_threshold_matches_fraction_route(self, N, alpha):
         k, aligned = stats.tail_threshold(N, alpha), stats.threshold_aligned(N, alpha)
@@ -674,7 +690,7 @@ class TestThresholdCorrectness:
             ovl = abs(sv.inner_product(a, b))
             dist = stats.overlap_to_distance(ovl)
             state = qc.simulate(circuit, [a, b])
-            p0 = sv.exact_marginal(state, [0])[0]
+            p0 = sv.exact_marginal(state, 1)[0]
             for eps in eps_grid:
                 if abs(dist - eps) < 1e-9:
                     continue  # boundary excluded
