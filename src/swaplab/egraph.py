@@ -212,7 +212,11 @@ def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     return EpsilonGraph(n, eps, np.concatenate(codes))
 
 
-LEAF_SIZE = 32
+# A box test in the Python walk costs about 1 us, about what _sq_dists takes
+# to decide 64 candidate points, so leaves of 64 trade node visits for
+# vectorised point tests; at 128 the leaves prune too little on clustered
+# clouds
+LEAF_SIZE = 64
 
 # Relative margin, per dimension, by which a box's squared gap must exceed
 # radius**2 before the box is pruned.  It covers the rounding of any
@@ -225,7 +229,7 @@ class KDTree:
     """Bucketed kd-tree held in flat arrays.
 
     Median splits on cycling axes stop at leaves of at most ``LEAF_SIZE``
-    points.  ``order`` permutes the point indices and ``pts`` is the
+    (64) points.  ``order`` permutes the point indices and ``pts`` is the
     permuted copy of the points; each node owns a slice of ``pts`` and keeps
     its bounding box.  Per query, ``last_visited`` counts the nodes whose
     box was tested; ``queries`` and ``total_visited`` sum over queries.

@@ -146,6 +146,13 @@ MUTANTS = (
         "tests/test_egraph.py::TestKDTreeTies",
     ),
     Mutant(
+        "kd-over-prunes",
+        "egraph.py",
+        "prune_sq = r_sq * (1.0 + _PRUNE_SLACK * self.dim)",
+        "prune_sq = r_sq * (1.0 - 1e-9)",
+        "tests/test_egraph.py::TestKDTree::test_nearest_pair_across_leaves_just_inside_eps",
+    ),
+    Mutant(
         "numpy-nan-guard-dropped",
         "harness.py",
         "if not nan.any():",
@@ -195,11 +202,25 @@ MUTANTS = (
         "tests/test_harness.py::TestWriters::test_empty_tables[json]",
     ),
     Mutant(
+        "estimate-list-copied-unchecked",
+        "harness.py",
+        "if estimates is None and np.array_equal(estimate.codes, reference.codes):",
+        "if estimates is None:",
+        "tests/test_harness.py::TestEdgeListOutput::test_kdtree_estimate_without_an_edge_writes_its_own_list",
+    ),
+    Mutant(
         "scaling-kl-at-the-other-endpoint",
         "harness.py",
         '"kl_multi": stats.kl_bernoulli(alpha_multi, p_max)',
         '"kl_multi": stats.kl_bernoulli(alpha_multi, p_min)',
         "tests/test_golden.py::test_outputs_match_manifest",
+    ),
+    Mutant(
+        "stirling-series-short-a-term",
+        "stats.py",
+        "        - 1.0 / (1680.0 * safe**7)\n",
+        "",
+        "tests/test_stats.py::TestFalseNegativeExact::test_whole_default_grid_matches_pascal_oracle",
     ),
     Mutant(
         "snap-tolerance-uncapped",

@@ -326,6 +326,31 @@ class TestKDTree:
         tree.range_query(pts[0], 1e6)
         assert avg_visited < tree.last_visited / 2
 
+    def test_nearest_pair_across_leaves_just_inside_eps(self):
+        # two leaves on a line, the last point of the first at 1 and the
+        # first point of the second at 1 + d: at eps a hair above d each
+        # leaf's box sits just inside the other point's ball, which a prune
+        # rule stricter than radius**2 cuts
+        L, d = eg.LEAF_SIZE, 0.25
+        line = np.linspace(0.0, 1.0, L)
+        pts = np.concatenate([line, 1.0 + d + line])[:, None]
+        cloud = eg.PointCloud(pts)
+        tree = eg.KDTree(cloud)
+        assert sorted(tree.order[:L].tolist()) == list(range(L))  # a leaf per side
+        eps = d * (1.0 + 1e-11)
+        edges = eg.kdtree_egraph(cloud, eps).edges
+        assert (L - 1, L) in edges
+        assert edges == eg.brute_force_egraph(cloud, eps).edges
+        assert L in tree.range_query(pts[L - 1], eps).tolist()
+        assert L - 1 in tree.range_query(pts[L], eps).tolist()
+
+
+def around_leaf_size(*kept):
+    """Cloud sizes one below, at and one above a kd leaf, L = eg.LEAF_SIZE,
+    and 2L + 1, past two leaves, with the sizes ``kept``."""
+    L = eg.LEAF_SIZE
+    return sorted({*kept, L - 1, L, L + 1, 2 * L + 1})
+
 
 @st.composite
 def lattice_cloud_and_tie_eps(draw):
@@ -333,7 +358,8 @@ def lattice_cloud_and_tie_eps(draw):
     n around the leaf size, and eps equal to one of its pairwise distances,
     so some pairs sit exactly on the strict-< boundary."""
     dim = draw(st.integers(1, 5))
-    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([31, 32, 33, 64, 65, 66, 130])))
+    sizes = around_leaf_size(31, 32, 33, 64, 65, 66, 130)
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from(sizes)))
     side = draw(st.integers(0, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.integers(0, side + 1, (n, dim)).astype(float)
@@ -351,7 +377,8 @@ def rounded_cloud_and_tie_eps(draw):
     as the left-to-right sum gives it, so that pair sits on the strict-<
     boundary."""
     dim = draw(st.integers(8, 12))
-    n = draw(st.one_of(st.integers(2, 40), st.sampled_from([33, 65, 130])))
+    sizes = around_leaf_size(33, 65, 130)
+    n = draw(st.one_of(st.integers(2, 40), st.sampled_from(sizes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.uniform(-1.0, 1.0, (n, dim)).round(draw(st.integers(1, 3)))
     i = draw(st.integers(0, n - 2))

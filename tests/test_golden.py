@@ -24,3 +24,14 @@ def test_outputs_match_manifest(tmp_path):
         f"output bytes differ from the manifest in {changed}; a change that "
         f"means to alter them reruns `python tests/golden_runs.py`"
     )
+
+
+def test_classical_runs_have_equal_edge_list_digests():
+    # a brute or kd-tree run finds the reference's edges, so its estimate
+    # list is the reference list's bytes
+    files = json.loads(golden_runs.MANIFEST.read_text())["files"]
+    runs = [name for name, args in golden_runs.RUNS.items()
+            if args[0] == "egraph" and args[args.index("--mode") + 1] in ("brute", "kdtree")]
+    assert len(runs) == 4
+    for run in runs:
+        assert files[f"{run}/estimate_edges.csv"] == files[f"{run}/reference_edges.csv"], run

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 import weakref
@@ -616,6 +617,48 @@ class TestEdgeListOutput:
         want = csv_edge_list([[i, j, ""] for i, j in sorted(reference.edges)])
         assert len(reference.edges) == n * (n - 1) // 2
         assert (tmp_path / "estimate_edges.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("mode", ["kdtree", "brute"])
+    def test_classical_estimate_list_is_the_reference_bytes(self, tmp_path,
+                                                            monkeypatch, mode):
+        # the estimate has the reference's edges and no estimate table, so
+        # one edge list is formatted and the other file gets its bytes
+        rng = np.random.default_rng(3)
+        cloud = write_cloud(tmp_path / "cloud.csv", rng.uniform(0, 1, (200, 2)).tolist())
+        written = []
+        write_records = harness.write_records
+
+        def spy(records, path_or_file, *args, **kwargs):
+            written.append(os.path.basename(path_or_file))
+            return write_records(records, path_or_file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "write_records", spy)
+        out = tmp_path / "out"
+        reference, _, _ = harness.run_egraph_trial(cloud, 0.1, mode, math.inf, 0, out)
+        assert written == ["reference_edges.csv"]
+        want = csv_edge_list([[i, j, ""] for i, j in sorted(reference.edges)])
+        assert len(reference.edges) > 100
+        assert (out / "reference_edges.csv").read_bytes() == want
+        assert (out / "estimate_edges.csv").read_bytes() == want
+
+    def test_kdtree_estimate_without_an_edge_writes_its_own_list(self, tmp_path,
+                                                                 monkeypatch):
+        kdtree_egraph = egraph.kdtree_egraph
+
+        def drop_first_edge(cloud, eps):
+            graph = kdtree_egraph(cloud, eps)
+            return egraph.EpsilonGraph(graph.n, eps, graph.codes[1:])
+
+        monkeypatch.setattr(egraph, "kdtree_egraph", drop_first_edge)
+        # (0, 1), (1, 2) and (2, 3) are at distance 1, the other pairs farther
+        cloud = write_cloud(tmp_path / "cloud.csv", [[0.0], [1.0], [2.0], [3.0]])
+        _, _, diff = harness.run_egraph_trial(cloud, 1.5, "kdtree", math.inf, 0, tmp_path)
+        assert diff.false_negatives.tolist() == [1] and diff.fp_count == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["fn_count"] == 1
+        assert (tmp_path / "reference_edges.csv").read_bytes() == csv_edge_list(
+            [[0, 1, ""], [1, 2, ""], [2, 3, ""]])
+        assert (tmp_path / "estimate_edges.csv").read_bytes() == csv_edge_list(
+            [[1, 2, ""], [2, 3, ""]])
 
     @pytest.mark.parametrize(
         "codes,table_pairs",

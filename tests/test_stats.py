@@ -20,6 +20,7 @@ from oracles import (
     xi_fraction,
     xi_full_sum,
     xi_mpmath,
+    xi_pascal_grid,
 )
 from swaplab import harness, stats, statevec
 
@@ -225,6 +226,28 @@ class TestFalseNegativeExact:
         # below 1e-12, and every N = 10^5 cell here is below 1e-36
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_whole_default_grid_matches_pascal_oracle(self):
+        # every cell of `bounds --n-list 1..200`; the 54 tails below 1e-290
+        # lose digits to underflow on every float route (see xi_pascal_grid),
+        # so they are held to the contract's bound at 1e-290, absolutely
+        alphas = harness.default_alpha_grid()
+        ps = sorted({p for alpha in alphas for p in harness.p_grid_for(alpha)})
+        column = {p: b for b, p in enumerate(ps)}
+        oracle = xi_pascal_grid(200, alphas, ps)
+        worst, tiny = 0.0, 0
+        for N in range(1, 201):
+            for a, alpha in enumerate(alphas):
+                for p in harness.p_grid_for(alpha):
+                    want = oracle[N - 1, a, column[p]]
+                    got = stats.false_negative_exact(N, alpha, p)
+                    if want < 1e-290:
+                        tiny += 1
+                        assert abs(got - want) <= 1e-302, (N, alpha, p)
+                    else:
+                        worst = max(worst, abs(got - want) / want)
+        assert tiny == 54
+        assert worst <= 1e-12
+
     @pytest.mark.parametrize("cells", WINDOW_CELLS.values(), ids=WINDOW_CELLS.keys())
     def test_window_matches_full_sum(self, cells):
         for N, alpha, p in cells:
@@ -349,6 +372,23 @@ class TestFalseNegativeExact:
         monkeypatch.setattr(stats, "_BD0_MAX_TERMS", 1)
         with pytest.raises(RuntimeError, match="did not converge"):
             stats._bd0(np.array([100.0]), 101.0)
+
+
+class TestPascalOracle:
+    def test_matches_fraction_oracle_within_its_bound(self):
+        # xi_pascal_grid's docstring derives gamma_(4N) relative, away from
+        # underflow, for the tail at the given double p
+        alphas, ps = [0.05, 0.3, 0.5, 0.95], [0.07, 0.31, 0.52, 0.73, 0.99]
+        oracle = xi_pascal_grid(200, alphas, ps)
+        rng = np.random.default_rng(16)
+        u = 2.0**-53
+        for _ in range(40):
+            N = int(rng.integers(1, 201))
+            a, b = int(rng.integers(len(alphas))), int(rng.integers(len(ps)))
+            want = xi_fraction(N, alphas[a], ps[b])
+            bound = 4 * N * u / (1 - 4 * N * u)
+            got = oracle[N - 1, a, b]
+            assert abs(got - float(want)) <= bound * float(want) + 1e-300, (N, a, b)
 
 
 class TestFusedKernel:
