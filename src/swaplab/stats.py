@@ -27,11 +27,12 @@ window starts 64 + 8*sqrt(N*p*(1-p)) terms past the peak and doubles until
 that holds or reaches N, unless its kernel would pass the simulator's byte
 ceiling.  For N < 2^17 the window reads _stirlerr and ln of [N, k..., N-k...]
 from tables over the counts 0..2^17-1 (see _count_tables); above, it costs one
-_stirlerr and one np.log call over that array.  Either way one _bd0 call over
-[k..., N-k...] with means [N*q..., N*p...] follows.  All of these are
-elementwise, so the tables and this fusing leave every term's bits as
-separate calls would.  The threshold ceil(N*(1-alpha)) is taken in integer
-arithmetic from alpha's binary fraction a/b, as N*(b-a)/b.
+_stirlerr and one np.log call over that array.  Either way one _bd0 call
+follows, over the rows [k...] and [N-k...] with the means N*q and N*p
+broadcast along them.  All of these are elementwise, so the tables and this
+fusing leave every term's bits as separate calls would.  The threshold
+ceil(N*(1-alpha)) is taken in integer arithmetic from alpha's binary fraction
+a/b, as N*(b-a)/b.
 
 All functions are pure; the count tables are built once per process, on
 the first call that reads them, and are read-only after.  Safe for
@@ -116,21 +117,23 @@ _WINDOW_BYTES_PER_TERM = 256
 
 def _bd0(x: np.ndarray, m) -> np.ndarray:
     """Binomial deviance x*ln(x/m) + m - x, stable for x near m; ``m`` is a
-    scalar or one mean per element of x."""
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 0:
-        m = np.full(x.shape, m)
+    scalar or broadcasts to x's shape.  A branch no element takes is skipped."""
+    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
+    d, xm = x - m, x + m
+    close = np.abs(d) < 0.1 * xm
     out = np.empty_like(x)
-    close = np.abs(x - m) < 0.1 * (x + m)
-    far, m_far = x[~close], m[~close]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.where(far > 0, far, 1.0) / m_far)
-        out[~close] = np.where(far > 0, far * logs, 0.0) + m_far - far
-    near, m_near = x[close], m[close]
-    v = (near - m_near) / (near + m_near)
-    s = (near - m_near) * v
-    ej = 2.0 * near * v
+    near_count = np.count_nonzero(close)
+    if near_count < close.size:
+        far_at = ~close
+        far, m_far = x[far_at], np.where(far_at, m, 0.0)[far_at]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(np.where(far > 0, far, 1.0) / m_far)
+            out[far_at] = np.where(far > 0, far * logs, 0.0) + m_far - far
+    if not near_count:
+        return out
+    near, d = x[close], d[close]
+    v = d / xm[close]
+    s, ej = d * v, 2.0 * near * v
     v2 = v * v
     # |v| < 0.1 where the series is used, so each term shrinks the next by
     # 100x and double precision converges within a dozen terms.  A converged
@@ -139,7 +142,7 @@ def _bd0(x: np.ndarray, m) -> np.ndarray:
     for j in range(1, _BD0_MAX_TERMS + 1):
         ej = ej * v2
         s_new = s + ej / (2 * j + 1)
-        converged = (s_new == s).all()
+        converged = not np.count_nonzero(s_new != s)
         s = s_new
         if converged:
             out[close] = s
@@ -157,28 +160,25 @@ def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     q = 1.0 - p
     interior = (k > 0) & (k < n)
-    kk = np.where(interior, k, 0.5 * n)  # dummy interior value at the endpoints
+    endpoints = np.count_nonzero(interior) < k.size  # dummy n/2 at k = 0 and n
+    kk = np.where(interior, k, 0.5 * n) if endpoints else k
     size = kk.size
     args = np.concatenate(([n], kk, n - kk))
     both = args[1:]
     if n < _COUNT_TABLE_SIZE:
         stirlerr, log = _count_tables()
-        # a dummy n/2 truncates to a count; the endpoint terms are replaced below
-        counts = args.astype(np.intp)
+        counts = args.astype(np.intp)  # a dummy n/2 truncates to a count
         st, logs = stirlerr[counts], log[counts[1:]]
     else:
         st, logs = _stirlerr(args), np.log(both)
-    bd = _bd0(both, np.repeat([n * q, n * p], size))
+    bd = _bd0(both.reshape(2, size), np.array([[n * q], [n * p]]))
     lf = (
-        st[0]
-        - st[1:size + 1]
-        - st[size + 1:]
-        - bd[:size]
-        - bd[size:]
+        st[0] - st[1:size + 1] - st[size + 1:] - bd[0] - bd[1]
         + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - logs[:size] - logs[size:])
     )
-    lf = np.where(k == 0, n * math.log(p), lf)
-    lf = np.where(k == n, n * math.log(q) if q > 0 else -math.inf, lf)
+    if endpoints:
+        lf[k == 0] = n * math.log(p)
+        lf[k == n] = n * math.log(q) if q > 0 else -math.inf
     return lf
 
 
@@ -307,11 +307,10 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
     Relative error <= 1e-12 for N up to 10^5 (worst measured 6.4e-13, near
     alpha).  Near alpha it grows past that: 1.79e-12 at N = 10^6, alpha =
     0.3, p = 0.313487321026845, and 6.5e-12 at N = 10^7, because the means
-    N*q and N*p are rounded to doubles (ROADMAP item 9).  Only
-    the window of terms described in the module docstring is summed; the
-    terms past it add less than 4.3e-18 of the tail.  Raises
-    statevec.ResourceError when that window would not fit in
-    statevec.MAX_STATE_BYTES.
+    N*q and N*p are rounded to doubles (ROADMAP item 9).  Only the window of
+    terms described in the module docstring is summed; the terms past it add
+    less than 4.3e-18 of the tail.  Raises statevec.ResourceError when that
+    window would not fit in statevec.MAX_STATE_BYTES.
     """
     N = _check_count(N)
     _check_open_unit("alpha", alpha)
@@ -332,13 +331,14 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
             f"the exact tail at N={N} sums a window of {terms} terms and",
         )
         log_terms = _binom_logpmf(np.arange(k, end + 1), N, p)
-        top = log_terms.max()
+        at = log_terms.argmax()
+        top = log_terms[at]
         if end == N or log_terms[-1] <= top - drop:
             break
         width *= 2
     # max-shifted sum; the largest term enters as log1p's 1, keeping its digits
     rest = np.exp(log_terms - top)
-    rest[log_terms.argmax()] = 0.0
+    rest[at] = 0.0
     return min(1.0, math.exp(float(np.log1p(rest.sum())) + top))
 
 

@@ -230,6 +230,41 @@ MUTANTS = (
         "tests/test_stats.py::TestFalseNegativeExact::test_snap_tolerance_capped_at_large_n",
     ),
     Mutant(
+        "tail-snapped-to-zero-above-one",
+        "stats.py",
+        "    if k <= 0:\n        return 1.0",
+        "    if k <= 0:\n        return 1.5",
+        "tests/test_stats.py::TestFalseNegativeExact::test_threshold_snapped_to_zero",
+    ),
+    Mutant(
+        "bd0-far-branch-only-without-near-terms",
+        "stats.py",
+        "if near_count < close.size:",
+        "if not near_count:",
+        "tests/test_stats.py::TestFusedKernel",
+    ),
+    Mutant(
+        "logpmf-one-endpoint-left-unset",
+        "stats.py",
+        "np.count_nonzero(interior) < k.size",
+        "np.count_nonzero(interior) < k.size - 1",
+        "tests/test_stats.py::TestFusedKernel",
+    ),
+    Mutant(
+        "kd-queries-start-at-one",
+        "egraph.py",
+        "self.queries = 0",
+        "self.queries = 1",
+        "tests/test_egraph.py::TestKDTree::test_query_counters",
+    ),
+    Mutant(
+        "equal-graphs-diffed",
+        "egraph.py",
+        "if np.array_equal(reference.codes, estimate.codes):",
+        "if False:",
+        "tests/test_egraph.py::TestCompareGraphs::test_identical",
+    ),
+    Mutant(
         "stirling-index-15-to-14",
         "stats.py",
         "idx = np.minimum(n, 15.0)",

@@ -326,6 +326,19 @@ class TestKDTree:
         tree.range_query(pts[0], 1e6)
         assert avg_visited < tree.last_visited / 2
 
+    def test_query_counters(self):
+        # queries counts the calls, and total_visited adds up last_visited
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(0, 1, (300, 2))
+        tree = eg.KDTree(eg.PointCloud(pts))
+        assert (tree.queries, tree.total_visited, tree.last_visited) == (0, 0, 0)
+        seen = []
+        for i in range(0, 300, 23):
+            tree.range_query(pts[i], 0.1)
+            seen.append(tree.last_visited)
+        assert tree.queries == len(seen) == 14
+        assert tree.total_visited == sum(seen) and min(seen) > 0
+
     def test_nearest_pair_across_leaves_just_inside_eps(self):
         # two leaves on a line, the last point of the first at 1 and the
         # first point of the second at 1 + d: at eps a hair above d each
@@ -709,10 +722,17 @@ class TestQuantumEgraphClosedForm:
 
 
 class TestCompareGraphs:
-    def test_identical(self):
+    def test_identical(self, monkeypatch):
         g = eg.EpsilonGraph(3, 1.0, [1])  # (0, 1)
         diff = eg.compare_graphs(g, g)
         assert diff.fn_count == 0 and diff.fp_count == 0
+        # two graphs with equal codes answer without a set difference
+        monkeypatch.setattr(eg.np, "setdiff1d", None)
+        diff = eg.compare_graphs(eg.EpsilonGraph(3, 1.0, [1, 5]),
+                                 eg.EpsilonGraph(3, 1.0, np.array([1, 5])))
+        for edges in (diff.false_negatives, diff.false_positives):
+            assert edges.size == 0 and edges.dtype == np.int64
+            assert not edges.flags.writeable
 
     def test_false_negative(self):
         ref = eg.EpsilonGraph(2, 1.0, [1])

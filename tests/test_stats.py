@@ -187,6 +187,12 @@ class TestFalseNegativeExact:
             XI_10_05_09, rel=1e-9
         )
 
+    def test_threshold_snapped_to_zero(self):
+        # N(1 - alpha) is about 1e-14, within the snap tolerance of 0, so k = 0
+        # and every outcome is a false negative
+        assert stats.tail_threshold(10, 1 - 1e-15) == 0
+        assert stats.false_negative_exact(10, 1 - 1e-15, 0.5) == 1.0
+
     def test_near_deterministic_success(self):
         assert stats.false_negative_exact(100, 0.5, 1 - 1e-15) < 1e-100
 
@@ -424,6 +430,11 @@ class TestFusedKernel:
         fused = stats._bd0(x, m)
         single = [bd0_unfused(np.array([xi]), mi)[0] for xi, mi in zip(x, m)]
         assert np.array_equal(fused, single)
+        # one scalar mean, broadcast over x: both branches and x = 0
+        x = m[0] * (1 + rng.choice([-1, 1], 600) * np.minimum(gap, 1.0))
+        close = np.abs(x - m[0]) < 0.1 * (x + m[0])
+        assert close.sum() >= 350 and (~close).sum() >= 150 and (x == 0).any()
+        assert np.array_equal(stats._bd0(x, m[0]), bd0_unfused(x, m[0]))
 
 
 class TestCountTables:
