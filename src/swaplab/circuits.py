@@ -18,7 +18,8 @@ mid-ancilla basis states.  Its structure for n inputs (n a power of two):
           cswap(reg 1,  reg n/2+2) * new ancilla B
           cswap(reg 2,  reg n/2+1) * new ancilla A
 
-with the base case n=4 following the same three-swap pattern.  Ancillas are
+from the base case U_2, which has no ancilla and no swap: registers 1 and 2
+already hold the one pair.  Ancillas are
 allocated depth-first: the three new ancillas (A, B, C top to bottom) stack
 on top of the shared block used by both sub-circuits, giving exactly
 d_n = 3*log2(n/2) mid ancillas and 3n/2-3 register swaps.
@@ -121,13 +122,6 @@ class CircuitSpec:
         return sum(1 for g in self.gates if g.kind == "cswap")
 
 
-def count_resources(circuit: CircuitSpec) -> tuple[int, int, int]:
-    """(cswap_count, ancilla_count, total_qubits): CSWAPs counted from the
-    gate list, ancillas and qubits read from the layout."""
-    layout = circuit.layout
-    return circuit.cswap_count, layout.ancilla_count, layout.total_qubits
-
-
 def _layout(n: int, w: int, top: bool, mid: bool) -> RegisterLayout:
     """[top ancilla if ``top``][d_n mid ancillas if ``mid``][n input
     registers of width w], numbered from qubit 0.  A bad width is reported
@@ -209,17 +203,16 @@ def mid_ancilla_count(n: int) -> int:
 
 
 def _register_swaps(regs: list[int], ancs: list[int]) -> list[tuple[int, int, int]]:
-    """Recursive (ancilla, register, register) swap schedule of U_n.
+    """Recursive (ancilla, register, register) swap schedule of U_n, down to
+    U_2, which swaps nothing.
 
     ``regs`` are register ids, ``ancs`` mid-ancilla wire ids in top-to-bottom
     order (three fresh ancillas first, shared sub-block ancillas after).
     """
-    n = len(regs)
-    if n == 4:
-        a, b, c = ancs
-        return [(c, regs[0], regs[2]), (b, regs[0], regs[3]), (a, regs[1], regs[2])]
+    if len(regs) == 2:
+        return []
     (a, b, c), shared = ancs[:3], ancs[3:]
-    half = n // 2
+    half = len(regs) // 2
     swaps = _register_swaps(regs[:half], shared)
     swaps += _register_swaps(regs[half:], shared)
     swaps += [
@@ -336,14 +329,17 @@ class PairMap:
 
 
 def derive_pair_map(n: int) -> PairMap:
-    """Derive the outcome -> pair map of U_n by exact branch tracking.
+    """Derive the outcome -> pair map of U_n by tracing registers 1 and 2
+    back through the swap schedule.
 
     Every conditional branch of U_n is a register permutation, so for each
-    mid-ancilla outcome the register contents after the circuit are a
-    deterministic permutation of the input labels.  Tracking labels through
-    the swap schedule per outcome is therefore exactly equivalent to running
-    the circuit on computational-basis tags and reading registers 1 and 2
-    (the statevector route is cross-checked in the tests at n=4).
+    mid-ancilla outcome the label left in a register is the one that started
+    where a backward walk from it ends: through the schedule in reverse, a
+    swap active in that outcome moves a walk on one of its registers to the
+    other.  Two walks per outcome give exactly what running the circuit on
+    computational-basis tags and reading registers 1 and 2 gives (the
+    statevector route is cross-checked in the tests at n=4, and the forward
+    tracking of all n labels for n up to 64).
     """
     require_power_of_two(n)
     if n > MAX_PAIR_MAP_INPUTS:
@@ -353,21 +349,17 @@ def derive_pair_map(n: int) -> PairMap:
         )
     d = mid_ancilla_count(n)
     outcomes = np.arange(2**d)
-    # bit i of each outcome, in mid-ancilla wire order
-    bits = (outcomes[:, None] >> (d - 1 - np.arange(d))) & 1
-    contents = np.tile(np.arange(1, n + 1), (2**d, 1))
-    for anc, ra, rb in un_register_swaps(n):
-        on = bits[:, anc] == 1
-        tmp = contents[on, ra].copy()
-        contents[on, ra] = contents[on, rb]
-        contents[on, rb] = tmp
-    # each branch must be a permutation of the labels: nothing lost, nothing
-    # duplicated
-    if not np.array_equal(
-        np.sort(contents, axis=1), np.tile(np.arange(1, n + 1), (2**d, 1))
-    ):
-        raise AssertionError("branch of U_n is not a register permutation")
-    pairs = contents[:, :2].astype(np.int64)
+    # the register each walk sits on: registers 1 and 2 (0-based) per outcome
+    pos = np.zeros((2, 2**d), dtype=np.int64)
+    pos[1] = 1
+    for anc, ra, rb in reversed(un_register_swaps(n)):
+        # bit ``anc`` of each outcome, in mid-ancilla wire order
+        on = (outcomes >> (d - 1 - anc)) & 1 == 1
+        at_a = on & (pos == ra)
+        at_b = on & (pos == rb)
+        pos[at_a] = rb
+        pos[at_b] = ra
+    pairs = np.ascontiguousarray(pos.T + 1)
     pairs.flags.writeable = False
     keys, counts = np.unique(np.sort(pairs, axis=1), axis=0, return_counts=True)
     multiplicity = dict(zip(map(tuple, keys.tolist()), counts.tolist()))

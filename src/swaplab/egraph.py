@@ -275,9 +275,6 @@ class KDTree:
     def depth(self) -> int:
         return self._depth
 
-    def __len__(self) -> int:
-        return self.n
-
     def range_query(self, center: Sequence[float], radius: float) -> np.ndarray:
         """Indices of the points at strict distance < radius from center, as
         an int array in tree order.
@@ -363,8 +360,6 @@ def encode_point(v: Sequence[float]) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-GraphMode = Literal["standard", "naive", "multi"]
-
 # Peak bytes per pair i < j of a standard or naive quantum_egraph call: 48
 # while the Gram matrix and |G|^2 are held, then 89-109 for the pair columns
 # and the estimate table (tracemalloc, n = 200 to 2000, exact and sampled)
@@ -379,7 +374,7 @@ def quantum_egraph(
     cloud: PointCloud,
     eps: float,
     shots,
-    mode: GraphMode = "standard",
+    mode: Literal["standard", "naive", "multi"] = "standard",
     seed: int = 0,
 ) -> tuple[EpsilonGraph, stats.OverlapEstimate]:
     """Build the epsilon graph by simulated quantum distance estimation;
@@ -459,9 +454,8 @@ def _multi_values(encoded, shots, rng):
     w = encoded[0].num_qubits
     padded = circuits.pad_inputs(encoded, w)
     m = len(padded)
-    circuit = circuits.build_multiswap_full(m, w)
-    circuits.state_bytes(circuit)
     pair_map = circuits.derive_pair_map(m)
+    circuit = circuits.build_multiswap_full(m, w)
     state = circuits.simulate(circuit, padded)
     measured = circuit.layout.ancilla_count
     if math.isfinite(shots):

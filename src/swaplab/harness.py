@@ -37,8 +37,6 @@ import numpy as np
 
 from . import circuits, egraph, statevec, stats
 
-Record = dict
-
 # write_records formats max(1, _CSV_BLOCK_CELLS // width) rows at a time,
 # so the fields of only this many cells are held at once
 _CSV_BLOCK_CELLS = 6144
@@ -106,7 +104,7 @@ def _as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def write_records(records: Sequence[Record] | Mapping[str, Sequence],
+def write_records(records: Sequence[dict] | Mapping[str, Sequence],
                   path_or_file, fmt: str = "csv",
                   metadata: dict | None = None) -> None:
     """Write a table as CSV (data only) or JSON (data plus metadata), both
@@ -193,7 +191,7 @@ def run_swap_test(
     vec2: Sequence[float] | None = None,
     shots=egraph.EXACT_SHOTS,
     seed: int = 0,
-) -> tuple[list[Record], dict]:
+) -> tuple[list[dict], dict]:
     """Single two-state swap test: exact ancilla law plus (optionally
     sampled) estimates.  Inputs are either Bloch angles or two raw vectors
     of one length.  A bad input raises ValueError naming its argument (the
@@ -254,7 +252,7 @@ def run_swap_test(
 
 def run_pair_map(
     n: int, w: int = 1, dump_circuit=None
-) -> tuple[list[Record], dict]:
+) -> tuple[list[dict], dict]:
     """Outcome -> pair table of the n-state circuit, one row per mid-ancilla
     outcome, plus per-pair multiplicities and calibration constants.  With
     ``dump_circuit`` set, the circuit U_n of width ``w`` is also written to
@@ -289,7 +287,7 @@ def run_pair_map(
     return records, metadata
 
 
-def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[Record], dict]:
+def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[dict], dict]:
     """Audit the per-pair probability law of the full multi-state circuit.
 
     For each trial, random single-qubit inputs are run through the exact
@@ -383,7 +381,7 @@ def run_bounds_sweep(
     n_values: Sequence[int],
     alphas: Sequence[float] | None = None,
     ps: Sequence[float] | None = None,
-) -> tuple[list[Record], dict]:
+) -> tuple[list[dict], dict]:
     """Exact tail against the bound pair over a (N, alpha, p) grid.
 
     When ``ps`` is None the p grid is alpha-dependent (alpha+0.02 to 0.99 in
@@ -448,7 +446,7 @@ def run_bounds_sweep(
     return records, metadata
 
 
-def run_lemma1_example() -> tuple[list[Record], dict]:
+def run_lemma1_example() -> tuple[list[dict], dict]:
     """The worked sharpness example at (alpha, p) = (0.5, 0.9)."""
     alpha, p = 0.5, 0.9
     kl = stats.kl_bernoulli(alpha, p)
@@ -474,7 +472,7 @@ def run_lemma1_example() -> tuple[list[Record], dict]:
 
 def run_scaling_curves(
     n_list: Sequence[int], gamma: float = 0.1, eps: float = 1.0
-) -> tuple[list[Record], dict]:
+) -> tuple[list[dict], dict]:
     """Formula-evaluated repetition curves against n (no simulation).
 
     N_eq2 evaluates ln(1/gamma)/KL(alpha_multi || p) at the parallel-state
@@ -550,7 +548,7 @@ def run_scaling_curves(
 
 def run_gatecount_report(
     n_list: Sequence[int], w: int = 1
-) -> tuple[list[Record], dict]:
+) -> tuple[list[dict], dict]:
     """Resource counts per design, recounted from built circuits (the
     formula columns are provided for comparison, never trusted alone).
     Every n is checked, as a power of two >= 4 whose naive battery fits the
@@ -561,11 +559,10 @@ def run_gatecount_report(
     records = []
     for n in n_list:
         un = circuits.build_un(n, w)
-        un_cswaps, un_anc, un_qubits = circuits.count_resources(un)
+        un_cswaps, un_anc = un.cswap_count, un.layout.ancilla_count
         full = circuits.build_multiswap_full(n, w)
-        full_cswaps, full_anc, full_qubits = circuits.count_resources(full)
         battery = circuits.build_naive_multiswap(n, w)
-        naive_cswaps = sum(circuits.count_resources(c)[0] for _, c in battery)
+        naive_cswaps = sum(c.cswap_count for _, c in battery)
         records.append(
             {
                 "n": n,
@@ -574,10 +571,10 @@ def run_gatecount_report(
                 "un_cswaps_formula": (3 * n // 2 - 3) * w,
                 "un_mid_ancillas": un_anc,
                 "un_ancillas_formula": 3 * int(math.log2(n // 2)),
-                "un_total_qubits": un_qubits,
-                "full_cswaps": full_cswaps,
-                "full_ancillas": full_anc,
-                "full_total_qubits": full_qubits,
+                "un_total_qubits": un.layout.total_qubits,
+                "full_cswaps": full.cswap_count,
+                "full_ancillas": full.layout.ancilla_count,
+                "full_total_qubits": full.layout.total_qubits,
                 "naive_circuits": len(battery),
                 "naive_cswaps_per_round": naive_cswaps,
                 "naive_ancillas": 1,

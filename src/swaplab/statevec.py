@@ -91,14 +91,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        """|amplitude|^2 per basis index."""
-        p = np.abs(self.amplitudes)
-        return np.square(p, out=p)
-
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(

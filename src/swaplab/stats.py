@@ -51,8 +51,6 @@ import numpy as np
 from . import statevec
 from .circuits import mid_ancilla_count
 
-SQRT2 = math.sqrt(2.0)
-
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # stirlerr(n) = ln n! - [n ln n - n + ln(2 pi n)/2]; exact (via lgamma) for
@@ -223,7 +221,7 @@ def overlap_to_distance(overlap_abs: float) -> float:
 def alpha_eps_standard(eps: float) -> float:
     """Success-probability threshold equivalent to distance < eps:
     ((1 - eps^2/2)^2 + 1) / 2."""
-    if not 0.0 < eps <= SQRT2:
+    if not 0.0 < eps <= math.sqrt(2.0):
         raise ValueError(f"eps must lie in (0, sqrt(2)], got {eps}")
     c = 1.0 - eps * eps / 2.0
     return (c * c + 1.0) / 2.0
@@ -310,7 +308,8 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
     N*q and N*p are rounded to doubles (ROADMAP item 9).  Only the window of
     terms described in the module docstring is summed; the terms past it add
     less than 4.3e-18 of the tail.  Raises statevec.ResourceError when that
-    window would not fit in statevec.MAX_STATE_BYTES.
+    window would not fit in statevec.MAX_STATE_BYTES, or would be summed at
+    an N of 2^64 or more.
     """
     N = _check_count(N)
     _check_open_unit("alpha", alpha)
@@ -330,6 +329,13 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
             terms * _WINDOW_BYTES_PER_TERM,
             f"the exact tail at N={N} sums a window of {terms} terms and",
         )
+        # the log-pmf holds N beside the window's counts in one array, an
+        # object array that np.log refuses once N reaches 2^64
+        if N >= 2**64:
+            raise statevec.ResourceError(
+                f"the exact tail at N={N} needs N below 2^64, the limit of numpy's "
+                "integer counts"
+            )
         log_terms = _binom_logpmf(np.arange(k, end + 1), N, p)
         at = log_terms.argmax()
         top = log_terms[at]

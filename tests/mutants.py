@@ -132,6 +132,20 @@ MUTANTS = (
         "tests/test_circuits.py::TestCircuitJson::test_simulate_needs_one_opening_hadamard_per_ancilla",
     ),
     Mutant(
+        "u2-base-swaps-its-pair",
+        "circuits.py",
+        "    if len(regs) == 2:\n        return []",
+        "    if len(regs) == 2:\n        return [(0, regs[0], regs[1])]",
+        "tests/test_circuits.py::TestUnCounts::test_u4",
+    ),
+    Mutant(
+        "pair-trace-leaves-a-walk-on-its-register",
+        "circuits.py",
+        "pos[at_b] = ra",
+        "pos[at_b] = rb",
+        "tests/test_circuits.py::TestPairMap::test_matches_forward_label_tracking",
+    ),
+    Mutant(
         "byte-ceiling-exclusive",
         "statevec.py",
         "if nbytes > MAX_STATE_BYTES:",

@@ -12,7 +12,9 @@ fused them, so the fused kernel is checked bit for bit against code it does
 not share.  hadamard_reference, cswap_reference and marginal_reference are
 the whole-array gate kernels and marginal, which the library's blocked ones
 must match bit for bit; simulate_reference runs a circuit through them from
-unopened_state, a state of its own np.kron chain.
+unopened_state, a state of its own np.kron chain.  forward_pair_map moves
+all n labels through every branch of the U_n swap schedule, the route that
+circuits.derive_pair_map's backward trace of two registers replaces.
 """
 
 import functools
@@ -258,7 +260,7 @@ def marginal_reference(state, k):
     every amplitude in one array, summed over the axes of all qubits but the
     leading ``k``."""
     n = state.num_qubits
-    probs = state.probabilities().reshape((2,) * n)
+    probs = (np.abs(state.amplitudes) ** 2).reshape((2,) * n)
     other = tuple(range(k, n))
     marg = probs.sum(axis=other) if other else probs
     return marg.reshape(-1)
@@ -286,6 +288,27 @@ def simulate_reference(circuit, inputs):
         gate = hadamard_reference if g.kind == "h" else cswap_reference
         state = gate(state, *g.qubits)
     return state
+
+
+def forward_pair_map(n):
+    """(pairs, multiplicity) of U_n by forward label tracking: a row of the
+    labels 1..n per mid outcome, swapped through the whole schedule in the
+    rows where the swap's ancilla bit is set (the first mid ancilla is the
+    most significant bit); registers 1 and 2 hold the outcome's ordered
+    pair.  Every row stays a permutation of the labels."""
+    d = circuits.mid_ancilla_count(n)
+    bits = (np.arange(2**d)[:, None] >> (d - 1 - np.arange(d))) & 1
+    contents = np.tile(np.arange(1, n + 1), (2**d, 1))
+    for anc, ra, rb in circuits.un_register_swaps(n):
+        on = bits[:, anc] == 1
+        contents[on, ra], contents[on, rb] = contents[on, rb], contents[on, ra]
+    assert np.array_equal(np.sort(contents, axis=1), np.tile(np.arange(1, n + 1), (2**d, 1)))
+    pairs = contents[:, :2].astype(np.int64)
+    multiplicity = {}
+    for a, b in pairs.tolist():
+        key = (min(a, b), max(a, b))
+        multiplicity[key] = multiplicity.get(key, 0) + 1
+    return pairs, multiplicity
 
 
 def per_pair_swap_tests(cloud, shots, seed=0):

@@ -80,7 +80,8 @@ def test_criterion_2_gate_and_ancilla_counts():
     failures = []
     for n in (4, 8, 16, 32):
         for d in (1, 2, 3):
-            cswaps, ancillas, _ = circuits.count_resources(circuits.build_un(n, d))
+            circuit = circuits.build_un(n, d)
+            cswaps, ancillas = circuit.cswap_count, circuit.layout.ancilla_count
             if cswaps != (3 * n // 2 - 3) * d:
                 failures.append(f"U_{n} d={d} cswaps {cswaps}")
             if ancillas != 3 * int(math.log2(n / 2)):

@@ -10,7 +10,7 @@ from swaplab import circuits as qc
 from swaplab import egraph as eg
 from swaplab import statevec as sv
 
-from oracles import marginal_reference, simulate_reference
+from oracles import forward_pair_map, marginal_reference, simulate_reference
 
 
 def random_qubits(rng, count):
@@ -71,12 +71,13 @@ SIMULATED = {
 
 class TestSwapTest:
     def test_counts_w1(self):
-        assert qc.count_resources(qc.build_swap_test(1)) == (1, 1, 3)
+        c = qc.build_swap_test(1)
+        assert (c.cswap_count, c.layout.ancilla_count, c.layout.total_qubits) == (1, 1, 3)
 
     def test_counts_w3(self):
         c = qc.build_swap_test(3)
         assert c.cswap_count == 3
-        assert qc.count_resources(c) == (3, 1, 7)
+        assert (c.layout.ancilla_count, c.layout.total_qubits) == (1, 7)
 
     def test_gate_order(self):
         c = qc.build_swap_test(2)
@@ -146,13 +147,14 @@ class TestNaiveBattery:
 class TestUnCounts:
     def test_u4(self):
         c = qc.build_un(4, 1)
-        assert qc.count_resources(c) == (3, 3, 7)
+        assert (c.cswap_count, c.layout.ancilla_count, c.layout.total_qubits) == (3, 3, 7)
 
     def test_u4_w2(self):
         assert qc.build_un(4, 2).cswap_count == 6
 
     def test_u8(self):
-        assert qc.count_resources(qc.build_un(8, 1)) == (9, 6, 14)
+        c = qc.build_un(8, 1)
+        assert (c.cswap_count, c.layout.ancilla_count, c.layout.total_qubits) == (9, 6, 14)
 
     def test_u16_w3(self):
         assert qc.build_un(16, 3).cswap_count == 63
@@ -161,9 +163,8 @@ class TestUnCounts:
     @pytest.mark.parametrize("w", [1, 2, 3])
     def test_gate_count_law(self, n, w):
         c = qc.build_un(n, w)
-        cswaps, ancillas, _ = qc.count_resources(c)
-        assert cswaps == (3 * n // 2 - 3) * w
-        assert ancillas == 3 * int(math.log2(n / 2))
+        assert c.cswap_count == (3 * n // 2 - 3) * w
+        assert c.layout.ancilla_count == 3 * int(math.log2(n / 2))
 
     def test_bad_n(self):
         for n in (2, 3, 5, 6, 12):
@@ -178,10 +179,12 @@ class TestUnCounts:
 
 class TestMultiswapFull:
     def test_counts_n4(self):
-        assert qc.count_resources(qc.build_multiswap_full(4, 1)) == (4, 4, 8)
+        c = qc.build_multiswap_full(4, 1)
+        assert (c.cswap_count, c.layout.ancilla_count, c.layout.total_qubits) == (4, 4, 8)
 
     def test_counts_n8(self):
-        assert qc.count_resources(qc.build_multiswap_full(8, 1)) == (10, 7, 15)
+        c = qc.build_multiswap_full(8, 1)
+        assert (c.cswap_count, c.layout.ancilla_count, c.layout.total_qubits) == (10, 7, 15)
 
     def test_measured_qubits(self):
         # the measured qubits are the leading ancilla_count: top, then mids
@@ -252,6 +255,15 @@ class TestPairMap:
             v2 = (diff & -diff).bit_length() - 1
             assert pm.multiplicity[(i, j)] == (1 if v2 == 0 else 2 ** (2 * v2 - 1))
         assert sum(pm.multiplicity.values()) == (n // 2) ** 3
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_matches_forward_label_tracking(self, n):
+        pm = qc.derive_pair_map(n)
+        pairs, multiplicity = forward_pair_map(n)
+        assert pm.pairs.dtype == np.int64 and pm.pairs.flags.c_contiguous
+        assert not pm.pairs.flags.writeable
+        assert np.array_equal(pm.pairs, pairs)
+        assert pm.multiplicity == multiplicity
 
     def test_n8_has_64_outcomes(self):
         assert qc.derive_pair_map(8).pairs.shape == (64, 2)

@@ -228,6 +228,28 @@ class TestSubcommands:
             "bytes, over the ceiling of 16777216 bytes\n"
         )
 
+    def test_bounds_past_2_to_the_64_is_one_line(self, capsys):
+        assert main(["bounds", "--n-list", "100000000000000000000", "--alpha-grid",
+                     "0.5", "--p-grid", "0.999999999999999"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "swaplab bounds: error: the exact tail at N=100000000000000000000 needs "
+            "N below 2^64, the limit of numpy's integer counts\n"
+        )
+
+    def test_multi_egraph_past_the_pair_map_cap_is_one_line(self, tmp_path, capsys):
+        points, out = tmp_path / "cloud.csv", tmp_path / "out"
+        points.write_text("".join(f"{k + 1},1\n" for k in range(65)))
+        assert main(["egraph", "--points", str(points), "--eps", "0.5",
+                     "--mode", "quantum-multi", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and not out.exists()
+        assert captured.err == (
+            "swaplab egraph: error: pair map enumeration is capped at n=64 "
+            "(2^18 outcomes); got n=128\n"
+        )
+
     def test_gatecount_battery_over_byte_ceiling(self, tmp_path):
         out = tmp_path / "gc.csv"
         proc = _swaplab("gatecount", "--n-list", "4,16384", "--out", str(out))

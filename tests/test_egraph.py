@@ -447,7 +447,7 @@ class TestEncodePoint:
     def test_pads_to_power_of_two(self):
         state = eg.encode_point([1.0, 2.0, 3.0, 4.0, 5.0])
         assert state.num_qubits == 3
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_zero_vector(self):
         with pytest.raises(ValueError):
@@ -719,6 +719,19 @@ class TestQuantumEgraphClosedForm:
         _, estimates = eg.quantum_egraph(eg.PointCloud(cloud.points[:599]), 0.8,
                                          shots, mode, seed=1)
         assert estimates.p_hat.size == 599 * 598 // 2
+
+
+class TestMultiPairMapCap:
+    @pytest.mark.parametrize("shots", [eg.EXACT_SHOTS, 50])
+    def test_refused_before_the_circuit_is_built(self, monkeypatch, shots):
+        # 65 points pad to 128 registers, past the pair map's cap of 64
+        def refuse(*args, **kwargs):
+            raise AssertionError("circuits.build_multiswap_full called")
+
+        monkeypatch.setattr(circuits, "build_multiswap_full", refuse)
+        cloud = unit_cloud(3, seed=4, num=65)
+        with pytest.raises(sv.ResourceError, match="^pair map enumeration is capped at n=64"):
+            eg.quantum_egraph(cloud, 0.8, shots, "multi", seed=1)
 
 
 class TestCompareGraphs:

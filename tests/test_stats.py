@@ -292,6 +292,14 @@ class TestFalseNegativeExact:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_n_from_2_to_the_64_raises(self):
+        # the window at N = 2^64 ends near 2^63, but the log-pmf holds N too
+        for N in (2**64, 10**20):
+            with pytest.raises(statevec.ResourceError,
+                               match=rf"^the exact tail at N={N} needs N below 2\^64,"):
+                stats.false_negative_exact(N, 0.5, 0.999999999999999)
+        assert stats.false_negative_exact(2**64 - 1, 0.5, 0.999999999999999) == 0.0
+
     def test_first_call_at_large_n_allocates_only_its_window(self):
         # N = 10^7 is past the count tables: the call holds its window of
         # about 25,000 terms (4.9 MiB at peak), never a table over 0..N
