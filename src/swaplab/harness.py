@@ -254,12 +254,11 @@ def run_pair_map(
     n: int, w: int = 1, dump_circuit=None
 ) -> tuple[list[dict], dict]:
     """Outcome -> pair table of the n-state circuit, one row per mid-ancilla
-    outcome, plus per-pair multiplicities and calibration constants.  With
-    ``dump_circuit`` set, the circuit U_n of width ``w`` is also written to
-    that path as JSON."""
-    if w < 1:
-        raise ValueError(f"register width must be >= 1, got {w}")
+    outcome, plus per-pair multiplicities and calibration constants.  The
+    circuit U_n of width ``w`` is built either way, which checks n and then
+    w, and with ``dump_circuit`` set it is written to that path as JSON."""
     pm = circuits.derive_pair_map(n)
+    un = circuits.build_un(n, w)
     records = []
     for outcome, (i, j) in enumerate(pm.pairs.tolist()):
         records.append(
@@ -280,9 +279,8 @@ def run_pair_map(
         "w": w,
     }
     if dump_circuit:
-        dump = circuits.circuit_to_json(circuits.build_un(n, w))
         with open(dump_circuit, "w") as fh:
-            json.dump(dump, fh, indent=2)
+            json.dump(circuits.circuit_to_json(un), fh, indent=2)
             fh.write("\n")
     return records, metadata
 
@@ -550,9 +548,11 @@ def run_gatecount_report(
     n_list: Sequence[int], w: int = 1
 ) -> tuple[list[dict], dict]:
     """Resource counts per design, recounted from built circuits (the
-    formula columns are provided for comparison, never trusted alone).
-    Every n is checked, as a power of two >= 4 whose naive battery fits the
-    byte ceiling, before the first circuit is built."""
+    formula columns are provided for comparison, never trusted alone).  The
+    naive battery's n(n-1)/2 circuits are all one swap test, so that circuit
+    is built once and its count scaled.  Every n is checked, as a power of
+    two >= 4 whose naive battery fits the byte ceiling, before the first
+    circuit is built."""
     for n in n_list:
         circuits.require_power_of_two(n)
         circuits.check_naive_battery(n)
@@ -561,8 +561,7 @@ def run_gatecount_report(
         un = circuits.build_un(n, w)
         un_cswaps, un_anc = un.cswap_count, un.layout.ancilla_count
         full = circuits.build_multiswap_full(n, w)
-        battery = circuits.build_naive_multiswap(n, w)
-        naive_cswaps = sum(c.cswap_count for _, c in battery)
+        pairs = n * (n - 1) // 2
         records.append(
             {
                 "n": n,
@@ -575,8 +574,8 @@ def run_gatecount_report(
                 "full_cswaps": full.cswap_count,
                 "full_ancillas": full.layout.ancilla_count,
                 "full_total_qubits": full.layout.total_qubits,
-                "naive_circuits": len(battery),
-                "naive_cswaps_per_round": naive_cswaps,
+                "naive_circuits": pairs,
+                "naive_cswaps_per_round": pairs * circuits.build_swap_test(w).cswap_count,
                 "naive_ancillas": 1,
                 "counts_match_formula": un_cswaps == (3 * n // 2 - 3) * w
                 and un_anc == 3 * int(math.log2(n // 2)),
@@ -586,7 +585,7 @@ def run_gatecount_report(
         "un_cswaps_formula": "(3n/2 - 3) * w",
         "un_ancillas_formula": "3 * log2(n/2)",
         "naive_cswaps_per_round": "n(n-1)/2 circuits of w CSWAPs each, "
-        "recounted from the built battery",
+        "recounted from one built swap-test circuit",
         "naive_ancillas": "single reusable ancilla",
     }
     return records, metadata

@@ -18,30 +18,47 @@ ceiling in xi otherwise shifts the realized threshold above alpha, and the
 exact tail can drop below the bound -- e.g. N=1, alpha=0.5, p=0.9 gives
 xi=0.1 versus a "lower bound" of 0.424).
 
-The exact tail sums a window of the binomial log-terms, k = ceil(N*(1-alpha))
-up to an ``end`` at or past the peak max(k, floor((N+1)*(1-p))) where the
-log-term is at least ln N + 40 below the largest one.  The pmf is
-log-concave, so past its mode the terms fall and the N - end terms left out
-add up to at most N*t_end <= e^-40 * t_max, under 4.3e-18 of the tail.  The
-window starts 64 + 8*sqrt(N*p*(1-p)) terms past the peak and doubles until
-that holds or reaches N, unless its kernel would pass the simulator's byte
-ceiling.  For N < 2^17 the window reads _stirlerr and ln of [N, k..., N-k...]
-from tables over the counts 0..2^17-1 (see _count_tables); above, it costs one
-_stirlerr and one np.log call over that array.  Either way one _bd0 call
-follows, over the rows [k...] and [N-k...] with the means N*q and N*p
-broadcast along them.  All of these are elementwise, so the tables and this
-fusing leave every term's bits as separate calls would.  The threshold
-ceil(N*(1-alpha)) is taken in integer arithmetic from alpha's binary fraction
-a/b, as N*(b-a)/b.
+The exact tail is a regularized incomplete beta function.  With q = 1 - p
+and k = ceil(N*(1-alpha)) >= 1,
 
-All functions are pure; the count tables are built once per process, on
-the first call that reads them, and are read-only after.  Safe for
-unrestricted parallel use.
+    xi = I_q(k, N-k+1) = pmf(k) * p * CF(k, N-k+1, q),
+
+where I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * CF(a, b, x), pmf(k) is that of
+Bin(N, q), and CF is the continued fraction of Press et al., Numerical
+Recipes 3rd ed. section 6.4 (betacf):
+
+    CF = 1/(1 + d_1/(1 + d_2/(1 + ...))),
+    d_2m = m(b-m)x / ((a+2m-1)(a+2m)),
+    d_2m+1 = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1)).
+
+It converges fast while x < (a+1)/(a+b+2), that is q < (k+1)/(N+3); past
+that point the tail is 1 - I_p(N-k+1, k) = 1 - pmf(k-1) * q * CF(N-k+1, k, p).
+Near that point 1 + d_2m+1 is small, and the textbook Lentz loop loses up
+to 2e-12 to the cancellation at N = 10^7.  So the fraction is evaluated
+over its odd part,
+
+    1/CF = D_0 + n_1/(D_1 + n_2/(D_2 + ...)),
+    D_0 = 1 + d_1,  D_m = 1 + d_2m + d_2m+1,  n_m = -d_2m-1 * d_2m,
+
+whose terms are all >= 0 on this side of the point (n_b = 0 ends it), by
+modified Lentz.  The cancellation is left to D_m alone, and D_m is formed
+from integers and rounded once: with 1 - x = y exactly,
+
+    D_m = ((y+1) A_m - S) / ((a+2m-1)(a+2m+1)),
+    A_m = a^2 + ab - a - b + 2am + 2m^2,  S = a^2 + 2ab - 2a - 2b + 1.
+
+The prefactor is one saddle-point log-term (Loader, "Fast and Accurate
+Computation of Binomial Probabilities", 2000) built on _stirlerr and _bd0;
+its means N*q and N*p are rounded to doubles, and each deviance is
+corrected by its slope times the exact rest of its mean.  The threshold
+ceil(N*(1-alpha)) is taken in integer arithmetic from alpha's exact binary
+fraction (see _threshold), and N must be a count that a float holds.
+
+All functions are pure and safe for unrestricted parallel use.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -55,139 +72,85 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # stirlerr(n) = ln n! - [n ln n - n + ln(2 pi n)/2]; exact (via lgamma) for
 # n <= 15, asymptotic series above.  The saddle-point probability form built
-# on it keeps the tail accurate to ~1e-13 relative up to N = 10^6, where
+# on it keeps a pmf term accurate to ~1e-13 relative up to N = 10^6, where
 # differencing large log-gamma values alone would lose ~7 digits.
-_STIRLERR_SMALL = np.array(
-    [0.0]
-    + [
-        math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - _HALF_LN_2PI
-        for n in range(1, 16)
-    ]
+_STIRLERR_SMALL = (0.0,) + tuple(
+    math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - _HALF_LN_2PI
+    for n in range(1, 16)
 )
 
 
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    small = n < 15.5
-    safe = np.where(small, 1.0, n)
-    series = (
-        1.0 / (12.0 * safe)
-        - 1.0 / (360.0 * safe**3)
-        + 1.0 / (1260.0 * safe**5)
-        - 1.0 / (1680.0 * safe**7)
-        + 1.0 / (1188.0 * safe**9)
-    )
-    # n >= 0 here; entries past 15 read a table slot that np.where discards
-    idx = np.minimum(n, 15.0).astype(int)
-    return np.where(small, _STIRLERR_SMALL[idx], series)
-
-
-_COUNT_TABLE_SIZE = 2**17
-
-
-@functools.cache
-def _count_tables() -> tuple[np.ndarray, np.ndarray]:
-    """_stirlerr(i) and ln i for the counts 0 <= i < 2^17: two read-only
-    float64 tables (2 MiB together), built whole on the first call, not on
-    import.  Each entry comes from the same _stirlerr and np.log calls on the
-    float i that the formula path makes, so both paths give the same bits."""
-    stirlerr, log = np.empty(_COUNT_TABLE_SIZE), np.empty(_COUNT_TABLE_SIZE)
-    # 4096 counts at a time, so that the fill's temporaries stay small
-    for start in range(0, _COUNT_TABLE_SIZE, 4096):
-        chunk = slice(start, start + 4096)
-        counts = np.arange(chunk.start, chunk.stop, dtype=float)
-        stirlerr[chunk] = _stirlerr(counts)
-        with np.errstate(divide="ignore"):  # ln 0 = -inf
-            log[chunk] = np.log(counts)
-    stirlerr.flags.writeable = log.flags.writeable = False
-    return stirlerr, log
+def _stirlerr(n: int) -> float:
+    if n < 16:
+        return _STIRLERR_SMALL[n]
+    # in powers of 1/n, which underflow to 0 where powers of n would overflow
+    r = 1.0 / n
+    r2 = r * r
+    return r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188))))
 
 
 _BD0_MAX_TERMS = 100
 
-# e^-40 < 4.3e-18: the window's bound on the tail mass it leaves out
-_TAIL_DROP = 40.0
 
-# Bytes the tail kernel holds per window term at its peak, about 28 float64
-# temporaries (tracemalloc read 205-221 at windows of 10^3 to 10^5 terms)
-_WINDOW_BYTES_PER_TERM = 256
-
-
-def _bd0(x: np.ndarray, m) -> np.ndarray:
-    """Binomial deviance x*ln(x/m) + m - x, stable for x near m; ``m`` is a
-    scalar or broadcasts to x's shape.  A branch no element takes is skipped."""
-    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
-    d, xm = x - m, x + m
-    close = np.abs(d) < 0.1 * xm
-    out = np.empty_like(x)
-    near_count = np.count_nonzero(close)
-    if near_count < close.size:
-        far_at = ~close
-        far, m_far = x[far_at], np.where(far_at, m, 0.0)[far_at]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(np.where(far > 0, far, 1.0) / m_far)
-            out[far_at] = np.where(far > 0, far * logs, 0.0) + m_far - far
-    if not near_count:
-        return out
-    near, d = x[close], d[close]
-    v = d / xm[close]
-    s, ej = d * v, 2.0 * near * v
-    v2 = v * v
-    # |v| < 0.1 where the series is used, so each term shrinks the next by
-    # 100x and double precision converges within a dozen terms.  A converged
-    # element stays put while the loop runs on for the others: every later
-    # term is under a hundredth of half its ulp.
+def _bd0(x: float, m: float) -> float:
+    """Binomial deviance x*ln(x/m) + m - x for x > 0, stable for x near m.
+    Far from m it is x*log1p(d/m) - d with d = x - m, which leaves m - x
+    uncancelled."""
+    d = x - m
+    if abs(d) >= 0.1 * (x + m):
+        return x * math.log1p(d / m) - d
+    v = d / (x + m)
+    s, ej, v2 = d * v, 2.0 * x * v, v * v
+    # |v| < 0.1 here, so each term shrinks the next by 100x and double
+    # precision converges within a dozen terms
     for j in range(1, _BD0_MAX_TERMS + 1):
-        ej = ej * v2
+        ej *= v2
         s_new = s + ej / (2 * j + 1)
-        converged = not np.count_nonzero(s_new != s)
+        if s_new == s:
+            return s
         s = s_new
-        if converged:
-            out[close] = s
-            return out
     raise RuntimeError(f"_bd0 series did not converge in {_BD0_MAX_TERMS} terms")
 
 
-def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    """ln P(Bin(n, q) = k) with q = 1 - p, saddle-point form, vectorized over
-    a 1-d array of integer k.  Taking p rather than q keeps n*p exact to the
-    caller's p: re-deriving p from a rounded q would shift the log-pmf by
-    ~1e-12 at n = 10^5.  Each helper runs once over both halves of the sum,
-    or reads its count tables when n < 2^17 (see the module docstring); the
-    terms are added in the textbook order."""
-    k = np.asarray(k, dtype=float)
+def _binom_logpmf(k: int, n: int, p: float) -> float:
+    """ln P(Bin(n, q) = k) for 0 <= k <= n at the exact q = 1 - p of the
+    double p, in Loader's saddle-point form.  The means n*q and n*p (and q
+    itself) are rounded to doubles; d bd0(x, m)/dm = 1 - x/m, so each
+    deviance is corrected by that slope times the exact rest of its mean."""
     q = 1.0 - p
-    interior = (k > 0) & (k < n)
-    endpoints = np.count_nonzero(interior) < k.size  # dummy n/2 at k = 0 and n
-    kk = np.where(interior, k, 0.5 * n) if endpoints else k
-    size = kk.size
-    args = np.concatenate(([n], kk, n - kk))
-    both = args[1:]
-    if n < _COUNT_TABLE_SIZE:
-        stirlerr, log = _count_tables()
-        counts = args.astype(np.intp)  # a dummy n/2 truncates to a count
-        st, logs = stirlerr[counts], log[counts[1:]]
-    else:
-        st, logs = _stirlerr(args), np.log(both)
-    bd = _bd0(both.reshape(2, size), np.array([[n * q], [n * p]]))
-    lf = (
-        st[0] - st[1:size + 1] - st[size + 1:] - bd[0] - bd[1]
-        + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - logs[:size] - logs[size:])
+    num, den = p.as_integer_ratio()
+    if k == 0:
+        return n * math.log(p)
+    if k == n:
+        return n * (math.log(q) + _rest(den - num, den, q) / q)
+    mq, mp = n * q, n * p
+    return (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, mq) - _bd0(n - k, mp)
+        + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - math.log(k) - math.log(n - k))
+        - (1.0 - k / mq) * _rest(n * (den - num), den, mq)
+        - (1.0 - (n - k) / mp) * _rest(n * num, den, mp)
     )
-    if endpoints:
-        lf[k == 0] = n * math.log(p)
-        lf[k == n] = n * math.log(q) if q > 0 else -math.inf
-    return lf
+
+
+def _rest(num: int, den: int, x: float) -> float:
+    """num/den - x for integers num, den > 0 and a float x, rounded once."""
+    u, v = x.as_integer_ratio()
+    return (num * v - u * den) / (den * v)
 
 
 def _check_count(N) -> int:
-    """N as a Python int; ValueError unless N is an integer >= 1."""
+    """N as a Python int; ValueError unless N is an integer >= 1 that a
+    float can hold (the tail works in doubles)."""
     try:
         n = operator.index(N)
     except TypeError:  # not an integer (a float too): rejected below
         n = 0
     if n < 1:
         raise ValueError(f"N must be a whole number >= 1, got {N}")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"N must be below 2^1024, the float range, got {N}") from None
     return n
 
 
@@ -298,18 +261,52 @@ def threshold_aligned(N: int, alpha: float) -> bool:
     return _threshold(N, alpha)[1]
 
 
+# The fraction stops when a step moves it by at most one ulp of 1, and a
+# cell that needs more than _CF_MAX_STEPS steps is refused.  10^5 covers the
+# cells with p - alpha >= 0.01*sqrt(alpha(1-alpha)/N) up to N = 10^13: there
+# alpha = 0.1, 0.3, 0.5 and 0.7 took 72,415 to 84,379 steps.
+_CF_EPS = 2.0**-52
+_CF_MAX_STEPS = 10**5
+
+
+def _beta_fraction(a: int, b: int, x: float, ynum: int, den: int) -> float | None:
+    """1/CF(a, b, x) for x <= (a+1)/(a+b+2), where 1 - x = ynum/den exactly:
+    the odd part of the fraction (see the module docstring) by modified
+    Lentz.  None past _CF_MAX_STEPS steps."""
+    y1, s = ynum + den, den * (a * a + 2 * a * b - 2 * a - 2 * b + 1)
+    a_m = (a + b) * (a - 1)  # A_0
+    f = c = (ynum * (a + b) - den * (b - 1)) / (den * (a + 1))  # D_0
+    dd = 0.0
+    af, bf = float(a), float(b)
+    for m in range(1, _CF_MAX_STEPS + 1):
+        a_m += 2 * a + 4 * m - 2
+        j = a + 2 * m - 1
+        d_m = (y1 * a_m - s) / (den * j * (j + 2))
+        # n_m = -d_2m-1 * d_2m, as ratios that no float N overflows
+        j = af + 2 * m - 1
+        n_m = ((af + m - 1) / (j - 1) * ((af + bf + m - 1) / j) * x
+               * (m / j * ((bf - m) / (j + 1)) * x))
+        dd = 1.0 / (d_m + n_m * dd)
+        c = d_m + n_m / c
+        step = c * dd
+        f *= step
+        if abs(step - 1.0) <= _CF_EPS:
+            return f
+    return None
+
+
 def false_negative_exact(N: int, alpha: float, p: float) -> float:
     """Exact false-negative probability: the upper binomial tail
-    sum_{i=ceil(N(1-alpha))}^{N} C(N,i) (1-p)^i p^{N-i}.
+    sum_{i=ceil(N(1-alpha))}^{N} C(N,i) (1-p)^i p^{N-i}, as the incomplete
+    beta function of the module docstring.
 
-    Relative error <= 1e-12 for N up to 10^5 (worst measured 6.4e-13, near
-    alpha).  Near alpha it grows past that: 1.79e-12 at N = 10^6, alpha =
-    0.3, p = 0.313487321026845, and 6.5e-12 at N = 10^7, because the means
-    N*q and N*p are rounded to doubles (ROADMAP item 9).  Only the window of
-    terms described in the module docstring is summed; the terms past it add
-    less than 4.3e-18 of the tail.  Raises statevec.ResourceError when that
-    window would not fit in statevec.MAX_STATE_BYTES, or would be summed at
-    an N of 2^64 or more.
+    Relative error <= 1e-12 at the given double p, as measured: 2.2e-13 at
+    worst over the default grid of N = 1..200 against exact Pascal sums, and
+    near alpha (p = alpha + z*sqrt(alpha(1-alpha)/N), z = 0.5..30) 2.5e-13,
+    1.2e-13 and 9.3e-14 at N = 10^5, 10^6 and 10^7 against 80-digit sums
+    (1.4e-13 and 7e-14 at 10^8 and 10^9 for z = 10 and 30).  Raises
+    statevec.ResourceError, naming the cell, when the continued fraction
+    needs more than _CF_MAX_STEPS steps.
     """
     N = _check_count(N)
     _check_open_unit("alpha", alpha)
@@ -319,33 +316,23 @@ def false_negative_exact(N: int, alpha: float, p: float) -> float:
         return 1.0
     if k > N:
         return 0.0
-    peak = max(k, math.floor((N + 1) * (1.0 - p)))
-    width = 64 + 8 * math.sqrt(N * p * (1.0 - p))
-    drop = math.log(N) + _TAIL_DROP
-    while True:
-        end = min(N, peak + int(width))
-        terms = end - k + 1
-        statevec.check_bytes(
-            terms * _WINDOW_BYTES_PER_TERM,
-            f"the exact tail at N={N} sums a window of {terms} terms and",
+    q = 1.0 - p
+    upper = q < (k + 1) / (N + 3)
+    num, den = p.as_integer_ratio()
+    if upper:
+        f = _beta_fraction(k, N - k + 1, q, num, den)
+    else:
+        f = _beta_fraction(N - k + 1, k, p, den - num, den)
+    if f is None:
+        raise statevec.ResourceError(
+            f"the exact tail at N={N}, alpha={alpha}, p={p} needs more than "
+            f"{_CF_MAX_STEPS} continued-fraction steps"
         )
-        # the log-pmf holds N beside the window's counts in one array, an
-        # object array that np.log refuses once N reaches 2^64
-        if N >= 2**64:
-            raise statevec.ResourceError(
-                f"the exact tail at N={N} needs N below 2^64, the limit of numpy's "
-                "integer counts"
-            )
-        log_terms = _binom_logpmf(np.arange(k, end + 1), N, p)
-        at = log_terms.argmax()
-        top = log_terms[at]
-        if end == N or log_terms[-1] <= top - drop:
-            break
-        width *= 2
-    # max-shifted sum; the largest term enters as log1p's 1, keeping its digits
-    rest = np.exp(log_terms - top)
-    rest[at] = 0.0
-    return min(1.0, math.exp(float(np.log1p(rest.sum())) + top))
+    # pmf(k)*p*CF, or pmf(k-1)*q*CF in the complement, as one exp of summed
+    # logs: a subnormal tail keeps every bit the exp gives it
+    log_tail = (_binom_logpmf(k if upper else k - 1, N, p)
+                + math.log(p if upper else q) - math.log(f))
+    return math.exp(log_tail) if upper else 1.0 - math.exp(log_tail)
 
 
 def n_gamma(gamma: float, alpha: float, p: float) -> float:

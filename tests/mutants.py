@@ -232,8 +232,8 @@ MUTANTS = (
     Mutant(
         "stirling-series-short-a-term",
         "stats.py",
-        "        - 1.0 / (1680.0 * safe**7)\n",
-        "",
+        "(1 / 1260 - r2 * (1 / 1680 - r2 / 1188))",
+        "(1 / 1260 - r2 / 1188)",
         "tests/test_stats.py::TestFalseNegativeExact::test_whole_default_grid_matches_pascal_oracle",
     ),
     Mutant(
@@ -251,18 +251,32 @@ MUTANTS = (
         "tests/test_stats.py::TestFalseNegativeExact::test_threshold_snapped_to_zero",
     ),
     Mutant(
-        "bd0-far-branch-only-without-near-terms",
+        "fraction-branches-swapped",
         "stats.py",
-        "if near_count < close.size:",
-        "if not near_count:",
-        "tests/test_stats.py::TestFusedKernel",
+        "upper = q < (k + 1) / (N + 3)",
+        "upper = q >= (k + 1) / (N + 3)",
+        "tests/test_stats.py::TestFalseNegativeExact::test_both_branches_match_fraction_oracle",
     ),
     Mutant(
-        "logpmf-one-endpoint-left-unset",
+        "complement-taken-as-the-tail",
         "stats.py",
-        "np.count_nonzero(interior) < k.size",
-        "np.count_nonzero(interior) < k.size - 1",
-        "tests/test_stats.py::TestFusedKernel",
+        "else 1.0 - math.exp(log_tail)",
+        "else math.exp(log_tail)",
+        "tests/test_stats.py::TestFalseNegativeExact::test_both_branches_match_fraction_oracle",
+    ),
+    Mutant(
+        "lentz-stops-on-a-step-below-one",
+        "stats.py",
+        "if abs(step - 1.0) <= _CF_EPS:",
+        "if step - 1.0 <= _CF_EPS:",
+        "tests/test_stats.py::TestFalseNegativeExact::test_near_alpha_matches_mpmath",
+    ),
+    Mutant(
+        "logpmf-mean-rounding-uncorrected",
+        "stats.py",
+        "        - (1.0 - (n - k) / mp) * _rest(n * num, den, mp)\n",
+        "",
+        "tests/test_stats.py::TestFalseNegativeExact::test_near_alpha_matches_mpmath",
     ),
     Mutant(
         "kd-queries-start-at-one",
@@ -281,8 +295,8 @@ MUTANTS = (
     Mutant(
         "stirling-index-15-to-14",
         "stats.py",
-        "idx = np.minimum(n, 15.0)",
-        "idx = np.minimum(n, 14.0)",
+        "return _STIRLERR_SMALL[n]",
+        "return _STIRLERR_SMALL[min(n, 14)]",
         "tests/test_stats.py::TestFalseNegativeExact::test_matches_fraction_oracle_small_n",
     ),
     Mutant(

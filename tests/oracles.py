@@ -2,19 +2,18 @@
 
 These deliberately avoid the library's own code paths: the binomial tail is
 summed term by term (exact rationals for small N, arbitrary precision with a
-ratio recurrence for large N), thresholds are recomputed from scratch, and
-the per-pair swap-test statistics of the quantum egraph come from simulating
-each pair's circuit on the state vector instead of the closed-form law.  The
-one exception, xi_full_sum, shares the library's saddle-point log-terms and
-checks only which of them the windowed tail sums.  binom_logpmf_unfused keeps
-its own copy of the saddle-point helpers as they were before the library
-fused them, so the fused kernel is checked bit for bit against code it does
-not share.  hadamard_reference, cswap_reference and marginal_reference are
-the whole-array gate kernels and marginal, which the library's blocked ones
-must match bit for bit; simulate_reference runs a circuit through them from
-unopened_state, a state of its own np.kron chain.  forward_pair_map moves
-all n labels through every branch of the U_n swap schedule, the route that
-circuits.derive_pair_map's backward trace of two registers replaces.
+ratio recurrence for large N, or the Pascal recurrence over a whole grid),
+never through the library's continued fraction; the log-pmf comes from
+mpmath's log-gamma, not from the library's saddle-point terms; thresholds
+are recomputed from scratch; and the per-pair swap-test statistics of the
+quantum egraph come from simulating each pair's circuit on the state vector
+instead of the closed-form law.  hadamard_reference, cswap_reference and
+marginal_reference are the whole-array gate kernels and marginal, which the
+library's blocked ones must match bit for bit; simulate_reference runs a
+circuit through them from unopened_state, a state of its own np.kron chain.
+forward_pair_map moves all n labels through every branch of the U_n swap
+schedule, the route that circuits.derive_pair_map's backward trace of two
+registers replaces.
 """
 
 import functools
@@ -25,9 +24,8 @@ from math import comb
 
 import mpmath as mp
 import numpy as np
-from scipy.special import logsumexp
 
-from swaplab import circuits, egraph, statevec, stats
+from swaplab import circuits, egraph, statevec
 
 
 def _snap_tolerance(N: int) -> float:
@@ -146,80 +144,21 @@ def xi_pascal_grid(n_max: int, alphas, ps) -> np.ndarray:
     return out
 
 
-def xi_full_sum(N: int, alpha: float, p: float) -> float:
-    """The exact tail as every saddle-point log-term from ceil(N(1-alpha)) to
-    N, added by logsumexp: the slow route the windowed sum replaces."""
-    k = oracle_threshold(N, alpha)
-    if k <= 0:
-        return 1.0
-    if k > N:
-        return 0.0
-    log_terms = stats._binom_logpmf(np.arange(k, N + 1), N, p)
-    return min(1.0, math.exp(logsumexp(log_terms)))
+def binom_logpmf_mpmath(k: int, n: int, p: float, dps: int = 40) -> float:
+    """ln P(Bin(n, q) = k) at the exact q = 1 - p of the double p, from
+    mpmath's log-gamma at ``dps`` digits, rounded once to a float."""
+    with mp.workdps(dps):
+        pp = mp.mpf(p)
+        return float(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+                     + k * mp.log(1 - pp) + (n - k) * mp.log(pp))
 
 
-def stirlerr_unfused(n) -> np.ndarray:
-    """stats._stirlerr before fusing: its small-n table read through
-    np.clip."""
-    n = np.asarray(n, dtype=float)
-    small = n < 15.5
-    safe = np.where(small, 1.0, n)
-    series = (
-        1.0 / (12.0 * safe)
-        - 1.0 / (360.0 * safe**3)
-        + 1.0 / (1260.0 * safe**5)
-        - 1.0 / (1680.0 * safe**7)
-        + 1.0 / (1188.0 * safe**9)
-    )
-    idx = np.clip(n.astype(int), 0, 15)
-    return np.where(small, stats._STIRLERR_SMALL[idx], series)
-
-
-def bd0_unfused(x, m: float) -> np.ndarray:
-    """stats._bd0 before fusing: one scalar mean m, and the series stops
-    when np.array_equal sees no change."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    close = np.abs(x - m) < 0.1 * (x + m)
-    far = x[~close]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.where(far > 0, far, 1.0) / m)
-        out[~close] = np.where(far > 0, far * logs, 0.0) + m - far
-    near = x[close]
-    v = (near - m) / (near + m)
-    s = (near - m) * v
-    ej = 2.0 * near * v
-    v2 = v * v
-    for j in range(1, 101):
-        ej = ej * v2
-        s_new = s + ej / (2 * j + 1)
-        converged = np.array_equal(s_new, s)
-        s = s_new
-        if converged:
-            out[close] = s
-            return out
-    raise RuntimeError("bd0_unfused series did not converge in 100 terms")
-
-
-def binom_logpmf_unfused(k, n: int, p: float) -> np.ndarray:
-    """stats._binom_logpmf as it was before its helper calls were fused:
-    the Stirling correction three times and the deviance twice, each with a
-    scalar argument or mean, summed in the same order."""
-    k = np.asarray(k, dtype=float)
-    q = 1.0 - p
-    interior = (k > 0) & (k < n)
-    kk = np.where(interior, k, 0.5 * n)
-    lf = (
-        stirlerr_unfused(n)
-        - stirlerr_unfused(kk)
-        - stirlerr_unfused(n - kk)
-        - bd0_unfused(kk, n * q)
-        - bd0_unfused(n - kk, n * p)
-        + 0.5 * (math.log(n) - math.log(2.0 * math.pi) - np.log(kk) - np.log(n - kk))
-    )
-    lf = np.where(k == 0, n * math.log(p), lf)
-    lf = np.where(k == n, n * math.log(q) if q > 0 else -math.inf, lf)
-    return lf
+def bd0_mpmath(x: float, m: float, dps: int = 40) -> float:
+    """The binomial deviance x ln(x/m) + m - x at ``dps`` digits, rounded
+    once to a float."""
+    with mp.workdps(dps):
+        x, m = mp.mpf(x), mp.mpf(m)
+        return float(x * mp.log(x / m) + m - x)
 
 
 def hadamard_reference(state, qubit):

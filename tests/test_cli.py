@@ -200,8 +200,8 @@ class TestSubcommands:
             (["--p-grid", "0.9,0"], "p must lie in (0, 1), got 0.0"),
             (["--n-list", "1..200,0"], "N must be a whole number >= 1, got 0"),
             (["--n-list", "0..3"], "N must be a whole number >= 1, got 0"),
-            (["--n-list", "99999999999999999999"],
-             "the exact tail at N=99999999999999999999 sums a window of "),
+            (["--n-list", "1" + "0" * 309],
+             "N must be below 2^1024, the float range, got 1" + "0" * 309),
         ],
     )
     def test_bounds_bad_value_rejected(self, tmp_path, grid, named):
@@ -228,14 +228,16 @@ class TestSubcommands:
             "bytes, over the ceiling of 16777216 bytes\n"
         )
 
-    def test_bounds_past_2_to_the_64_is_one_line(self, capsys):
-        assert main(["bounds", "--n-list", "100000000000000000000", "--alpha-grid",
-                     "0.5", "--p-grid", "0.999999999999999"]) == 2
+    def test_bounds_past_the_fraction_step_cap_is_one_line(self, capsys, tmp_path):
+        # p - alpha is 0.01 standard errors at N = 10^15: more than 10^5 steps
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--n-list", "1000000000000000", "--alpha-grid", "0.5",
+                     "--p-grid", "0.5000000001581139", "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert not captured.out
+        assert not captured.out and not out.exists()
         assert captured.err == (
-            "swaplab bounds: error: the exact tail at N=100000000000000000000 needs "
-            "N below 2^64, the limit of numpy's integer counts\n"
+            "swaplab bounds: error: the exact tail at N=1000000000000000, alpha=0.5, "
+            "p=0.5000000001581139 needs more than 100000 continued-fraction steps\n"
         )
 
     def test_multi_egraph_past_the_pair_map_cap_is_one_line(self, tmp_path, capsys):
@@ -260,14 +262,18 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_pair_map_zero_width(self, tmp_path, dump):
+        # the width is checked by building U_n, dumped or not
         out, circuit = tmp_path / "pm.json", tmp_path / "circuit.json"
         extra = ["--dump-circuit", str(circuit)] if dump else []
-        proc = _swaplab("pair-map", "--n", "4", "--w", "0", "--format", "json",
-                        "--out", str(out), *extra)
-        assert proc.returncode != 0 and not proc.stdout
-        assert proc.returncode == 2 and "Traceback" not in proc.stderr
-        assert "register width must be >= 1, got 0" in proc.stderr
-        assert not out.exists() and not circuit.exists()
+        for w, named in (("0", "register width must be >= 1, got 0"),
+                         ("29", "register width 29 exceeds the simulator ceiling "
+                                "of 28 qubits")):
+            proc = _swaplab("pair-map", "--n", "4", "--w", w, "--format", "json",
+                            "--out", str(out), *extra)
+            assert proc.returncode != 0 and not proc.stdout
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
+            assert named in proc.stderr, w
+            assert not out.exists() and not circuit.exists()
 
     def test_pair_map_with_circuit_dump(self, tmp_path):
         out = tmp_path / "pm.csv"

@@ -513,7 +513,7 @@ class TestGatecount:
     )
     def test_every_n_checked_before_any_build(self, monkeypatch, n_list, error, problem):
         builds = []
-        for name in ("build_un", "build_multiswap_full", "build_naive_multiswap"):
+        for name in ("build_un", "build_multiswap_full", "build_swap_test"):
             monkeypatch.setattr(circuits, name, lambda *a, name=name: builds.append(name))
         with pytest.raises(error, match=problem):
             harness.run_gatecount_report(n_list)
