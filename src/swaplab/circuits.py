@@ -46,10 +46,6 @@ from .statevec import ResourceError, StateVector
 # derive_pair_map enumerates all 2^{d_n} ancilla outcomes.
 MAX_PAIR_MAP_INPUTS = 64
 
-# One naive-battery entry on 64-bit CPython: a list slot and two 2-tuples
-# (8 + 56 + 56 bytes; the labels and the circuit are shared)
-_BATTERY_ENTRY_BYTES = 120
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -170,25 +166,12 @@ def build_naive_multiswap(n: int, w: int = 1) -> list[tuple[tuple[int, int], Cir
 
     Returns n(n-1)/2 entries of ((i, j), circuit) with 1-based input labels.
     The single ancilla is reusable between runs, so the battery needs O(1)
-    ancillas but n(n-1)/2 * w CSWAPs per repetition round.  Raises
-    ResourceError, before building anything, when the list would take more
-    than statevec.MAX_STATE_BYTES (see ``check_naive_battery``).
+    ancillas but n(n-1)/2 * w CSWAPs per repetition round.
     """
-    check_naive_battery(n)
-    circuit = build_swap_test(w)
-    return [((i, j), circuit) for i, j in combinations(range(1, n + 1), 2)]
-
-
-def check_naive_battery(n: int) -> None:
-    """Check the n(n-1)/2 entries of the naive battery for n inputs in bytes
-    against statevec.MAX_STATE_BYTES, without building them."""
     if n < 2:
         raise ValueError(f"need at least 2 inputs, got {n}")
-    entries = n * (n - 1) // 2
-    statevec.check_bytes(
-        entries * _BATTERY_ENTRY_BYTES,
-        f"the naive battery for n={n} holds {entries} circuits and",
-    )
+    circuit = build_swap_test(w)
+    return [((i, j), circuit) for i, j in combinations(range(1, n + 1), 2)]
 
 
 def require_power_of_two(n: int) -> None:

@@ -10,12 +10,13 @@ so the two classical routes decide every pair, ties included, by the same
 arithmetic.  A graph holds its edges as one sorted int64 array of pair codes
 i*n + j with i < j.
 
-The quantum modes reduce their pairs to columns (i, j, a hit count or an
-exact probability at infinite shots, and a constant c), which one estimate
-table carries to the edge list and the estimates file; one mask decides
-every pair: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and
-naive modes (per-pair swap tests, the naive battery) take c = 1/2 and read
-each pair's probability from the closed-form swap-test law
+The quantum modes reduce their pairs to columns (a hit count or an exact
+probability at infinite shots, and a constant c) in the pair order of
+np.triu_indices(n, 1), their only key, which one estimate table carries to
+the edge lists and the estimates file; one mask decides every pair: edge
+iff p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive modes
+(per-pair swap tests, the naive battery) take c = 1/2 and read each pair's
+probability from the closed-form swap-test law
 p = (1 + |<a|b>|^2)/2 over one Gram product of the encodings; the multi
 mode takes the pair's calibrated constant and still simulates the recursive
 multi-state circuit on the state vector, as do the ``swap-test`` and
@@ -190,6 +191,12 @@ def _sq_dists(block, points):
     return out
 
 
+# Peak traced bytes per edge of run_egraph_trial with every pair an edge
+# (tracemalloc, n = 500 to 2000, dims 2 and 5): 41-43 in brute mode, 91-92 in
+# kdtree mode, whose per-point hit lists hold every edge twice
+_EDGE_BYTES = 96
+
+
 def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     """All n(n-1)/2 squared distances against eps^2, strict inequality, from
     _sq_dists over tiles of max(1, _TILE_ELEMENTS // n) rows against every
@@ -197,7 +204,7 @@ def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     n <= _TILE_ELEMENTS and linear in n beyond.  Within a tile whose first
     row is point r0, entry (r, c) pairs r0 + r with r0 + 1 + c, a pair i < j
     exactly when c >= r.  Hits come out row by row, so the codes are sorted
-    as emitted."""
+    as emitted; the edges found are checked in bytes after every tile."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     pts = cloud.points
@@ -205,10 +212,14 @@ def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     eps_sq = eps * eps
     rows = max(1, _TILE_ELEMENTS // max(n, 1))
     codes = [np.zeros(0, dtype=np.int64)]
+    found = 0
     for r0 in range(0, n - 1, rows):
         r, c = np.nonzero(_sq_dists(pts[r0 : r0 + rows], pts[r0 + 1 :]) < eps_sq)
         keep = c >= r
         codes.append((r[keep] + r0) * n + (c[keep] + r0 + 1))
+        found += codes[-1].size
+        what = f"the edge list for n={n} points at eps={eps}, at {found} edges,"
+        statevec.check_bytes(found * _EDGE_BYTES, what)
     return EpsilonGraph(n, eps, np.concatenate(codes))
 
 
@@ -360,9 +371,9 @@ def encode_point(v: Sequence[float]) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-# Peak bytes per pair i < j of a standard or naive quantum_egraph call: 48
-# while the Gram matrix and |G|^2 are held, then 89-109 for the pair columns
-# and the estimate table (tracemalloc, n = 200 to 2000, exact and sampled)
+# Peak traced bytes per pair of a standard or naive run_egraph_trial, CSV
+# output, n = 200 to 2000, exact and 1000 shots: 68-79 with a fifth of the
+# pairs edges, 89-98 with every pair an edge (tracemalloc)
 _PAIR_TABLE_BYTES = 112
 
 # picked up by tests and reports: quantum runs with an infinite shot budget
@@ -378,9 +389,10 @@ def quantum_egraph(
     seed: int = 0,
 ) -> tuple[EpsilonGraph, stats.OverlapEstimate]:
     """Build the epsilon graph by simulated quantum distance estimation;
-    return it with its stats.OverlapEstimate table (``pairs`` set).
+    return it with its stats.OverlapEstimate table, whose row k is the k-th
+    pair of np.triu_indices(n, 1).
 
-    Every mode yields columns (i, j, value, c) in pair order: hits out of
+    Every mode yields columns (value, c) in that pair order: hits out of
     ``shots`` or the exact probability, and c with p = c * (1 + |<a|b>|^2).
     One mask decides all pairs: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1),
     strictly.  eps must lie in (0, sqrt(2)], the range of the estimated
@@ -397,7 +409,8 @@ def quantum_egraph(
     of (top=0, mid outcome) are aggregated per pair through the derived
     outcome map, and c is the pair's calibrated pair_constant, so the
     infinite-shot limit reproduces the brute-force graph regardless of
-    outcome multiplicities.  Pairs involving padding registers are discarded.
+    outcome multiplicities.  Pairs involving padding registers, which come
+    after the inputs, are discarded, so the rest keep their pair order.
 
     ``shots`` is a whole number >= 1, or math.inf for exact (infinite-shot)
     decisions.  Every mode samples from the one stream SeedSequence([seed]),
@@ -417,17 +430,19 @@ def quantum_egraph(
             raise ValueError(f"point {i}: {exc}") from None
     n = len(encoded)
     if n < 2:
-        return EpsilonGraph(n, eps, []), stats.estimate_overlaps([], shots, pairs=[])
+        return EpsilonGraph(n, eps, []), stats.estimate_overlaps([], shots)
     pair_values = _multi_values if mode == "multi" else _swap_test_values
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    i, j, values, c = pair_values(encoded, shots, rng)
-    estimates = stats.estimate_overlaps(values, shots, c, np.column_stack([i, j]))
-    codes = (i * n + j)[estimates.p_hat > c * scale]
+    values, c = pair_values(encoded, shots, rng)
+    estimates = stats.estimate_overlaps(values, shots, c)
+    edge = estimates.p_hat > c * scale
+    # pair (i, j)'s code i*n + j is its flat index in an n x n array
+    codes = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))[edge]
     return EpsilonGraph(n, eps, codes), estimates
 
 
 def _swap_test_values(encoded, shots, rng):
-    """Columns (i, j, value, 1/2) over the pairs i < j in order, from the
+    """(values, 1/2) over the pairs i < j in order, from the
     swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the
     clip catches duplicate points, whose |G|^2 can round a hair above 1.
     A finite budget draws every pair's hit count from ``rng`` in one
@@ -440,17 +455,16 @@ def _swap_test_values(encoded, shots, rng):
     )
     amps = np.stack([state.amplitudes for state in encoded])
     probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
-    i, j = np.triu_indices(n, 1)
-    values = probs[i, j]
+    values = probs[np.triu_indices(n, 1)]
     if math.isfinite(shots):
         values = rng.binomial(shots, values)
-    return i, j, values, 0.5
+    return values, 0.5
 
 
 def _multi_values(encoded, shots, rng):
-    """Columns (i, j, value, pair_constant) over the pairs i < j of real
-    inputs, in order: the (top=0) outcome counts or probabilities of the
-    multi-state circuit, summed per pair through the pair map."""
+    """(values, pair_constants) over the pairs i < j of real inputs, in
+    order: the (top=0) outcome counts or probabilities of the multi-state
+    circuit, summed per pair through the pair map."""
     w = encoded[0].num_qubits
     padded = circuits.pad_inputs(encoded, w)
     m = len(padded)
@@ -464,13 +478,12 @@ def _multi_values(encoded, shots, rng):
         table = statevec.exact_marginal(state, measured)
     # the top ancilla is the most significant bit: top = 0 is the first half
     values = pair_map.reduce_by_pair(table[: table.size // 2])
-    i, j = np.triu_indices(m, 1)
-    real = j < len(encoded)  # padding registers come after the inputs
+    real = np.triu_indices(m, 1)[1] < len(encoded)  # padding comes last
     # each pair's pair_constant, multiplicity / 2^(d+1): the multiplicity is
     # its count of outcomes, an exact small integer over a power of two
     ones = np.ones(len(pair_map.pairs))
     constants = pair_map.reduce_by_pair(ones)[real] / 2.0 ** (pair_map.d + 1)
-    return i[real], j[real], values[real], constants
+    return values[real], constants
 
 
 def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff:

@@ -5,7 +5,8 @@ per experiment unit, deterministically ordered by parameter tuple), metadata
 names the source formula behind each theory column.  run_egraph_trial writes
 a whole output directory instead: both edge lists, as the columns i, j and
 distance_estimate decoded from each graph's pair codes, and the per-pair
-estimate table, as the numpy columns of stats.OverlapEstimate.  This module
+estimate table, as i and j from np.triu_indices(n, 1), its row order, and
+the numpy columns of stats.OverlapEstimate.  This module
 owns every output format, and write_records is the one CSV writer: it
 formats every table from columns, after one transpose of row dicts, one
 block of rows at a time, a CSV block with one % operation and a JSON block
@@ -544,6 +545,11 @@ def run_scaling_curves(
     return records, metadata
 
 
+# Peak traced bytes per gate of build_un + build_multiswap_full, 3n*w gates
+# together: 258-266 at w = 1 (n = 2^10 to 2^17), 206 at w = 4, 192 at w = 28
+_GATE_BYTES = 272
+
+
 def run_gatecount_report(
     n_list: Sequence[int], w: int = 1
 ) -> tuple[list[dict], dict]:
@@ -551,11 +557,12 @@ def run_gatecount_report(
     formula columns are provided for comparison, never trusted alone).  The
     naive battery's n(n-1)/2 circuits are all one swap test, so that circuit
     is built once and its count scaled.  Every n is checked, as a power of
-    two >= 4 whose naive battery fits the byte ceiling, before the first
-    circuit is built."""
+    two >= 4 whose U_n and full circuit fit the byte ceiling at 3n*w gates
+    of _GATE_BYTES each, before the first circuit is built."""
     for n in n_list:
         circuits.require_power_of_two(n)
-        circuits.check_naive_battery(n)
+        what = f"building U_n and the full circuit for n={n}, w={w}"
+        statevec.check_bytes(3 * n * w * _GATE_BYTES, what)
     records = []
     for n in n_list:
         un = circuits.build_un(n, w)
@@ -595,16 +602,14 @@ def _edge_columns(graph: egraph.EpsilonGraph,
                   estimates: stats.OverlapEstimate | None = None) -> dict:
     """Columns i, j, distance_estimate of the edges of ``graph``.  The
     distance is NaN (an empty field) without ``estimates``, else that of the
-    edge's table row; an edge without one leaves the column short."""
+    edge's table row: the table holds every pair i < j in order, so pair
+    (i, j) is row i*(2n - i - 1)/2 + (j - i - 1)."""
     n = graph.n
     i, j = np.divmod(graph.codes, n)
-    distance = np.full(graph.codes.size, math.nan)
-    if estimates is not None:
-        pairs = estimates.pairs
-        _, rows, _ = np.intersect1d(
-            pairs[:, 0] * n + pairs[:, 1], graph.codes, return_indices=True
-        )
-        distance = estimates.distance_hat[rows]
+    if estimates is None:
+        distance = np.full(graph.codes.size, math.nan)
+    else:
+        distance = estimates.distance_hat[i * (2 * n - i - 1) // 2 + (j - i - 1)]
     return {"i": i, "j": j, "distance_estimate": distance}
 
 
@@ -647,9 +652,10 @@ def run_egraph_trial(
     else:
         write_records(_edge_columns(estimate, estimates), estimate_path)
     if estimates is not None and estimates.p_hat.size:
+        i, j = np.triu_indices(len(cloud), 1)
         columns = {
-            "i": estimates.pairs[:, 0],
-            "j": estimates.pairs[:, 1],
+            "i": i,
+            "j": j,
             "shots": estimates.shots_total,
             "hits": estimates.hits,
             "p_hat": estimates.p_hat,

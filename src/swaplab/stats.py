@@ -398,15 +398,14 @@ def proposition1_lower(n: int, gamma_t: float) -> float:
 @dataclass(frozen=True, eq=False)
 class OverlapEstimate:
     """Overlap/distance estimates as equal-length columns, one entry per
-    estimated statistic (per pair, in pair order, when ``pairs`` is set).
+    estimated statistic; a quantum egraph's has one per pair i < j, keyed
+    only by its place in the order of ``np.triu_indices(n, 1)``.
 
     p_hat is exactly hits/shots_total; overlap_sq_hat and distance_hat are
     clamped to their valid domains, with ``clamped`` flagging sampled entries
     whose raw inversion fell outside.  Exact-probability entries (infinite
     shots) carry shots_total = 0 and hits = 0 with p_hat set directly; they
     are clipped too but never flagged, since only rounding moves them out.
-    ``pairs`` is an optional (k, 2) int64 array of the (i, j) each entry
-    belongs to.
     """
 
     shots_total: np.ndarray
@@ -415,10 +414,9 @@ class OverlapEstimate:
     overlap_sq_hat: np.ndarray
     distance_hat: np.ndarray
     clamped: np.ndarray
-    pairs: np.ndarray | None = None
 
 
-def estimate_overlaps(values, shots, constant=0.5, pairs=None) -> OverlapEstimate:
+def estimate_overlaps(values, shots, constant=0.5) -> OverlapEstimate:
     """Invert p = constant * (1 + o^2) for every entry of ``values``: hit
     counts out of ``shots``, or exact probabilities when shots is infinite.
     ``constant`` is a scalar or one value per entry; the default 1/2 is the
@@ -448,5 +446,4 @@ def estimate_overlaps(values, shots, constant=0.5, pairs=None) -> OverlapEstimat
         overlap_sq_hat=overlap_sq,
         distance_hat=np.sqrt(2.0 * (1.0 - np.sqrt(overlap_sq))),
         clamped=(shots > 0) & ~((raw >= 0.0) & (raw <= 1.0)),
-        pairs=pairs if pairs is None else np.asarray(pairs, np.int64).reshape(-1, 2),
     )

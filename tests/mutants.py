@@ -216,6 +216,20 @@ MUTANTS = (
         "tests/test_harness.py::TestWriters::test_empty_tables[json]",
     ),
     Mutant(
+        "edge-row-one-pair-late",
+        "harness.py",
+        "+ (j - i - 1)]",
+        "+ (j - i)]",
+        "tests/test_harness.py::TestEdgeListOutput::test_quantum_rows_carry_estimates",
+    ),
+    Mutant(
+        "edge-bytes-counted-per-tile",
+        "egraph.py",
+        "found += codes[-1].size",
+        "found = codes[-1].size",
+        "tests/test_egraph.py::TestBruteForceTiles::test_edges_checked_in_bytes_tile_by_tile",
+    ),
+    Mutant(
         "estimate-list-copied-unchecked",
         "harness.py",
         "if estimates is None and np.array_equal(estimate.codes, reference.codes):",

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import swaplab
-from swaplab import cli, harness, statevec
+from swaplab import cli, egraph, harness, statevec
 from swaplab.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -228,6 +228,25 @@ class TestSubcommands:
             "bytes, over the ceiling of 16777216 bytes\n"
         )
 
+    @pytest.mark.parametrize("mode", ["brute", "kdtree"])
+    def test_egraph_edge_list_over_byte_ceiling(self, tmp_path, monkeypatch, capsys, mode):
+        # 2,000 points within eps of each other hold 1,999,000 edges; the
+        # brute-force reference, which every mode builds first, stops after
+        # its first tile of 32 rows, before the kd-tree is built
+        monkeypatch.setattr(statevec, "MAX_STATE_BYTES", 2**20)
+        monkeypatch.setattr(egraph, "kdtree_egraph",
+                            lambda *args: pytest.fail("kd-tree built"))
+        points, out = tmp_path / "cloud.csv", tmp_path / "out"
+        points.write_text("".join(f"{k / 2000!r},0.5\n" for k in range(2000)))
+        assert main(["egraph", "--points", str(points), "--eps", "10", "--mode", mode,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and not out.exists()
+        assert captured.err == (
+            "swaplab egraph: error: the edge list for n=2000 points at eps=10.0, at "
+            "63472 edges, needs 6093312 bytes, over the ceiling of 1048576 bytes\n"
+        )
+
     def test_bounds_past_the_fraction_step_cap_is_one_line(self, capsys, tmp_path):
         # p - alpha is 0.01 standard errors at N = 10^15: more than 10^5 steps
         out = tmp_path / "bounds.csv"
@@ -253,12 +272,16 @@ class TestSubcommands:
         )
 
     def test_gatecount_battery_over_byte_ceiling(self, tmp_path):
+        # the battery is not built; U_n and the full circuit at 2^23 inputs
+        # would take 6.8 GB
         out = tmp_path / "gc.csv"
-        proc = _swaplab("gatecount", "--n-list", "4,16384", "--out", str(out))
+        proc = _swaplab("gatecount", "--n-list", "4,8388608", "--out", str(out))
         assert proc.returncode == 2 and not proc.stdout
-        assert proc.stderr.startswith("swaplab gatecount: error: the naive battery "
-                                      "for n=16384 holds 134209536 circuits")
-        assert len(proc.stderr.splitlines()) == 1 and not out.exists()
+        assert proc.stderr == (
+            "swaplab gatecount: error: building U_n and the full circuit for "
+            "n=8388608, w=1 needs 6845104128 bytes, over the ceiling of 4294967296 "
+            "bytes\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_pair_map_zero_width(self, tmp_path, dump):

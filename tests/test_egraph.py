@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from swaplab import egraph as eg
 from swaplab import statevec as sv
 from swaplab import stats
 
-from oracles import per_pair_swap_tests
+from oracles import multi_pair_probabilities, per_pair_swap_tests
 
 
 def ring_cloud(num, step_deg=12.0):
@@ -216,6 +217,27 @@ class TestBruteForceTiles:
             tracemalloc.stop()
         assert 0 < graph.codes.size < 1000
         assert peak < 16 * rows * (n - 1) + 64 * 1024
+
+    def test_edges_checked_in_bytes_tile_by_tile(self, monkeypatch):
+        # 300 points within eps of each other hold 44,850 edges in two tiles;
+        # under a 1 MiB ceiling the first tile's edges already exceed it
+        n, pairs = 300, 44850
+        cloud = eg.PointCloud(np.random.default_rng(4).uniform(0, 1, (n, 2)))
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", 2**20)
+        rows = eg._TILE_ELEMENTS // n
+        found = sum(n - 1 - r for r in range(rows))
+        named = (f"the edge list for n={n} points at eps=10.0, at {found} edges, "
+                 f"needs {found * eg._EDGE_BYTES} bytes, over the ceiling of "
+                 f"{2**20} bytes")
+        with pytest.raises(sv.ResourceError, match=f"^{re.escape(named)}$"):
+            eg.brute_force_egraph(cloud, 10.0)
+        # one edge short of the whole list: each tile fits, the two do not
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", (pairs - 1) * eg._EDGE_BYTES)
+        with pytest.raises(sv.ResourceError, match=f", at {pairs} edges, needs"):
+            eg.brute_force_egraph(cloud, 10.0)
+        # a list of exactly the ceiling's bytes is built
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", pairs * eg._EDGE_BYTES)
+        assert eg.brute_force_egraph(cloud, 10.0).codes.size == pairs
 
     @pytest.mark.parametrize("dim", range(8, 13))
     def test_kernel_is_the_left_to_right_sum(self, dim):
@@ -488,7 +510,7 @@ class TestQuantumEgraphExact:
         cloud = ring_cloud(8)
         _, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "standard", 0)
         pts = cloud.points
-        i, j = estimates.pairs.T
+        i, j = np.triu_indices(len(cloud), 1)
         assert estimates.distance_hat == pytest.approx(
             np.linalg.norm(pts[i] - pts[j], axis=1), abs=1e-9
         )
@@ -498,7 +520,7 @@ class TestQuantumEgraphExact:
         _, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
         pts = cloud.points
         assert len(estimates.p_hat) == 28
-        i, j = estimates.pairs.T
+        i, j = np.triu_indices(len(cloud), 1)
         assert estimates.distance_hat == pytest.approx(
             np.linalg.norm(pts[i] - pts[j], axis=1), abs=1e-9
         )
@@ -507,8 +529,11 @@ class TestQuantumEgraphExact:
         cloud = ring_cloud(5)  # padded to 8 registers internally
         graph, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
         assert graph.n == 5
-        pairs = set(map(tuple, estimates.pairs.tolist()))
-        assert pairs == set(combinations(range(5), 2))
+        assert len(estimates.p_hat) == 10
+        # the real pairs keep their order: row k is the k-th pair of the 5
+        oracle = multi_pair_probabilities(cloud)
+        assert list(oracle) == list(zip(*np.triu_indices(5, 1)))
+        assert estimates.p_hat.tolist() == [p for p, _ in oracle.values()]
         assert graph.edges == eg.brute_force_egraph(cloud, 0.7).edges
 
     def test_exact_mode_dim3_wide_registers(self):
@@ -539,7 +564,6 @@ class TestQuantumEgraphSampled:
         a, ea = eg.quantum_egraph(cloud, 0.7, 200, "standard", seed=5)
         b, eb = eg.quantum_egraph(cloud, 0.7, 200, "standard", seed=5)
         assert a.edges == b.edges
-        assert ea.pairs.tolist() == eb.pairs.tolist()
         assert ea.hits.tolist() == eb.hits.tolist()
 
     def test_different_seed_can_differ(self):
@@ -671,7 +695,7 @@ class TestQuantumEgraphClosedForm:
         eps, seed = 0.8, 17
         graph, estimates = eg.quantum_egraph(cloud, eps, shots, mode, seed)
         oracle = per_pair_swap_tests(cloud, shots, seed)
-        assert list(map(tuple, estimates.pairs.tolist())) == list(oracle)
+        assert list(zip(*np.triu_indices(len(cloud), 1))) == list(oracle)
         if shots == eg.EXACT_SHOTS:
             assert np.all(np.abs(estimates.p_hat - list(oracle.values())) <= 1e-15)
         else:

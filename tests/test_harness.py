@@ -506,7 +506,8 @@ class TestGatecount:
     @pytest.mark.parametrize(
         "n_list,error,problem",
         [
-            ([4, 16384], ResourceError, "naive battery for n=16384 holds"),
+            ([4, 2**23], ResourceError,
+             "building U_n and the full circuit for n=8388608, w=1 needs"),
             ([4, 6], ValueError, "power of two >= 4, got 6"),
             ([8, 2], ValueError, "power of two >= 4, got 2"),
         ],
@@ -520,11 +521,17 @@ class TestGatecount:
         assert builds == []
 
     def test_battery_over_byte_ceiling_not_built(self, monkeypatch):
-        # 2^14 inputs make 134 million battery entries, about 16 GB
+        # 2^14 inputs would make 134 million battery entries, about 16 GB;
+        # the report counts them from one swap test, so only U_n and the full
+        # circuit are built, and 2^23 inputs are refused for those alone
         monkeypatch.setattr(circuits, "combinations",
                             lambda *args: pytest.fail("battery built"))
-        with pytest.raises(ResourceError, match="naive battery for n=16384 holds"):
-            harness.run_gatecount_report([2**14])
+        (record,), _ = harness.run_gatecount_report([2**14])
+        assert record["naive_circuits"] == 2**14 * (2**14 - 1) // 2
+        named = (f"building U_n and the full circuit for n={2**23}, w=1 needs "
+                 f"{3 * 2**23 * harness._GATE_BYTES} bytes, over the ceiling of {2**32} bytes")
+        with pytest.raises(ResourceError, match=f"^{named}$"):
+            harness.run_gatecount_report([2**23])
 
 
 class TestEgraphTrial:
@@ -561,6 +568,28 @@ class TestEgraphTrial:
         for name in ("reference_edges.csv", "estimate_edges.csv", "estimates.csv",
                      "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("shots", [math.inf, 1000])
+    def test_peak_within_the_pair_table_bytes(self, tmp_path, shots):
+        # 150 unit vectors within 30 degrees: at eps = sqrt(2) every pair is
+        # an edge of both graphs, so the trial holds every list at its
+        # longest; the pair-table check sizes the whole trial
+        n, pairs = 150, 11175
+        angles = np.linspace(0.0, math.radians(30), n)
+        cloud = write_cloud(tmp_path / "cloud.csv",
+                            np.column_stack([np.cos(angles), np.sin(angles)]).tolist())
+        np.random.default_rng()  # numpy imports its random module, 0.7 MB, on first use
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reference, estimate, _ = harness.run_egraph_trial(
+                cloud, math.sqrt(2), "quantum-standard", shots, 0, tmp_path / "out"
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert reference.codes.size == estimate.codes.size == pairs
+        assert peak <= pairs * egraph._PAIR_TABLE_BYTES
 
     def test_unknown_mode(self, cloud_csv, tmp_path):
         with pytest.raises(ValueError):
@@ -660,29 +689,6 @@ class TestEdgeListOutput:
         assert (tmp_path / "estimate_edges.csv").read_bytes() == csv_edge_list(
             [[1, 2, ""], [2, 3, ""]])
 
-    @pytest.mark.parametrize(
-        "codes,table_pairs",
-        [
-            ([1, 5], [(0, 1), (0, 2)]),  # (1, 2) past the last row
-            ([2], [(0, 1), (1, 2)]),  # (0, 2) between two rows
-            ([1], []),
-        ],
-    )
-    def test_edge_without_estimate_row_raises(self, tmp_path, codes, table_pairs):
-        # the estimate column comes out short, and write_records' column
-        # length check rejects the table before it opens the file
-        graph = egraph.EpsilonGraph(3, 1.0, codes)
-        values = [0.9] * len(table_pairs)
-        estimates = stats.estimate_overlaps(values, math.inf, pairs=table_pairs)
-        found = len(codes) - 1
-        path = tmp_path / "edges.csv"
-        with pytest.raises(ValueError, match=re.escape(
-            f"column 'distance_estimate' has {found} entries, but column 'i' "
-            f"has {len(codes)}"
-        )):
-            harness.write_records(harness._edge_columns(graph, estimates), path)
-        assert not path.exists()
-
     def test_quantum_rows_carry_estimates(self, tmp_path):
         # six unit vectors 12 degrees apart; eps between the 24- and
         # 36-degree chords, so some pairs are not edges
@@ -696,7 +702,7 @@ class TestEdgeListOutput:
             egraph.load_point_cloud(cloud), 0.5, math.inf, "standard", 0
         )
         distance = dict(
-            zip(map(tuple, estimates.pairs.tolist()), estimates.distance_hat.tolist())
+            zip(zip(*np.triu_indices(6, 1)), estimates.distance_hat.tolist())
         )
         rows = [[i, j, f"{distance[i, j]:.17g}"] for i, j in sorted(graph.edges)]
         assert 0 < len(rows) < len(distance)

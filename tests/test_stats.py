@@ -33,9 +33,8 @@ def _default_grid(N):
 
 
 # a spread of cells from N = 10 to 10^6 on which the tail is checked against
-# the mpmath oracle (the cells the summed window that the continued fraction
-# replaced was checked on)
-WINDOW_CELLS = {
+# the mpmath oracle
+MPMATH_CELLS = {
     "grid-1e4": _default_grid(10**4),
     "seeded-1e5": [
         _default_grid(10**5)[i]
@@ -253,8 +252,8 @@ class TestFalseNegativeExact:
         assert tiny == 54
         assert worst <= 1e-12
 
-    @pytest.mark.parametrize("cells", WINDOW_CELLS.values(), ids=WINDOW_CELLS.keys())
-    def test_window_matches_full_sum(self, cells):
+    @pytest.mark.parametrize("cells", MPMATH_CELLS.values(), ids=MPMATH_CELLS.keys())
+    def test_cells_match_mpmath(self, cells):
         for N, alpha, p in cells:
             got = stats.false_negative_exact(N, alpha, p)
             want = float(xi_mpmath(N, alpha, p))
@@ -298,7 +297,7 @@ class TestFalseNegativeExact:
         # the largest count a float holds still gets a tail
         assert stats.false_negative_exact(2**1024 - 2**971, 0.5, 0.9) == 0.0
 
-    def test_first_call_at_large_n_allocates_only_its_window(self):
+    def test_large_n_holds_no_array(self):
         # the tail holds no array: a scalar fraction and one log-term, never
         # a table over 0..N
         tracemalloc.start()
@@ -604,9 +603,8 @@ class TestEstimates:
         assert est.overlap_sq_hat == pytest.approx([0.5, 0.5])
 
     def test_exact_probability_variant(self):
-        est = stats.estimate_overlaps([0.75], math.inf, pairs=[(0, 1)])
+        est = stats.estimate_overlaps([0.75], math.inf)
         assert est.shots_total[0] == 0 and est.overlap_sq_hat[0] == pytest.approx(0.5)
-        assert est.pairs.tolist() == [[0, 1]]
 
     def test_bounds_query_validation(self):
         with pytest.raises(ValueError):
