@@ -363,12 +363,9 @@ def state_bytes(circuit: CircuitSpec) -> int:
     )
 
 
-def simulate(
-    circuit: CircuitSpec, inputs: Sequence[StateVector], out: np.ndarray | None = None
-) -> StateVector:
+def simulate(circuit: CircuitSpec, inputs: Sequence[StateVector]) -> StateVector:
     """Run the circuit on the given input registers (ancillas start in |0>),
-    in a fresh state or in ``out``, which ``statevec.prepare`` checks and
-    fills whatever it held before.
+    in one fresh state.
 
     The circuit must open with one Hadamard on each ancilla, as every
     builder here does; a ValueError says so before anything is allocated.
@@ -397,7 +394,7 @@ def simulate(
             f"ancillas, got {[(g.kind, *g.qubits) for g in opening]}"
         )
     state_bytes(circuit)
-    state = statevec.prepare(ancillas, inputs, out=out)
+    state = statevec.prepare(ancillas, inputs)
     for kind, run in groupby(circuit.gates[ancillas:], key=lambda g: g.kind):
         qubits = [g.qubits for g in run]
         if kind == "cswap":

@@ -305,15 +305,11 @@ def run_eq1_audit(n: int, trials: int, seed: int = 0) -> tuple[list[dict], dict]
     pair_i, pair_j = np.triu_indices(n, 1)  # the pair order of reduce_by_pair
     labels_i, labels_j = (pair_i + 1).tolist(), (pair_j + 1).tolist()
     records = []
-    # one state buffer for every trial, checked in bytes before it is made:
-    # a trial after the first refills memory the first one already touched
-    buffer = np.empty(circuits.state_bytes(circuit) // 16, dtype=np.complex128)
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         inputs = _random_qubit_states(rng, n)
-        table = statevec.exact_marginal(
-            circuits.simulate(circuit, inputs, out=buffer), measured
-        )
+        # the trial's state is freed here, before the next one is made
+        table = statevec.exact_marginal(circuits.simulate(circuit, inputs), measured)
         # a sequential sum in outcome order (ndarray.sum adds pairwise)
         total = sum(table.tolist())
         if abs(total - 1.0) > 1e-10:

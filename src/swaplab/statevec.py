@@ -9,11 +9,12 @@ Qubit ordering convention (fixed everywhere in this package): qubit 0 is
 the MOST significant bit of the basis-state index.  For a 2-qubit register,
 index 2 = binary ``10`` is the state |1>|0> with qubit 0 in |1>.
 
-``prepare`` builds a circuit's one state in a single allocation, or in a
-caller's buffer: the ancillas in |0...0>, the inputs' product, and an
-opening Hadamard on every ancilla, in one write of each block but two.
-Each gate is one kernel that writes its result in place into the state's
-own amplitudes and returns that state.  ``circuits.simulate`` makes one
+A StateVector holds one C-contiguous, writable complex128 array, which the
+gates write in place.  ``prepare`` builds a circuit's one state in a single
+allocation: the ancillas in |0...0>, the inputs' product, and an opening
+Hadamard on every ancilla, in one write of each block but two.  Each gate
+is one kernel that writes its result in place into the state's own
+amplitudes and returns that state.  ``circuits.simulate`` makes one
 ``apply_cswap`` call per stretch of consecutive controlled swaps;
 ``apply_cswap`` alone cuts a stretch into passes, so each amplitude a pass
 permutes is moved once per pass, not once per gate.  A gate walks the state
@@ -76,14 +77,17 @@ def check_state_bytes(num_qubits: int) -> int:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state of ``num_qubits`` qubits as 2^n complex amplitudes."""
+    """Pure state of ``num_qubits`` qubits as 2^n complex amplitudes, held
+    in one C-contiguous, writable complex128 array that the gates write in
+    place.  An array that already is one is kept as it is, without a copy;
+    any other is copied once."""
 
     num_qubits: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         check_state_bytes(self.num_qubits)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.require(self.amplitudes, np.complex128, ["C", "W"])
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes for "
@@ -119,13 +123,9 @@ def make_qubit_state(theta: float, phi: float) -> StateVector:
     return StateVector(1, amps)
 
 
-def prepare(
-    ancillas: int, inputs: Sequence[StateVector], out: np.ndarray | None = None
-) -> StateVector:
+def prepare(ancillas: int, inputs: Sequence[StateVector]) -> StateVector:
     """``ancillas`` qubits in |0...0> followed by the input registers, then a
-    Hadamard on every ancilla, in one fresh state, or in ``out`` (a
-    writable, C-contiguous complex128 array of 2^n entries) with the same
-    bits whatever it held before.
+    Hadamard on every ancilla, in one fresh state.
 
     The state's bytes are checked before its one allocation, and every
     block of it but two is then written once.  The ancillas lead,
@@ -151,11 +151,7 @@ def prepare(
         raise ValueError("need at least one input register")
     total = ancillas + sum(s.num_qubits for s in inputs)
     check_state_bytes(total)
-    if out is None:
-        amps = np.empty(2**total, dtype=np.complex128)
-    else:
-        _check_buffer(out, total, "out")
-        amps = out
+    amps = np.empty(2**total, dtype=np.complex128)
     prefix = np.ones(1, dtype=np.complex128)
     for s in inputs[:-1]:
         prefix = np.kron(prefix, s.amplitudes)
@@ -181,25 +177,6 @@ def prepare(
     return StateVector(total, amps)
 
 
-def _check_buffer(amps: np.ndarray, num_qubits: int, what: str) -> None:
-    """Check that ``amps`` can hold a state of ``num_qubits`` qubits written
-    in place: a writable, C-contiguous complex128 array of 2^n entries.  A
-    ValueError names ``what`` was checked."""
-    size = 2**num_qubits
-    if not isinstance(amps, np.ndarray) or amps.dtype != np.complex128:
-        got = getattr(amps, "dtype", type(amps).__name__)
-        raise ValueError(f"{what} must be a complex128 array, got dtype {got}")
-    if amps.shape != (size,):
-        raise ValueError(
-            f"{what} must be of length {size} for {num_qubits} qubits, "
-            f"got shape {amps.shape}"
-        )
-    if not amps.flags.c_contiguous:
-        raise ValueError(f"{what} must be C-contiguous")
-    if not amps.flags.writeable:
-        raise ValueError(f"{what} must be writable, got a read-only array")
-
-
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     """Hadamard on one qubit, written in place into the state's amplitudes;
     returns ``state``.  Scratch: one step of at most ``_BLOCK // 4``
@@ -214,7 +191,6 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     """
     state._check_qubit(qubit)
     n, amps = state.num_qubits, state.amplitudes
-    _check_buffer(amps, n, "the state a Hadamard writes")
     inner = 2 ** (n - 1 - qubit)
     halves = amps.reshape(2**qubit, 2, inner)
     step = max(1, _BLOCK // 4)
@@ -270,7 +246,6 @@ def apply_cswap(state: StateVector, gates: Sequence[Sequence[int]]) -> StateVect
             raise ValueError(
                 f"cswap gate {gate} needs three distinct qubits of 0..{n - 1}"
             )
-    _check_buffer(state.amplitudes, n, "the state a cswap writes")
     cube = state.amplitudes.reshape((2,) * n)
     width = _BLOCK.bit_length() - 1
     most_controls = max(1, n - width)

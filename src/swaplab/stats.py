@@ -423,10 +423,15 @@ def estimate_overlaps(values, shots, constant=0.5) -> OverlapEstimate:
     standard swap test, and a multi-state pair passes its calibrated
     coefficient (circuits.PairMap.pair_constant).  Every entry is validated.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = np.asarray(values).reshape(-1)
     shots = statevec.check_shots(shots)
+    counts = math.isfinite(shots) and values.dtype.kind in "iu"
+    if not counts:
+        values = values.astype(float, copy=False)
     if math.isfinite(shots):
-        bad = ~((values >= 0) & (values <= shots) & (values == np.floor(values)))
+        bad = (values < 0) | (values > shots)
+        if not counts:
+            bad |= values != np.floor(values)  # NaN too
         what = f"hits must be whole numbers in [0, {shots}]"
     else:
         shots = 0
@@ -434,9 +439,12 @@ def estimate_overlaps(values, shots, constant=0.5) -> OverlapEstimate:
         what = "probability must lie in [0, 1]"
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(f"{what}, got {values[k]} at entry {k}")
-    hits = values.astype(np.int64) if shots else np.zeros(values.size, dtype=np.int64)
-    p_hat = hits / shots if shots else values
+        raise ValueError(f"{what}, got {float(values[k])} at entry {k}")
+    if shots:  # integer counts are kept as they are: one copy of them
+        hits = values.astype(np.int64, copy=False)
+        p_hat = hits / shots
+    else:
+        hits, p_hat = np.zeros(values.size, dtype=np.int64), values
     raw = p_hat / constant - 1.0
     overlap_sq = np.clip(raw, 0.0, 1.0)
     return OverlapEstimate(

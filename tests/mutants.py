@@ -104,25 +104,11 @@ MUTANTS = (
         "tests/test_statevec.py::TestPrepare::test_every_ancilla_opened_matches_the_kernel",
     ),
     Mutant(
-        "middle-blocks-of-out-kept",
+        "state-copy-dropped",
         "statevec.py",
-        "for block in blocks[1:-1]:",
-        "for block in blocks[1:-1] if out is None else ():",
-        "tests/test_statevec.py::TestPrepare::test_dirty_out_gives_the_fresh_bits",
-    ),
-    Mutant(
-        "hadamard-buffer-unchecked",
-        "statevec.py",
-        '    _check_buffer(amps, n, "the state a Hadamard writes")\n',
-        "",
-        "tests/test_statevec.py::TestGateOut::test_gates_refuse_a_buffer_they_cannot_write",
-    ),
-    Mutant(
-        "cswap-buffer-unchecked",
-        "statevec.py",
-        '    _check_buffer(state.amplitudes, n, "the state a cswap writes")\n',
-        "",
-        "tests/test_statevec.py::TestGateOut::test_gates_refuse_a_buffer_they_cannot_write",
+        'np.require(self.amplitudes, np.complex128, ["C", "W"])',
+        "np.asarray(self.amplitudes, dtype=np.complex128)",
+        "tests/test_statevec.py::TestGateOut::test_state_holds_a_writable_contiguous_array",
     ),
     Mutant(
         "simulate-opening-unchecked",
@@ -298,6 +284,13 @@ MUTANTS = (
         "self.queries = 0",
         "self.queries = 1",
         "tests/test_egraph.py::TestKDTree::test_query_counters",
+    ),
+    Mutant(
+        "edge-code-i-equals-j-accepted",
+        "egraph.py",
+        "np.flatnonzero(scaled >= codes)",
+        "np.flatnonzero(scaled > codes)",
+        "tests/test_egraph.py::TestCompareGraphs::test_edge_validation",
     ),
     Mutant(
         "equal-graphs-diffed",

@@ -560,41 +560,6 @@ class TestCircuitJson:
         expected = simulate_reference(circuit, inputs).amplitudes
         assert state.amplitudes.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("builder", sorted(SIMULATED))
-    def test_dirty_out_gives_the_fresh_bits(self, builder):
-        circuit, inputs = SIMULATED[builder](np.random.default_rng(len(builder)))
-        fresh = qc.simulate(circuit, inputs).amplitudes
-        dirty = np.full_like(fresh, complex(np.nan, -1.0))
-        dirty[1::2] = -0.0
-        state = qc.simulate(circuit, inputs, out=dirty)
-        assert state.amplitudes is dirty
-        assert dirty.tobytes() == fresh.tobytes()
-
-    def test_dirty_out_keeps_the_negative_zeros(self):
-        # the opening Hadamards turn them to +0.0 in every block but the
-        # last, the one on every Hadamard's |1> branch
-        _, inputs = SIMULATED["multi-padded-negative"](None)
-        fresh = sv.prepare(4, inputs).amplitudes
-        parts = fresh.view(np.float64)
-        assert (np.signbit(parts) & (parts == 0.0)).any()
-        dirty = np.full_like(fresh, complex(1.0, np.nan))
-        sv.prepare(4, inputs, out=dirty)
-        assert dirty.tobytes() == fresh.tobytes()
-
-    @pytest.mark.parametrize(
-        "out,problem",
-        [
-            (np.zeros(2**10, np.complex128), "length 4096"),
-            (np.zeros(2**12, np.complex64), "complex128"),
-            (np.zeros(2**13, np.complex128)[::2], "C-contiguous"),
-            (np.frombuffer(bytes(16 * 2**12), np.complex128), "writable"),
-        ],
-    )
-    def test_bad_out_rejected(self, out, problem):
-        circuit, inputs = SIMULATED["multi-w2"](np.random.default_rng(0))
-        with pytest.raises(ValueError, match=problem):
-            qc.simulate(circuit, inputs, out=out)
-
     def test_padded_negative_case_has_negative_zeros(self):
         # the state the circuit opens on carries -0.0 parts
         _, inputs = SIMULATED["multi-padded-negative"](None)

@@ -796,8 +796,9 @@ class TestCompareGraphs:
             )
 
     def test_edge_validation(self):
-        # n = 3: unsorted, duplicate, i > j, i = j, negative, n^2, beyond n^2
-        for codes in ([5, 1], [1, 1], [3], [4], [-1], [9], [1, 10]):
+        # n = 3: unsorted, duplicate, i > j, i = j, negative, n^2, beyond n^2,
+        # and a code whose i*(n + 1) wraps past the int64 range
+        for codes in ([5, 1], [1, 1], [3], [4], [-1], [9], [1, 10], [1, 2**63 - 1]):
             with pytest.raises(ValueError):
                 eg.EpsilonGraph(3, 1.0, codes)
 
