@@ -161,19 +161,6 @@ def build_swap_test(w: int) -> CircuitSpec:
     return CircuitSpec(layout, (hadamard(0), *_closing_swap_test(layout)))
 
 
-def build_naive_multiswap(n: int, w: int = 1) -> list[tuple[tuple[int, int], CircuitSpec]]:
-    """One independent swap-test circuit per unordered pair of n inputs.
-
-    Returns n(n-1)/2 entries of ((i, j), circuit) with 1-based input labels.
-    The single ancilla is reusable between runs, so the battery needs O(1)
-    ancillas but n(n-1)/2 * w CSWAPs per repetition round.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 inputs, got {n}")
-    circuit = build_swap_test(w)
-    return [((i, j), circuit) for i, j in combinations(range(1, n + 1), 2)]
-
-
 def require_power_of_two(n: int) -> None:
     if n < 4 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 4, got {n}")

@@ -1,8 +1,8 @@
 """Point clouds, their quantum encodings, and epsilon-graph constructors.
 
-Three routes produce the same graph object: exact brute force over all
-n(n-1)/2 distances, one tile of rows against every later point at a time, a
-kd-tree fixed-radius search (identical edge set, different work pattern,
+Three routes decide every pair: exact brute force over all n(n-1)/2
+distances, one tile of rows against every later point at a time, a kd-tree
+fixed-radius search (identical edge set, different work pattern,
 instrumented with visited-node counters), and the quantum pipeline.  Brute
 force and the kd leaf test take their squared distances from one kernel,
 ``_sq_dists``, which adds the squared coordinate differences in axis order,
@@ -10,17 +10,17 @@ so the two classical routes decide every pair, ties included, by the same
 arithmetic.  A graph holds its edges as one sorted int64 array of pair codes
 i*n + j with i < j.
 
-The quantum modes reduce their pairs to columns (a hit count or an exact
-probability at infinite shots, and a constant c) in the pair order of
-np.triu_indices(n, 1), their only key, which one estimate table carries to
-the edge lists and the estimates file; one mask decides every pair: edge
-iff p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive modes
+The quantum modes yield their pairs a tile at a time, each tile as its i
+and j columns, a stats.OverlapEstimate and an edge mask, from a value per
+pair (a hit count, or an exact probability at infinite shots) and a
+constant c; one rule decides every pair: edge iff
+p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive modes
 (per-pair swap tests, the naive battery) take c = 1/2 and read each pair's
-probability from the closed-form swap-test law
-p = (1 + |<a|b>|^2)/2 over one Gram product of the encodings; the multi
-mode takes the pair's calibrated constant and still simulates the recursive
-multi-state circuit on the state vector, as do the ``swap-test`` and
-``eq1-audit`` runners.
+probability from the closed-form swap-test law p = (1 + |<a|b>|^2)/2 over
+the upper Gram rows of brute force's row tiles; the multi mode takes the
+pair's calibrated constant, still simulates the recursive multi-state
+circuit on the state vector, as do the ``swap-test`` and ``eq1-audit``
+runners, and yields one tile.
 
 Edges use the strict inequality distance < eps.  The quantum routes operate
 on amplitude-encoded *normalized* points and estimate sqrt(2*(1-|u.w|)), so
@@ -41,7 +41,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -149,12 +149,6 @@ class EpsilonGraph:
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
 
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as (i, j) pairs with i < j."""
-        i, j = np.divmod(self.codes, self.n)
-        return frozenset(zip(i.tolist(), j.tolist()))
-
 
 @dataclass(frozen=True)
 class GraphDiff:
@@ -174,10 +168,18 @@ class GraphDiff:
         return self.false_positives.size
 
 
-# brute_force_egraph takes max(1, _TILE_ELEMENTS // n) rows per tile, so a
-# tile's squared distances (and the kernel's scratch tile beside them) hold
-# at most this many float64 entries while n <= _TILE_ELEMENTS
+# a row tile holds max(2, _TILE_ELEMENTS // n) rows, so a tile's squared
+# distances or Gram rows hold at most this many entries while
+# n <= _TILE_ELEMENTS / 2
 _TILE_ELEMENTS = 1 << 16
+
+
+def _row_tiles(n: int) -> list[tuple[int, int]]:
+    """(first row, end row) of each tile of max(2, _TILE_ELEMENTS // n) rows
+    that holds a pair i < j.  A one-row Gram product would take numpy's
+    matrix-vector path, whose bits differ from the matrix product's."""
+    rows = max(2, _TILE_ELEMENTS // max(n, 1))
+    return [(r0, min(r0 + rows, n)) for r0 in range(0, n - 1, rows)]
 
 
 def _sq_dists(block, points):
@@ -198,34 +200,37 @@ def _sq_dists(block, points):
 
 
 # Peak traced bytes per edge of run_egraph_trial with every pair an edge
-# (tracemalloc, n = 500 to 2000, dims 2 and 5): 41-43 in brute mode, 91-92 in
-# kdtree mode, whose per-point hit lists hold every edge twice
+# (tracemalloc, n = 150 to 2000): 34-43 in brute mode, 49-64 in the quantum
+# modes, 76-92 in kdtree mode, whose per-point hit lists hold every edge twice
 _EDGE_BYTES = 96
+
+
+def _check_edges(n: int, eps: float, found: int) -> None:
+    what = f"the edge list for n={n} points at eps={eps}, at {found} edges,"
+    statevec.check_bytes(found * _EDGE_BYTES, what)
 
 
 def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     """All n(n-1)/2 squared distances against eps^2, strict inequality, from
-    _sq_dists over tiles of max(1, _TILE_ELEMENTS // n) rows against every
-    later point, so memory stays bounded by a constant while
-    n <= _TILE_ELEMENTS and linear in n beyond.  Within a tile whose first
-    row is point r0, entry (r, c) pairs r0 + r with r0 + 1 + c, a pair i < j
-    exactly when c >= r.  Hits come out row by row, so the codes are sorted
-    as emitted; the edges found are checked in bytes after every tile."""
+    _sq_dists over the _row_tiles against every later point, so memory stays
+    bounded by a constant while n <= _TILE_ELEMENTS / 2 and linear in n
+    beyond.  Within a tile whose first row is point r0, entry (r, c) pairs
+    r0 + r with r0 + 1 + c, a pair i < j exactly when c >= r.  Hits come out
+    row by row, so the codes are sorted as emitted; the edges found are
+    checked in bytes after every tile."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     pts = cloud.points
     n = len(cloud)
     eps_sq = eps * eps
-    rows = max(1, _TILE_ELEMENTS // max(n, 1))
     codes = [np.zeros(0, dtype=np.int64)]
     found = 0
-    for r0 in range(0, n - 1, rows):
-        r, c = np.nonzero(_sq_dists(pts[r0 : r0 + rows], pts[r0 + 1 :]) < eps_sq)
+    for r0, r1 in _row_tiles(n):
+        r, c = np.nonzero(_sq_dists(pts[r0:r1], pts[r0 + 1 :]) < eps_sq)
         keep = c >= r
         codes.append((r[keep] + r0) * n + (c[keep] + r0 + 1))
         found += codes[-1].size
-        what = f"the edge list for n={n} points at eps={eps}, at {found} edges,"
-        statevec.check_bytes(found * _EDGE_BYTES, what)
+        _check_edges(n, eps, found)
     return EpsilonGraph(n, eps, np.concatenate(codes))
 
 
@@ -377,13 +382,6 @@ def encode_point(v: Sequence[float]) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-# Peak traced bytes per pair of a standard or naive run_egraph_trial, CSV
-# output, n = 200 to 2000, exact and 1000 shots: 68-77 with a fifth of the
-# pairs edges, 89-98 with every pair an edge, where the estimate table and
-# both edge lists' columns set it (tracemalloc; quantum_egraph alone peaks
-# at 66.5).  At 112 the 4 GiB ceiling takes clouds of up to 8,758 points.
-_PAIR_TABLE_BYTES = 112
-
 # picked up by tests and reports: quantum runs with an infinite shot budget
 # use exact marginals instead of sampling
 EXACT_SHOTS = math.inf
@@ -395,30 +393,35 @@ def quantum_egraph(
     shots,
     mode: Literal["standard", "naive", "multi"] = "standard",
     seed: int = 0,
-) -> tuple[EpsilonGraph, stats.OverlapEstimate]:
-    """Build the epsilon graph by simulated quantum distance estimation;
-    return it with its stats.OverlapEstimate table, whose row k is the k-th
-    pair of np.triu_indices(n, 1).
+) -> Iterator[tuple[np.ndarray, np.ndarray, stats.OverlapEstimate, np.ndarray]]:
+    """Decide the epsilon graph by simulated quantum distance estimation,
+    a tile at a time: an iterator of (i, j, estimates, edge) per tile, whose
+    pair k is (i[k], j[k]), i < j, with row k of the stats.OverlapEstimate
+    and decision edge[k].  Joined, the tiles' pairs are np.triu_indices(n, 1)
+    in order.  The arguments are checked and the points encoded before this
+    returns; each tile is computed as it is drawn.
 
-    Every mode yields columns (value, c) in that pair order: hits out of
-    ``shots`` or the exact probability, and c with p = c * (1 + |<a|b>|^2).
-    One mask decides all pairs: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1),
-    strictly.  eps must lie in (0, sqrt(2)], the range of the estimated
-    distance sqrt(2*(1 - |<a|b>|)).
+    Every mode yields a value per pair, hits out of ``shots`` or the exact
+    probability, and c with p = c * (1 + |<a|b>|^2).  One rule decides all
+    pairs: edge iff p_hat > c * ((1 - eps^2/2)^2 + 1), strictly.  eps must
+    lie in (0, sqrt(2)], the range of the estimated distance
+    sqrt(2*(1 - |<a|b>|)).  The edges are checked in bytes after every tile.
 
     standard/naive: one swap test per pair, ``shots`` repetitions each, and
     c = 1/2, so the threshold is alpha_eps_standard(eps).  No circuit is
-    simulated: p_ij = (1 + G_ij)/2 comes from one Gram product
-    G = |A* A^T|^2 of the stacked encodings, clipped to [0, 1], and a sampled
-    run draws every pair's Binomial(shots, p_ij) count in one call, in pair
-    order.  The two modes differ only in gate-count accounting.
+    simulated: p_ij = (1 + G_ij)/2 comes from the Gram product
+    G = |A* A^T|^2 of the stacked encodings, over brute force's row tiles,
+    clipped to [0, 1], and a sampled run draws each tile's
+    Binomial(shots, p_ij) counts in one call, in pair order.  The two modes
+    differ only in gate-count accounting.
 
     multi: one padded multi-state circuit, ``shots`` total executions; counts
     of (top=0, mid outcome) are aggregated per pair through the derived
     outcome map, and c is the pair's calibrated pair_constant, so the
     infinite-shot limit reproduces the brute-force graph regardless of
     outcome multiplicities.  Pairs involving padding registers, which come
-    after the inputs, are discarded, so the rest keep their pair order.
+    after the inputs, are discarded, so the rest keep their pair order.  Its
+    one tile holds every pair; the pair map caps the cloud at 64 points.
 
     ``shots`` is a whole number >= 1, or math.inf for exact (infinite-shot)
     decisions.  Every mode samples from the one stream SeedSequence([seed]),
@@ -436,42 +439,47 @@ def quantum_egraph(
             encoded.append(encode_point(point))
         except ValueError as exc:
             raise ValueError(f"point {i}: {exc}") from None
-    n = len(encoded)
-    if n < 2:
-        return EpsilonGraph(n, eps, []), stats.estimate_overlaps([], shots)
-    pair_values = _multi_values if mode == "multi" else _swap_test_values
+    if len(encoded) < 2:
+        return iter(())
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    values, c = pair_values(encoded, shots, rng)
-    estimates = stats.estimate_overlaps(values, shots, c)
-    edge = estimates.p_hat > c * scale
-    # pair (i, j)'s code i*n + j is its flat index in an n x n array
-    codes = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))[edge]
-    return EpsilonGraph(n, eps, codes), estimates
+    if mode == "multi":
+        tiles = [_multi_values(encoded, shots, rng)]
+    else:
+        tiles = _swap_test_values(encoded, shots, rng)
+    return _decide(tiles, len(encoded), eps, shots, scale)
+
+
+def _decide(tiles, n, eps, shots, scale):
+    """(i, j, estimates, edge) of each (i, j, values, c) tile."""
+    found = 0
+    for i, j, values, c in tiles:
+        estimates = stats.estimate_overlaps(values, shots, c)
+        edge = estimates.p_hat > c * scale
+        found += np.count_nonzero(edge)
+        _check_edges(n, eps, found)
+        yield i, j, estimates, edge
 
 
 def _swap_test_values(encoded, shots, rng):
-    """(values, 1/2) over the pairs i < j in order, from the
-    swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over one Gram product; the
-    clip catches duplicate points, whose |G|^2 can round a hair above 1.
-    A finite budget draws every pair's hit count from ``rng`` in one
-    binomial call, in pair order.  The Gram matrix and the pair columns are
-    checked in bytes against statevec.MAX_STATE_BYTES before either is
-    allocated."""
+    """(i, j, values, 1/2) of each row tile's pairs i < j, in order, from
+    the swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over its upper Gram rows;
+    the clip catches duplicate points, whose |G|^2 can round a hair above 1.
+    A finite budget draws each tile's hit counts in one binomial call."""
     n = len(encoded)
-    statevec.check_bytes(
-        n * (n - 1) // 2 * _PAIR_TABLE_BYTES, f"the pair table for n={n} points"
-    )
     amps = np.stack([state.amplitudes for state in encoded])
-    probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
-    values = probs[np.triu_indices(n, 1)]
-    if math.isfinite(shots):
-        values = rng.binomial(shots, values)
-    return values, 0.5
+    for r0, r1 in _row_tiles(n):
+        # entry (r, c) of the tile's Gram rows pairs r0 + r with r0 + c
+        r, c = np.triu_indices(r1 - r0, 1, n - r0)
+        gram = (amps[r0:r1].conj() @ amps[r0:].T)[r, c]
+        values = np.clip((1.0 + np.abs(gram) ** 2) / 2.0, 0.0, 1.0)
+        if math.isfinite(shots):
+            values = rng.binomial(shots, values)
+        yield r + r0, c + r0, values, 0.5
 
 
 def _multi_values(encoded, shots, rng):
-    """(values, pair_constants) over the pairs i < j of real inputs, in
-    order: the (top=0) outcome counts or probabilities of the multi-state
+    """(i, j, values, pair_constants) over the pairs i < j of real inputs,
+    in order: the (top=0) outcome counts or probabilities of the multi-state
     circuit, summed per pair through the pair map."""
     w = encoded[0].num_qubits
     padded = circuits.pad_inputs(encoded, w)
@@ -491,7 +499,7 @@ def _multi_values(encoded, shots, rng):
     # its count of outcomes, an exact small integer over a power of two
     ones = np.ones(len(pair_map.pairs))
     constants = pair_map.reduce_by_pair(ones)[real] / 2.0 ** (pair_map.d + 1)
-    return values[real], constants
+    return *np.triu_indices(len(encoded), 1), values[real], constants
 
 
 def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff:

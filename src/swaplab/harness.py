@@ -5,12 +5,12 @@ per experiment unit, deterministically ordered by parameter tuple), metadata
 names the source formula behind each theory column.  run_egraph_trial writes
 a whole output directory instead: both edge lists, as the columns i, j and
 distance_estimate decoded from each graph's pair codes, and the per-pair
-estimate table, as i and j from np.triu_indices(n, 1), its row order, and
-the numpy columns of stats.OverlapEstimate.  This module
-owns every output format, and write_records is the one CSV writer: it
-formats every table from columns, after one transpose of row dicts, one
-block of rows at a time, a CSV block with one % operation and a JSON block
-with one encoder call.  CSV is the canonical output format (header row,
+estimate table, streamed a tile at a time from egraph.quantum_egraph as
+each tile's i and j columns and the numpy columns of its
+stats.OverlapEstimate.  This module owns every output format, and
+write_records is the one CSV writer: it formats every table from columns,
+a block of rows at a time, a CSV block with one % operation and a JSON
+block with one encoder call.  CSV is the canonical output format (header row,
 CRLF line ends, '.' decimal separator, 17 significant digits for reals,
 the csv module's quoting); JSON mirrors the records and carries the
 metadata.  The CLI calls each runner with its parsed flags as keyword
@@ -32,7 +32,7 @@ import json
 import math
 import os
 import shutil
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,26 +105,16 @@ def _as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def write_records(records: Sequence[dict] | Mapping[str, Sequence],
-                  path_or_file, fmt: str = "csv",
-                  metadata: dict | None = None) -> None:
-    """Write a table as CSV (data only) or JSON (data plus metadata), both
-    formatted from its columns a block of rows at a time: one % operation
-    per CSV block, one encoder call per JSON block, in the bytes of
-    json.dump(indent=2).  ``records`` is a sequence of row dicts or a
-    mapping from column name to an equal-length sequence or 1-D numpy
-    array; either gives the same bytes.  ``path_or_file`` may be a
-    filesystem path or an open text stream.  Rows take their header from
-    the first record; a record with other keys, or a column of another
-    length, raises ValueError naming it before anything is written."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
-    if isinstance(records, Mapping):
-        header, columns = list(records), list(records.values())
+def _columns(table, fmt: str):
+    """(header, columns, row count) of a table of row dicts, transposed, or
+    of a column mapping.  A record with other keys, or a column of another
+    length, raises ValueError naming it."""
+    if isinstance(table, Mapping):
+        header, columns = list(table), list(table.values())
     else:
-        header = list(records[0].keys()) if records else []
+        header = list(table[0].keys()) if table else []
         keys = set(header)
-        for row, rec in enumerate(records):
+        for row, rec in enumerate(table):
             if rec.keys() != keys:
                 extra = [k for k in rec if k not in keys]
                 missing = [k for k in header if k not in rec]
@@ -132,46 +122,72 @@ def write_records(records: Sequence[dict] | Mapping[str, Sequence],
                     f"{fmt.upper()} record {row} does not have the header's keys "
                     f"(those of record 0): extra {extra}, missing {missing}"
                 )
-        columns = [[rec[k] for rec in records] for k in header]
+        columns = [[rec[k] for rec in table] for k in header]
     # row dicts with no keys are rows of no columns: JSON writes each as {}
-    nrows = len(columns[0]) if columns else len(records)
+    nrows = len(columns[0]) if columns else len(table)
     for name, column in zip(header, columns):
         if len(column) != nrows:
             raise ValueError(f"column {name!r} has {len(column)} entries, but "
                              f"column {header[0]!r} has {nrows}")
-    step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
+    return header, columns, nrows
+
+
+def write_records(records: Sequence[dict] | Mapping[str, Sequence]
+                  | Iterable[Mapping[str, Sequence]],
+                  path_or_file, fmt: str = "csv",
+                  metadata: dict | None = None) -> None:
+    """Write a table as CSV (data only) or JSON (data plus metadata), both
+    formatted from its columns a block of rows at a time: one % operation
+    per CSV block, one encoder call per JSON block, in the bytes of
+    json.dump(indent=2).  ``records`` is a sequence of row dicts, a mapping
+    from column name to an equal-length sequence or 1-D numpy array, or an
+    iterator of such mappings with the first one's keys, whose rows follow
+    one another; each gives the same bytes.  ``path_or_file`` may be a
+    filesystem path or an open text stream.  Rows take their header from
+    the first record; a record with other keys, or a column of another
+    length, raises ValueError naming it before its table is written."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    one = isinstance(records, (Sequence, Mapping))  # checked before the file opens
+    tables = [_columns(records, fmt)] if one else (_columns(t, fmt) for t in records)
     own = not hasattr(path_or_file, "write")
     newline = "" if fmt == "csv" else None
     fh = open(path_or_file, "w", newline=newline) if own else path_or_file
     try:
-        if fmt == "csv":
-            if header:
-                fh.write((",".join(map(_csv_field, header)) or '""') + "\r\n")
-            # csv.writer quotes a lone empty field, so that its row is not blank
-            empty = '""' if len(columns) == 1 else ""
-            conversions = [_conversion(c, empty) for c in columns]
-            line = ",".join(spec for spec, _ in conversions) + "\r\n"
-            args = [(c, f) for c, (_, f) in zip(columns, conversions) if f is not None]
-            # a table with no columns writes no CSV lines
-            for start in range(0, nrows if columns else 0, step):
-                rows = min(step, nrows - start)
-                cells = [None] * (len(args) * rows)
-                for k, (column, f) in enumerate(args):
-                    cells[k::len(args)] = f(column[start:start + step])
-                fh.write(line * rows % tuple(cells))
-        else:
-            # the metadata and each block's rows are encoded at the top level,
-            # then re-indented one level; a block's list loses its brackets
-            encoder = json.JSONEncoder(indent=2)
+        # the metadata and each block's rows are encoded at the top level,
+        # then re-indented one level; a block's list loses its brackets
+        encoder = json.JSONEncoder(indent=2)
+        if fmt == "json":
             meta = encoder.encode(metadata or {}).replace("\n", "\n  ")
             fh.write('{\n  "metadata": ' + meta + ',\n  "records": [')
-            for start in range(0, nrows, step):
-                cells = [map(_jsonable, _as_list(c[start:start + step]))
-                         for c in columns]
-                rows = zip(*cells) if columns else [()] * min(step, nrows - start)
-                text = encoder.encode([dict(zip(header, r)) for r in rows])
-                fh.write("," * (start > 0) + text[1:-2].replace("\n", "\n  "))
-            fh.write("\n  ]\n}\n" if nrows else "]\n}\n")
+        written = 0
+        for k, (header, columns, nrows) in enumerate(tables):
+            step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
+            if fmt == "csv":
+                if k == 0 and header:
+                    fh.write((",".join(map(_csv_field, header)) or '""') + "\r\n")
+                # csv.writer quotes a lone empty field, so that its row is not blank
+                empty = '""' if len(columns) == 1 else ""
+                conversions = [_conversion(c, empty) for c in columns]
+                line = ",".join(spec for spec, _ in conversions) + "\r\n"
+                args = [(c, f) for c, (_, f) in zip(columns, conversions) if f is not None]
+                # a table with no columns writes no CSV lines
+                for start in range(0, nrows if columns else 0, step):
+                    rows = min(step, nrows - start)
+                    cells = [None] * (len(args) * rows)
+                    for j, (column, f) in enumerate(args):
+                        cells[j::len(args)] = f(column[start:start + step])
+                    fh.write(line * rows % tuple(cells))
+            else:
+                for start in range(0, nrows, step):
+                    cells = [map(_jsonable, _as_list(c[start:start + step]))
+                             for c in columns]
+                    rows = zip(*cells) if columns else [()] * min(step, nrows - start)
+                    text = encoder.encode([dict(zip(header, r)) for r in rows])
+                    fh.write("," * (written > 0) + text[1:-2].replace("\n", "\n  "))
+                    written += 1
+        if fmt == "json":
+            fh.write("\n  ]\n}\n" if written else "]\n}\n")
     finally:
         if own:
             fh.close()
@@ -407,7 +423,7 @@ def run_bounds_sweep(
             f"p grid {p_grid}"
         )
     # the kl column once per (alpha, p), not once per N; the bounds are
-    # chernoff_upper's and chernoff_lower's own expressions on it, bit for bit
+    # exp(-N*KL) and stats.chernoff_lower's own expression on it, bit for bit
     kls = [stats.kl_bernoulli(alpha, p) for alpha, p in cells]
     records = []
     for N in n_values:
@@ -594,18 +610,12 @@ def run_gatecount_report(
     return records, metadata
 
 
-def _edge_columns(graph: egraph.EpsilonGraph,
-                  estimates: stats.OverlapEstimate | None = None) -> dict:
-    """Columns i, j, distance_estimate of the edges of ``graph``.  The
-    distance is NaN (an empty field) without ``estimates``, else that of the
-    edge's table row: the table holds every pair i < j in order, so pair
-    (i, j) is row i*(2n - i - 1)/2 + (j - i - 1)."""
-    n = graph.n
-    i, j = np.divmod(graph.codes, n)
-    if estimates is None:
+def _edge_columns(graph: egraph.EpsilonGraph, distance=None) -> dict:
+    """Columns i, j, distance_estimate of the edges of ``graph``, with
+    ``distance`` one entry per edge, or NaN (an empty field)."""
+    i, j = np.divmod(graph.codes, graph.n)
+    if distance is None:
         distance = np.full(graph.codes.size, math.nan)
-    else:
-        distance = estimates.distance_hat[i * (2 * n - i - 1) // 2 + (j - i - 1)]
     return {"i": i, "j": j, "distance_estimate": distance}
 
 
@@ -620,53 +630,55 @@ def run_egraph_trial(
 ) -> tuple[egraph.EpsilonGraph, egraph.EpsilonGraph, egraph.GraphDiff]:
     """Build reference (brute force) and estimate graphs, write edge lists,
     the per-pair estimate table and a diff summary.  The diff is data, not a
-    failure.  An estimate with no estimate table and the reference's edges
-    (every brute run, and a kd-tree run that finds them all) has the
-    reference's edge-list bytes, so its list is a copy of the reference
-    file; any other estimate list is formatted from its own graph."""
+    failure.  A quantum estimate streams its tiles into the estimate table
+    (none for a single point) and keeps only each edge's code and distance.
+    An estimate with no distances and the reference's edges (every brute
+    run, and a kd-tree run that finds them all) has the reference's
+    edge-list bytes, so its list is a copy of the reference file; any other
+    list is formatted from its own graph."""
     cloud = egraph.load_point_cloud(points_path)
+    n = len(cloud)
     reference = egraph.brute_force_egraph(cloud, eps)
-    estimates = None
+    tiles = None
     if mode == "brute":
         estimate = reference
     elif mode == "kdtree":
         estimate = egraph.kdtree_egraph(cloud, eps)
     elif mode in ("quantum-standard", "quantum-naive", "quantum-multi"):
-        qmode = mode.split("-", 1)[1]
-        estimate, estimates = egraph.quantum_egraph(cloud, eps, shots, qmode, seed)
+        tiles = egraph.quantum_egraph(cloud, eps, shots, mode.split("-")[1], seed)
     else:
         raise ValueError(f"unknown egraph mode {mode!r}")
-    diff = egraph.compare_graphs(reference, estimate)
 
     os.makedirs(out_dir, exist_ok=True)
+    distance = None
+    if tiles is not None:
+        kept = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
+
+        def columns():
+            for i, j, est, edge in tiles:
+                kept.append((i[edge] * n + j[edge], est.distance_hat[edge]))
+                yield {"i": i, "j": j, "shots": est.shots_total, "hits": est.hits,
+                       "p_hat": est.p_hat, "overlap_sq_hat": est.overlap_sq_hat,
+                       "distance_hat": est.distance_hat, "clamped": est.clamped}
+
+        if n > 1:
+            meta = {"p_hat": "hits/shots (exact probability when shots=0 rows appear)"}
+            write_records(columns(), os.path.join(out_dir, f"estimates.{fmt}"), fmt, meta)
+        codes, distance = map(np.concatenate, zip(*kept))
+        del kept
+        estimate = egraph.EpsilonGraph(n, eps, codes)
+    diff = egraph.compare_graphs(reference, estimate)
+
     reference_path = os.path.join(out_dir, "reference_edges.csv")
     estimate_path = os.path.join(out_dir, "estimate_edges.csv")
     write_records(_edge_columns(reference), reference_path)
-    if estimates is None and np.array_equal(estimate.codes, reference.codes):
+    if distance is None and np.array_equal(estimate.codes, reference.codes):
         # the same edges with an empty distance column: the same bytes
         shutil.copyfile(reference_path, estimate_path)
     else:
-        write_records(_edge_columns(estimate, estimates), estimate_path)
-    if estimates is not None and estimates.p_hat.size:
-        i, j = np.triu_indices(len(cloud), 1)
-        columns = {
-            "i": i,
-            "j": j,
-            "shots": estimates.shots_total,
-            "hits": estimates.hits,
-            "p_hat": estimates.p_hat,
-            "overlap_sq_hat": estimates.overlap_sq_hat,
-            "distance_hat": estimates.distance_hat,
-            "clamped": estimates.clamped,
-        }
-        write_records(
-            columns,
-            os.path.join(out_dir, f"estimates.{fmt}"),
-            fmt,
-            {"p_hat": "hits/shots (exact probability when shots=0 rows appear)"},
-        )
+        write_records(_edge_columns(estimate, distance), estimate_path)
     summary = {
-        "n": len(cloud),
+        "n": n,
         "eps": eps,
         "mode": mode,
         "shots": "inf" if not math.isfinite(float(shots)) else int(shots),

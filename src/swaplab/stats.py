@@ -1,8 +1,9 @@
 """Closed-form statistics of the swap-test decision problem.
 
 Probability/overlap/distance conversions, the epsilon thresholds, the exact
-false-negative tail, Bernoulli KL divergence, the Chernoff-Hoeffding bound
-pair, the sharpness point, and the two scaling curves.
+false-negative tail, Bernoulli KL divergence, the lower Chernoff-Hoeffding
+bound (the upper one, exp(-N*KL), is a single expression where it is used),
+the sharpness point, and the two scaling curves.
 
 Conventions.  The swap test succeeds ("0" on the ancilla) with probability
 p; a pair is declared an epsilon-neighbour iff the estimate p_hat exceeds
@@ -348,15 +349,6 @@ def n_gamma(gamma: float, alpha: float, p: float) -> float:
     return math.log(1.0 / gamma) / kl_bernoulli(alpha, p)
 
 
-def chernoff_upper(N: float, alpha: float, p: float) -> float:
-    """exp(-N*KL(alpha||p)): upper bound on the false-negative tail for
-    alpha < p, any N > 0."""
-    if N <= 0:
-        raise ValueError(f"N must be positive, got {N}")
-    _check_ordering(alpha, p)
-    return math.exp(-N * kl_bernoulli(alpha, p))
-
-
 def chernoff_lower(N: float, alpha: float, p: float) -> float:
     """exp(-N*KL(alpha||p)) / sqrt(2N).
 
@@ -398,8 +390,8 @@ def proposition1_lower(n: int, gamma_t: float) -> float:
 @dataclass(frozen=True, eq=False)
 class OverlapEstimate:
     """Overlap/distance estimates as equal-length columns, one entry per
-    estimated statistic; a quantum egraph's has one per pair i < j, keyed
-    only by its place in the order of ``np.triu_indices(n, 1)``.
+    estimated statistic; a quantum egraph tile's has one per pair of the
+    tile, in the order of the tile's own i and j columns.
 
     p_hat is exactly hits/shots_total; overlap_sq_hat and distance_hat are
     clamped to their valid domains, with ``clamped`` flagging sampled entries

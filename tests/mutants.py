@@ -190,22 +190,22 @@ MUTANTS = (
     Mutant(
         "json-block-separator-dropped",
         "harness.py",
-        '"," * (start > 0)',
+        '"," * (written > 0)',
         '""',
         "tests/test_harness.py::TestWriters::test_numpy_columns_write_the_bytes_of_their_lists[json]",
     ),
     Mutant(
         "keyless-json-rows-dropped",
         "harness.py",
-        "if columns else len(records)",
+        "if columns else len(table)",
         "if columns else 0",
         "tests/test_harness.py::TestWriters::test_empty_tables[json]",
     ),
     Mutant(
         "edge-row-one-pair-late",
         "harness.py",
-        "+ (j - i - 1)]",
-        "+ (j - i)]",
+        "est.distance_hat[edge]))",
+        "np.roll(est.distance_hat, -1)[edge]))",
         "tests/test_harness.py::TestEdgeListOutput::test_quantum_rows_carry_estimates",
     ),
     Mutant(
@@ -216,10 +216,24 @@ MUTANTS = (
         "tests/test_egraph.py::TestBruteForceTiles::test_edges_checked_in_bytes_tile_by_tile",
     ),
     Mutant(
+        "one-row-tiles",
+        "egraph.py",
+        "rows = max(2, _TILE_ELEMENTS",
+        "rows = max(1, _TILE_ELEMENTS",
+        "tests/test_egraph.py::TestQuantumEgraphClosedForm::test_two_row_floor_keeps_the_whole_gram_bits[inf]",
+    ),
+    Mutant(
+        "tile-pairs-column-major",
+        "egraph.py",
+        "r, c = np.triu_indices(r1 - r0, 1, n - r0)",
+        "c, r = np.tril_indices(n - r0, -1, r1 - r0)",
+        "tests/test_egraph.py::TestQuantumEgraphClosedForm::test_matches_per_pair_simulation",
+    ),
+    Mutant(
         "estimate-list-copied-unchecked",
         "harness.py",
-        "if estimates is None and np.array_equal(estimate.codes, reference.codes):",
-        "if estimates is None:",
+        "if distance is None and np.array_equal(estimate.codes, reference.codes):",
+        "if distance is None:",
         "tests/test_harness.py::TestEdgeListOutput::test_kdtree_estimate_without_an_edge_writes_its_own_list",
     ),
     Mutant(

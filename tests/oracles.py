@@ -13,7 +13,12 @@ library's blocked ones must match bit for bit; simulate_reference runs a
 circuit through them from unopened_state, a state of its own np.kron chain.
 forward_pair_map moves all n labels through every branch of the U_n swap
 schedule, the route that circuits.derive_pair_map's backward trace of two
-registers replaces.
+registers replaces.  quantum_graph joins the tiles of egraph.quantum_egraph
+into one graph and one estimate table, and whole_gram_swap_tests decides a
+standard run from one whole Gram product and one binomial call, the route
+the row tiles replace.  chernoff_upper, build_naive_multiswap and edge_set
+are the bound, the battery and the edge view that the library has no use
+for.
 """
 
 import functools
@@ -25,7 +30,7 @@ from math import comb
 import mpmath as mp
 import numpy as np
 
-from swaplab import circuits, egraph, statevec
+from swaplab import circuits, egraph, statevec, stats
 
 
 def _snap_tolerance(N: int) -> float:
@@ -292,3 +297,66 @@ def multi_pair_probabilities(cloud):
         (i, j): (table[i, j], pair_map.pair_constant(i + 1, j + 1))
         for i, j in sorted(table)
     }
+
+
+def chernoff_upper(N: float, alpha: float, p: float) -> float:
+    """exp(-N*KL(alpha||p)): upper bound on the false-negative tail for
+    alpha < p, any N > 0."""
+    if N <= 0:
+        raise ValueError(f"N must be positive, got {N}")
+    stats._check_ordering(alpha, p)
+    return math.exp(-N * stats.kl_bernoulli(alpha, p))
+
+
+def build_naive_multiswap(n: int, w: int = 1):
+    """One independent swap-test circuit per unordered pair of n inputs:
+    n(n-1)/2 entries of ((i, j), circuit) with 1-based input labels.  The
+    single ancilla is reusable between runs, so the battery needs O(1)
+    ancillas but n(n-1)/2 * w CSWAPs per repetition round."""
+    if n < 2:
+        raise ValueError(f"need at least 2 inputs, got {n}")
+    circuit = circuits.build_swap_test(w)
+    return [((i, j), circuit) for i, j in combinations(range(1, n + 1), 2)]
+
+
+def edge_set(graph):
+    """The edges of an egraph.EpsilonGraph as (i, j) pairs with i < j."""
+    i, j = np.divmod(graph.codes, graph.n)
+    return frozenset(zip(i.tolist(), j.tolist()))
+
+
+def quantum_graph(cloud, eps, shots, mode="standard", seed=0):
+    """egraph.quantum_egraph's tiles joined: (graph, estimates), where row k
+    of the stats.OverlapEstimate is the k-th pair of np.triu_indices(n, 1),
+    the order the tiles' own i and j columns must join to."""
+    n = len(cloud)
+    tiles = list(egraph.quantum_egraph(cloud, eps, shots, mode, seed))
+    if not tiles:
+        return egraph.EpsilonGraph(n, eps, []), stats.estimate_overlaps([], shots)
+    i, j, estimates, edge = zip(*tiles)
+    i, j, edge = map(np.concatenate, (i, j, edge))
+    pairs = np.triu_indices(n, 1)
+    assert np.array_equal(i, pairs[0]) and np.array_equal(j, pairs[1])
+    estimates = stats.OverlapEstimate(**{
+        name: np.concatenate([getattr(tile, name) for tile in estimates])
+        for name in stats.OverlapEstimate.__dataclass_fields__
+    })
+    return egraph.EpsilonGraph(n, eps, i[edge] * n + j[edge]), estimates
+
+
+def whole_gram_swap_tests(cloud, eps, shots, seed=0):
+    """(codes, p_hat) of a standard run decided from one whole Gram product:
+    p = clip((1 + |G|^2)/2) of every pair i < j in the order of
+    np.triu_indices(n, 1), every count drawn in one binomial call from
+    SeedSequence([seed]), and edge iff p_hat > alpha_eps_standard(eps)."""
+    n = len(cloud)
+    amps = np.stack([egraph.encode_point(p).amplitudes for p in cloud.points])
+    probs = np.clip((1.0 + np.abs(amps.conj() @ amps.T) ** 2) / 2.0, 0.0, 1.0)
+    values = probs[np.triu_indices(n, 1)]
+    if math.isfinite(shots):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        values = rng.binomial(shots, values)
+    estimates = stats.estimate_overlaps(values, shots)
+    edge = estimates.p_hat > stats.alpha_eps_standard(eps)
+    codes = np.ravel_multi_index(np.triu_indices(n, 1), (n, n))[edge]
+    return codes, estimates.p_hat

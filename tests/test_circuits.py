@@ -10,7 +10,12 @@ from swaplab import circuits as qc
 from swaplab import egraph as eg
 from swaplab import statevec as sv
 
-from oracles import forward_pair_map, marginal_reference, simulate_reference
+from oracles import (
+    build_naive_multiswap,
+    forward_pair_map,
+    marginal_reference,
+    simulate_reference,
+)
 
 
 def random_qubits(rng, count):
@@ -57,7 +62,7 @@ def unmerged_runs_circuit():
 SIMULATED = {
     "standard": lambda rng: (qc.build_swap_test(3), complex_registers(rng, 2, 3)),
     "naive": lambda rng: (
-        qc.build_naive_multiswap(4, 2)[-1][1], complex_registers(rng, 2, 2)
+        build_naive_multiswap(4, 2)[-1][1], complex_registers(rng, 2, 2)
     ),
     "multi": lambda rng: (qc.build_multiswap_full(8, 1), complex_registers(rng, 8, 1)),
     "multi-w2": lambda rng: (qc.build_multiswap_full(4, 2), complex_registers(rng, 4, 2)),
@@ -123,25 +128,25 @@ class TestSwapTest:
 
 class TestNaiveBattery:
     def test_n4(self):
-        battery = qc.build_naive_multiswap(4, 1)
+        battery = build_naive_multiswap(4, 1)
         assert len(battery) == 6
         assert sum(c.cswap_count for _, c in battery) == 6
 
     def test_n2(self):
-        assert len(qc.build_naive_multiswap(2, 1)) == 1
+        assert len(build_naive_multiswap(2, 1)) == 1
 
     def test_n8_w2(self):
-        battery = qc.build_naive_multiswap(8, 2)
+        battery = build_naive_multiswap(8, 2)
         assert len(battery) == 28
         assert sum(c.cswap_count for _, c in battery) == 56
 
     def test_pairs_are_distinct_and_complete(self):
-        battery = qc.build_naive_multiswap(5, 1)
+        battery = build_naive_multiswap(5, 1)
         assert {pair for pair, _ in battery} == set(combinations(range(1, 6), 2))
 
     def test_too_few(self):
         with pytest.raises(ValueError):
-            qc.build_naive_multiswap(1, 1)
+            build_naive_multiswap(1, 1)
 
 
 class TestUnCounts:

@@ -213,20 +213,41 @@ class TestSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["quantum-standard", "quantum-naive"])
-    def test_egraph_pair_table_over_byte_ceiling(self, tmp_path, monkeypatch, capsys, mode):
-        # 600 points need 20,126,400 bytes of pair table, over 16 MiB
+    def test_egraph_dense_quantum_over_the_edge_list_ceiling(self, tmp_path, monkeypatch,
+                                                            capsys, mode):
+        # 600 points within a quarter circle, every pair an edge at eps = 1.42:
+        # the edge list passes 16 MiB at 96 bytes an edge in its fifth tile
         monkeypatch.setattr(statevec, "MAX_STATE_BYTES", 2**24)
         points, out = tmp_path / "cloud.csv", tmp_path / "out"
         angles = [k * math.pi / 1200 for k in range(600)]
         points.write_text("".join(f"{math.cos(a)!r},{math.sin(a)!r}\n" for a in angles))
-        assert main(["egraph", "--points", str(points), "--eps", "0.5", "--mode", mode,
+        assert main(["egraph", "--points", str(points), "--eps", "1.42", "--mode", mode,
                      "--shots", "inf", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert not captured.out and not out.exists()
         assert captured.err == (
-            "swaplab egraph: error: the pair table for n=600 points needs 20126400 "
-            "bytes, over the ceiling of 16777216 bytes\n"
+            "swaplab egraph: error: the edge list for n=600 points at eps=1.42, at "
+            "178215 edges, needs 17108640 bytes, over the ceiling of 16777216 bytes\n"
         )
+
+    def test_egraph_sparse_quantum_runs_under_the_ceiling(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # 800 points: a whole table of 319,600 pairs at 112 bytes a pair would
+        # need 35.8 MB, but 57,874 of the pairs are edges, 5.6 MB at 96 bytes
+        # an edge, and the pairs stream a row tile at a time under 8 MiB
+        monkeypatch.setattr(statevec, "MAX_STATE_BYTES", 2**23)
+        points, out = tmp_path / "cloud.csv", tmp_path / "out"
+        angles = [k * math.pi / 1600 for k in range(800)]
+        points.write_text("".join(f"{math.cos(a)!r},{math.sin(a)!r}\n" for a in angles))
+        assert main(["egraph", "--points", str(points), "--eps", "0.15",
+                     "--mode", "quantum-standard", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"false negatives: 0, false positives: 0 (outputs in {out})\n")
+        with open(out / "estimates.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 319600
+        with open(out / "estimate_edges.csv") as fh:
+            edges = sum(1 for _ in fh) - 1
+        assert edges == 57874
 
     @pytest.mark.parametrize("mode", ["brute", "kdtree"])
     def test_egraph_edge_list_over_byte_ceiling(self, tmp_path, monkeypatch, capsys, mode):

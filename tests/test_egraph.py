@@ -16,7 +16,14 @@ from swaplab import egraph as eg
 from swaplab import statevec as sv
 from swaplab import stats
 
-from oracles import multi_pair_probabilities, per_pair_swap_tests
+from oracles import (
+    chernoff_upper,
+    edge_set,
+    multi_pair_probabilities,
+    per_pair_swap_tests,
+    quantum_graph,
+    whole_gram_swap_tests,
+)
 
 
 def ring_cloud(num, step_deg=12.0):
@@ -134,21 +141,21 @@ class TestBruteForce:
     def test_collinear(self):
         cloud = eg.PointCloud(np.array([[0.0], [1.0], [2.0]]))
         graph = eg.brute_force_egraph(cloud, 1.5)
-        assert graph.edges == {(0, 1), (1, 2)}
+        assert edge_set(graph) == {(0, 1), (1, 2)}
 
     def test_antipodal_within_sqrt2(self):
         cloud = eg.PointCloud(np.array([[1.0, 0.0], [-1.0, 0.0]]) / math.sqrt(2))
         graph = eg.brute_force_egraph(cloud, math.sqrt(2) * 1.01)
-        assert graph.edges == {(0, 1)}
+        assert edge_set(graph) == {(0, 1)}
 
     def test_single_point(self):
         graph = eg.brute_force_egraph(eg.PointCloud(np.zeros((1, 3))), 1.0)
-        assert graph.edges == frozenset()
+        assert edge_set(graph) == frozenset()
 
     def test_strict_inequality(self):
         cloud = eg.PointCloud(np.array([[0.0], [1.0]]))
-        assert not eg.brute_force_egraph(cloud, 1.0).edges
-        assert eg.brute_force_egraph(cloud, 1.0 + 1e-9).edges
+        assert not edge_set(eg.brute_force_egraph(cloud, 1.0))
+        assert edge_set(eg.brute_force_egraph(cloud, 1.0 + 1e-9))
 
     @pytest.mark.parametrize("n", [1, 2, 150, 2100])
     def test_matches_pdist_at_mid_gap_eps(self, n):
@@ -328,8 +335,8 @@ class TestKDTree:
             cloud = eg.PointCloud(pts)
             for eps in (0.1, 0.3, 0.8):
                 assert (
-                    eg.kdtree_egraph(cloud, eps).edges
-                    == eg.brute_force_egraph(cloud, eps).edges
+                    edge_set(eg.kdtree_egraph(cloud, eps))
+                    == edge_set(eg.brute_force_egraph(cloud, eps))
                 )
 
     def test_clustered_cloud_prunes(self):
@@ -373,9 +380,9 @@ class TestKDTree:
         tree = eg.KDTree(cloud)
         assert sorted(tree.order[:L].tolist()) == list(range(L))  # a leaf per side
         eps = d * (1.0 + 1e-11)
-        edges = eg.kdtree_egraph(cloud, eps).edges
+        edges = edge_set(eg.kdtree_egraph(cloud, eps))
         assert (L - 1, L) in edges
-        assert edges == eg.brute_force_egraph(cloud, eps).edges
+        assert edges == edge_set(eg.brute_force_egraph(cloud, eps))
         assert L in tree.range_query(pts[L - 1], eps).tolist()
         assert L - 1 in tree.range_query(pts[L], eps).tolist()
 
@@ -428,7 +435,7 @@ class TestKDTreeTies:
     @staticmethod
     def _assert_kdtree_matches_brute_force(pts, eps):
         cloud = eg.PointCloud(pts)
-        assert eg.kdtree_egraph(cloud, eps).edges == eg.brute_force_egraph(cloud, eps).edges
+        assert edge_set(eg.kdtree_egraph(cloud, eps)) == edge_set(eg.brute_force_egraph(cloud, eps))
         tree = eg.KDTree(cloud)
         for center in pts[:: max(1, len(pts) // 8)]:
             want = [k for k, p in enumerate(pts) if lr_sq_dist(p, center) < eps * eps]
@@ -502,13 +509,13 @@ class TestQuantumEgraphExact:
     def test_exact_mode_reproduces_brute_force(self, mode):
         cloud = ring_cloud(8)
         reference = eg.brute_force_egraph(cloud, 0.7)
-        graph, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, mode, seed=0)
-        assert graph.edges == reference.edges
+        graph, estimates = quantum_graph(cloud, 0.7, eg.EXACT_SHOTS, mode, seed=0)
+        assert edge_set(graph) == edge_set(reference)
         assert len(estimates.p_hat) == 28
 
     def test_exact_mode_distance_estimates(self):
         cloud = ring_cloud(8)
-        _, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "standard", 0)
+        _, estimates = quantum_graph(cloud, 0.7, eg.EXACT_SHOTS, "standard", 0)
         pts = cloud.points
         i, j = np.triu_indices(len(cloud), 1)
         assert estimates.distance_hat == pytest.approx(
@@ -517,7 +524,7 @@ class TestQuantumEgraphExact:
 
     def test_multi_exact_distance_estimates(self):
         cloud = ring_cloud(8)
-        _, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
+        _, estimates = quantum_graph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
         pts = cloud.points
         assert len(estimates.p_hat) == 28
         i, j = np.triu_indices(len(cloud), 1)
@@ -527,14 +534,14 @@ class TestQuantumEgraphExact:
 
     def test_padding_pairs_dropped(self):
         cloud = ring_cloud(5)  # padded to 8 registers internally
-        graph, estimates = eg.quantum_egraph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
+        graph, estimates = quantum_graph(cloud, 0.7, eg.EXACT_SHOTS, "multi", 0)
         assert graph.n == 5
         assert len(estimates.p_hat) == 10
         # the real pairs keep their order: row k is the k-th pair of the 5
         oracle = multi_pair_probabilities(cloud)
         assert list(oracle) == list(zip(*np.triu_indices(5, 1)))
         assert estimates.p_hat.tolist() == [p for p, _ in oracle.values()]
-        assert graph.edges == eg.brute_force_egraph(cloud, 0.7).edges
+        assert edge_set(graph) == edge_set(eg.brute_force_egraph(cloud, 0.7))
 
     def test_exact_mode_dim3_wide_registers(self):
         # 3-D points need width-2 registers; per-qubit swap expansion must
@@ -545,31 +552,31 @@ class TestQuantumEgraphExact:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         cloud = eg.PointCloud(pts)
         reference = eg.brute_force_egraph(cloud, 0.8)
-        assert reference.edges == {(0, 1), (1, 2), (1, 3)}
+        assert edge_set(reference) == {(0, 1), (1, 2), (1, 3)}
         for mode in ("standard", "multi"):
-            graph, _ = eg.quantum_egraph(cloud, 0.8, eg.EXACT_SHOTS, mode, 0)
-            assert graph.edges == reference.edges
+            graph, _ = quantum_graph(cloud, 0.8, eg.EXACT_SHOTS, mode, 0)
+            assert edge_set(graph) == edge_set(reference)
 
     def test_symmetry_and_no_loops(self):
         cloud = ring_cloud(6)
         for mode in ("standard", "multi"):
-            graph, _ = eg.quantum_egraph(cloud, 0.9, eg.EXACT_SHOTS, mode, 0)
-            for i, j in graph.edges:
+            graph, _ = quantum_graph(cloud, 0.9, eg.EXACT_SHOTS, mode, 0)
+            for i, j in edge_set(graph):
                 assert i < j < graph.n
 
 
 class TestQuantumEgraphSampled:
     def test_same_seed_same_graph(self):
         cloud = ring_cloud(6)
-        a, ea = eg.quantum_egraph(cloud, 0.7, 200, "standard", seed=5)
-        b, eb = eg.quantum_egraph(cloud, 0.7, 200, "standard", seed=5)
-        assert a.edges == b.edges
+        a, ea = quantum_graph(cloud, 0.7, 200, "standard", seed=5)
+        b, eb = quantum_graph(cloud, 0.7, 200, "standard", seed=5)
+        assert edge_set(a) == edge_set(b)
         assert ea.hits.tolist() == eb.hits.tolist()
 
     def test_different_seed_can_differ(self):
         cloud = ring_cloud(6)
         results = {
-            frozenset(eg.quantum_egraph(cloud, 0.7, 20, "standard", seed=s)[0].edges)
+            edge_set(quantum_graph(cloud, 0.7, 20, "standard", seed=s)[0])
             for s in range(8)
         }
         assert len(results) > 1  # 20 shots is noisy on purpose
@@ -586,20 +593,20 @@ class TestQuantumEgraphSampled:
             return real_default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", spy)
-        eg.quantum_egraph(ring_cloud(6), 0.7, 100, mode, seed=9)
+        quantum_graph(ring_cloud(6), 0.7, 100, mode, seed=9)
         assert seeds == [np.random.SeedSequence([9]).state]
 
     def test_naive_shares_decision_path(self):
         cloud = ring_cloud(5)
-        a, _ = eg.quantum_egraph(cloud, 0.7, 300, "standard", seed=2)
-        b, _ = eg.quantum_egraph(cloud, 0.7, 300, "naive", seed=2)
-        assert a.edges == b.edges
+        a, _ = quantum_graph(cloud, 0.7, 300, "standard", seed=2)
+        b, _ = quantum_graph(cloud, 0.7, 300, "naive", seed=2)
+        assert edge_set(a) == edge_set(b)
 
     def test_multi_sampled_converges(self):
         cloud = ring_cloud(8)
         reference = eg.brute_force_egraph(cloud, 0.7)
-        graph, estimates = eg.quantum_egraph(cloud, 0.7, 2_000_000, "multi", seed=11)
-        assert graph.edges == reference.edges
+        graph, estimates = quantum_graph(cloud, 0.7, 2_000_000, "multi", seed=11)
+        assert edge_set(graph) == edge_set(reference)
         total_hits = int(estimates.hits.sum())
         assert 0 < total_hits <= 2_000_000
 
@@ -618,8 +625,8 @@ class TestQuantumEgraphSampled:
         )
         clean = 0
         for run in range(100):
-            graph, _ = eg.quantum_egraph(cloud, eps, shots, "standard", seed=run)
-            clean += not graph.edges
+            graph, _ = quantum_graph(cloud, eps, shots, "standard", seed=run)
+            clean += not edge_set(graph)
         assert clean >= 95
 
     def test_false_negative_rate_within_bounds(self):
@@ -643,7 +650,7 @@ class TestQuantumEgraphSampled:
         sigma = math.sqrt(xi * (1 - xi) / trials)
         assert abs(freq - xi) <= 4 * sigma
         assert stats.chernoff_lower(N, alpha, p_pair) - 4 * sigma <= freq
-        assert freq <= stats.chernoff_upper(N, alpha, p_pair) + 4 * sigma
+        assert freq <= chernoff_upper(N, alpha, p_pair) + 4 * sigma
 
     def test_zero_point_is_named(self):
         pts = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 0.0], [0.0, 1.0]])
@@ -693,7 +700,7 @@ class TestQuantumEgraphClosedForm:
     def test_matches_per_pair_simulation(self, dim, mode, shots, duplicates):
         cloud = unit_cloud(dim, seed=dim, duplicates=duplicates)
         eps, seed = 0.8, 17
-        graph, estimates = eg.quantum_egraph(cloud, eps, shots, mode, seed)
+        graph, estimates = quantum_graph(cloud, eps, shots, mode, seed)
         oracle = per_pair_swap_tests(cloud, shots, seed)
         assert list(zip(*np.triu_indices(len(cloud), 1))) == list(oracle)
         if shots == eg.EXACT_SHOTS:
@@ -705,8 +712,8 @@ class TestQuantumEgraphClosedForm:
             pair: value if shots == eg.EXACT_SHOTS else value / shots
             for pair, value in oracle.items()
         }
-        assert graph.edges == {pair for pair, p in p_oracle.items() if p > alpha}
-        assert 0 < len(graph.edges) < len(oracle)
+        assert edge_set(graph) == {pair for pair, p in p_oracle.items() if p > alpha}
+        assert 0 < len(edge_set(graph)) < len(oracle)
 
     @pytest.mark.parametrize("mode", ["standard", "naive"])
     @pytest.mark.parametrize("shots", [eg.EXACT_SHOTS, 50])
@@ -716,33 +723,51 @@ class TestQuantumEgraphClosedForm:
 
         monkeypatch.setattr(circuits, "simulate", refuse)
         cloud = unit_cloud(3, seed=0, duplicates=True)
-        _, estimates = eg.quantum_egraph(cloud, 0.8, shots, mode, seed=1)
+        _, estimates = quantum_graph(cloud, 0.8, shots, mode, seed=1)
         assert len(estimates.p_hat) == len(cloud) * (len(cloud) - 1) // 2
 
     @pytest.mark.parametrize("mode", ["standard", "naive"])
     @pytest.mark.parametrize("shots", [eg.EXACT_SHOTS, 50])
-    def test_pair_table_checked_in_bytes_before_allocating(self, monkeypatch, mode, shots):
-        # 600 points hold 179,700 pairs: 20.1 MB at 112 bytes a pair, over a
-        # ceiling lowered to 16 MiB; the Gram matrix and |G|^2 alone take 8.6 MB
-        n = 600
-        monkeypatch.setattr(sv, "MAX_STATE_BYTES", 2**24)
-        cloud = unit_cloud(3, seed=2, num=n)
-        named = (f"the pair table for n={n} points needs {179700 * 112} bytes, "
-                 f"over the ceiling of {2**24} bytes")
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            with pytest.raises(sv.ResourceError, match=f"^{named}$"):
-                eg.quantum_egraph(cloud, 0.8, shots, mode, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**19
-        # a table of exactly the ceiling's bytes is built
-        monkeypatch.setattr(sv, "MAX_STATE_BYTES", 599 * 598 // 2 * 112)
-        _, estimates = eg.quantum_egraph(eg.PointCloud(cloud.points[:599]), 0.8,
-                                         shots, mode, seed=1)
-        assert estimates.p_hat.size == 599 * 598 // 2
+    def test_edges_checked_in_bytes_tile_by_tile(self, monkeypatch, mode, shots):
+        # 300 unit vectors within 30 degrees, every pair an edge at
+        # eps = sqrt(2): 44,850 edges in two tiles; under a 1 MiB ceiling the
+        # first tile's edges already exceed it
+        n, pairs, eps = 300, 44850, math.sqrt(2)
+        angles = np.linspace(0.0, math.radians(30), n)
+        cloud = eg.PointCloud(np.column_stack([np.cos(angles), np.sin(angles)]))
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", 2**20)
+        rows = eg._TILE_ELEMENTS // n
+        found = sum(n - 1 - r for r in range(rows))
+        named = (f"the edge list for n={n} points at eps={eps}, at {found} edges, "
+                 f"needs {found * eg._EDGE_BYTES} bytes, over the ceiling of "
+                 f"{2**20} bytes")
+        tiles = eg.quantum_egraph(cloud, eps, shots, mode, seed=1)
+        with pytest.raises(sv.ResourceError, match=f"^{re.escape(named)}$"):
+            next(tiles)
+        # one edge short of the whole list: each tile fits, the two do not
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", (pairs - 1) * eg._EDGE_BYTES)
+        tiles = eg.quantum_egraph(cloud, eps, shots, mode, seed=1)
+        assert np.count_nonzero(next(tiles)[3]) == found
+        with pytest.raises(sv.ResourceError, match=f", at {pairs} edges, needs"):
+            next(tiles)
+        # a list of exactly the ceiling's bytes is built
+        monkeypatch.setattr(sv, "MAX_STATE_BYTES", pairs * eg._EDGE_BYTES)
+        assert quantum_graph(cloud, eps, shots, mode, seed=1)[0].codes.size == pairs
+
+    @pytest.mark.parametrize("shots", [eg.EXACT_SHOTS, 1000])
+    def test_two_row_floor_keeps_the_whole_gram_bits(self, monkeypatch, shots):
+        # _TILE_ELEMENTS = n would give tiles of one row, whose Gram product
+        # takes numpy's matrix-vector path and other bits; the floor of two
+        # rows keeps every tile on the matrix product of the whole Gram
+        n = 200
+        cloud = unit_cloud(7, seed=5, num=n)  # 8 amplitudes a point
+        monkeypatch.setattr(eg, "_TILE_ELEMENTS", n)
+        assert eg._TILE_ELEMENTS // n == 1 and eg._row_tiles(n)[0] == (0, 2)
+        graph, estimates = quantum_graph(cloud, 0.8, shots, "standard", seed=3)
+        codes, p_hat = whole_gram_swap_tests(cloud, 0.8, shots, seed=3)
+        assert 0 < codes.size < n * (n - 1) // 2
+        assert graph.codes.tolist() == codes.tolist()
+        assert estimates.p_hat.tobytes() == p_hat.tobytes()
 
 
 class TestMultiPairMapCap:
@@ -804,5 +829,5 @@ class TestCompareGraphs:
 
     def test_edges_view(self):
         graph = eg.EpsilonGraph(3, 1.0, [1, 2, 5])
-        assert graph.edges == {(0, 1), (0, 2), (1, 2)}
+        assert edge_set(graph) == {(0, 1), (0, 2), (1, 2)}
         assert graph.codes.dtype == np.int64 and not graph.codes.flags.writeable

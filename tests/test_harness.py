@@ -13,7 +13,21 @@ import pytest
 from swaplab import circuits, egraph, harness, stats
 from swaplab.statevec import ResourceError
 
-from oracles import multi_pair_probabilities, per_pair_swap_tests
+from oracles import (
+    chernoff_upper,
+    edge_set,
+    multi_pair_probabilities,
+    per_pair_swap_tests,
+    quantum_graph,
+)
+
+
+def split(columns, *cuts):
+    """The table ``columns`` as an iterator of column mappings, cut before
+    each row of ``cuts``."""
+    bounds = [0, *cuts, len(next(iter(columns.values())))]
+    return iter([{k: v[a:b] for k, v in columns.items()}
+                 for a, b in zip(bounds, bounds[1:])])
 
 
 def cell_by_cell(columns, fmt, metadata):
@@ -130,7 +144,7 @@ class TestWriters:
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         metadata = {"f": "test column"}
         want = cell_by_cell(columns, fmt, metadata)
-        for table in (rows, columns):
+        for table in (rows, columns, split(columns, 2, 2, 3)):
             got = io.StringIO(newline="")
             harness.write_records(table, got, fmt, metadata)
             assert got.getvalue() == want
@@ -160,10 +174,11 @@ class TestWriters:
             columns = dict(list(columns.items())[:width])
             lists = {k: v.tolist() for k, v in columns.items()}
             want = cell_by_cell(lists, fmt, {})
-            for table in (lists, columns):
+            step = harness._CSV_BLOCK_CELLS // width
+            for table in (lists, columns, split(columns, 1, step + 1, n - 1)):
                 got = io.StringIO(newline="")
                 harness.write_records(table, got, fmt)
-                assert got.getvalue() == want, (width, type(table["f"]))
+                assert got.getvalue() == want, (width, type(table))
 
     def test_numpy_columns_are_converted_a_block_at_a_time(self):
         # the eight estimate columns of a 20,000-row table: as whole lists of
@@ -196,12 +211,14 @@ class TestWriters:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_tables(self, fmt):
-        # no rows: CSV writes a mapping's header only, JSON an empty list
-        # under the metadata; rows with no keys, in one block or more: CSV
-        # writes nothing, JSON each row as {}; both as json.dump does
+        # no rows: CSV writes a mapping's header only (an iterator of no
+        # mappings has none), JSON an empty list under the metadata; rows
+        # with no keys, in one block or more: CSV writes nothing, JSON each
+        # row as {}; both as json.dump does
         metadata = {"nested": {"a": [1, 2]}, "s": "x\ny"}
         keyless = [{}] * (harness._CSV_BLOCK_CELLS + 1)
-        cases = [([], None, ""), ({"a": [], "b": np.zeros(0)}, metadata, "a,b\r\n"),
+        cases = [([], None, ""), (iter([]), None, ""),
+                 ({"a": [], "b": np.zeros(0)}, metadata, "a,b\r\n"),
                  ([{}, {}], None, ""), (keyless, metadata, "")]
         for table, meta, csv_text in cases:
             got = io.StringIO(newline="")
@@ -220,6 +237,14 @@ class TestWriters:
         with pytest.raises(ValueError, match=r"column 'c' has 1 entries, but column 'a' has 2"):
             harness.write_records(table, path, fmt)
         assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streamed_table_checked_before_its_rows(self, fmt):
+        got = io.StringIO(newline="")
+        tables = iter([{"a": [1], "b": [2]}, {"a": [3, 4], "b": [5]}])
+        with pytest.raises(ValueError, match=r"column 'b' has 1 entries, but column 'a' has 2"):
+            harness.write_records(tables, got, fmt)
+        assert "3" not in got.getvalue() and "2" in got.getvalue()
 
     def test_json_uneven_keys_rejected_before_writing(self):
         stream = io.StringIO()
@@ -392,7 +417,7 @@ class TestBoundsSweep:
         assert sorted(calls) == [(0.3, 0.6), (0.3, 0.9), (0.5, 0.6), (0.5, 0.9)]
         for r in records:
             assert r["kl"] == kl(r["alpha"], r["p"])
-            assert r["upper"] == stats.chernoff_upper(r["N"], r["alpha"], r["p"])
+            assert r["upper"] == chernoff_upper(r["N"], r["alpha"], r["p"])
             assert r["lower"] == stats.chernoff_lower(r["N"], r["alpha"], r["p"])
 
     def test_lower_holds_on_aligned(self):
@@ -559,11 +584,13 @@ class TestEgraphTrial:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("shots", [math.inf, 1000])
-    def test_peak_within_the_pair_table_bytes(self, tmp_path, shots):
+    def test_peak_within_the_edges_and_one_tile(self, tmp_path, monkeypatch, shots):
         # 150 unit vectors within 30 degrees: at eps = sqrt(2) every pair is
         # an edge of both graphs, so the trial holds every list at its
-        # longest; the pair-table check sizes the whole trial
+        # longest, over 19 tiles of 8 rows
         n, pairs = 150, 11175
+        monkeypatch.setattr(egraph, "_TILE_ELEMENTS", 8 * n)
+        assert len(egraph._row_tiles(n)) == 19
         angles = np.linspace(0.0, math.radians(30), n)
         cloud = write_cloud(tmp_path / "cloud.csv",
                             np.column_stack([np.cos(angles), np.sin(angles)]).tolist())
@@ -578,7 +605,29 @@ class TestEgraphTrial:
         finally:
             tracemalloc.stop()
         assert reference.codes.size == estimate.codes.size == pairs
-        assert peak <= pairs * egraph._PAIR_TABLE_BYTES
+        # 48 bytes an edge: both graphs' codes and the kept distances, 8
+        # each, and the three columns of the edge list being written; 256
+        # KiB for one tile of at most 1,200 Gram entries, or one block of
+        # formatted rows (measured: 706-719 kB in all)
+        assert peak <= 48 * pairs + 2**18
+
+    @pytest.mark.parametrize("mode", ["brute", "kdtree"])
+    def test_peak_within_the_edge_bytes(self, tmp_path, mode):
+        # 300 points in the unit square, every pair an edge at eps = 2
+        # (measured: 40 bytes an edge in brute mode, 77 in kdtree mode)
+        n, pairs = 300, 44850
+        points = np.random.default_rng(300).uniform(0, 1, (n, 2)).tolist()
+        cloud = write_cloud(tmp_path / "cloud.csv", points)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, estimate, _ = harness.run_egraph_trial(
+                cloud, 2.0, mode, math.inf, 0, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert estimate.codes.size == pairs
+        assert peak <= pairs * egraph._EDGE_BYTES
 
     def test_unknown_mode(self, cloud_csv, tmp_path):
         with pytest.raises(ValueError):
@@ -632,8 +681,8 @@ class TestEdgeListOutput:
         reference, _, _ = harness.run_egraph_trial(
             cloud, 2.0, "kdtree", math.inf, 0, tmp_path
         )
-        want = csv_edge_list([[i, j, ""] for i, j in sorted(reference.edges)])
-        assert len(reference.edges) == n * (n - 1) // 2
+        want = csv_edge_list([[i, j, ""] for i, j in sorted(edge_set(reference))])
+        assert len(edge_set(reference)) == n * (n - 1) // 2
         assert (tmp_path / "estimate_edges.csv").read_bytes() == want
 
     @pytest.mark.parametrize("mode", ["kdtree", "brute"])
@@ -654,8 +703,8 @@ class TestEdgeListOutput:
         out = tmp_path / "out"
         reference, _, _ = harness.run_egraph_trial(cloud, 0.1, mode, math.inf, 0, out)
         assert written == ["reference_edges.csv"]
-        want = csv_edge_list([[i, j, ""] for i, j in sorted(reference.edges)])
-        assert len(reference.edges) > 100
+        want = csv_edge_list([[i, j, ""] for i, j in sorted(edge_set(reference))])
+        assert len(edge_set(reference)) > 100
         assert (out / "reference_edges.csv").read_bytes() == want
         assert (out / "estimate_edges.csv").read_bytes() == want
 
@@ -687,13 +736,13 @@ class TestEdgeListOutput:
         _, graph, _ = harness.run_egraph_trial(
             cloud, 0.5, "quantum-standard", math.inf, 0, tmp_path
         )
-        _, estimates = egraph.quantum_egraph(
+        _, estimates = quantum_graph(
             egraph.load_point_cloud(cloud), 0.5, math.inf, "standard", 0
         )
         distance = dict(
             zip(zip(*np.triu_indices(6, 1)), estimates.distance_hat.tolist())
         )
-        rows = [[i, j, f"{distance[i, j]:.17g}"] for i, j in sorted(graph.edges)]
+        rows = [[i, j, f"{distance[i, j]:.17g}"] for i, j in sorted(edge_set(graph))]
         assert 0 < len(rows) < len(distance)
         assert (tmp_path / "estimate_edges.csv").read_bytes() == csv_edge_list(rows)
 

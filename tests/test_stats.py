@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     bd0_mpmath,
     binom_logpmf_mpmath,
+    chernoff_upper,
     oracle_threshold,
     oracle_threshold_aligned,
     xi_fraction,
@@ -464,15 +465,15 @@ class TestBoundPair:
     def test_upper_inverts_n_gamma(self):
         for gamma in (0.9, 0.5, 0.1, 1e-3):
             N = stats.n_gamma(gamma, 0.5, 0.9)
-            assert stats.chernoff_upper(N, 0.5, 0.9) == pytest.approx(
+            assert chernoff_upper(N, 0.5, 0.9) == pytest.approx(
                 gamma, rel=1e-12
             )
 
     def test_upper_worked_value(self):
-        assert stats.chernoff_upper(10, 0.5, 0.9) == pytest.approx(
+        assert chernoff_upper(10, 0.5, 0.9) == pytest.approx(
             math.exp(-10 * KL_05_09), rel=1e-12
         )
-        assert stats.chernoff_upper(10, 0.5, 0.9) == pytest.approx(0.0060466176)
+        assert chernoff_upper(10, 0.5, 0.9) == pytest.approx(0.0060466176)
 
     def test_lower_worked_value(self):
         assert stats.chernoff_lower(10, 0.5, 0.9) == pytest.approx(
@@ -481,7 +482,7 @@ class TestBoundPair:
 
     def test_lower_upper_ratio_identity(self):
         for N in (1, 2, 7, 50, 1000):
-            ratio = stats.chernoff_lower(N, 0.3, 0.8) / stats.chernoff_upper(
+            ratio = stats.chernoff_lower(N, 0.3, 0.8) / chernoff_upper(
                 N, 0.3, 0.8
             )
             assert ratio == pytest.approx(1 / math.sqrt(2 * N), rel=1e-12)
@@ -495,7 +496,7 @@ class TestBoundPair:
         assert stats.chernoff_lower(N, alpha, p) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_repetitions_limit(self):
-        assert stats.chernoff_upper(1e-12, 0.5, 0.9) == pytest.approx(1.0)
+        assert chernoff_upper(1e-12, 0.5, 0.9) == pytest.approx(1.0)
 
 
 class TestGammaTilde:
@@ -608,11 +609,11 @@ class TestEstimates:
 
     def test_bounds_query_validation(self):
         with pytest.raises(ValueError):
-            stats.chernoff_upper(10, 0.9, 0.5)
+            chernoff_upper(10, 0.9, 0.5)
         xi = stats.false_negative_exact(10, 0.5, 0.9)
         assert xi == pytest.approx(XI_10_05_09, rel=1e-9)
         lower = stats.chernoff_lower(10, 0.5, 0.9)
-        assert lower <= xi <= stats.chernoff_upper(10, 0.5, 0.9)
+        assert lower <= xi <= chernoff_upper(10, 0.5, 0.9)
 
 
 class TestSandwich:
@@ -623,7 +624,7 @@ class TestSandwich:
             alpha = float(rng.uniform(0.05, 0.95))
             p = float(rng.uniform(alpha + 0.02, 0.99))
             xi = stats.false_negative_exact(N, alpha, p)
-            assert xi <= stats.chernoff_upper(N, alpha, p) + 1e-12
+            assert xi <= chernoff_upper(N, alpha, p) + 1e-12
 
     def test_lower_bound_holds_on_aligned_cells(self):
         # N*(1-alpha) integral: the regime the lower bound is stated for
@@ -655,7 +656,7 @@ class TestSandwich:
         gaps = []
         for N in (10, 100, 1000, 10000):
             xi = stats.false_negative_exact(N, 0.5, 0.62)
-            upper = stats.chernoff_upper(N, 0.5, 0.62)
+            upper = chernoff_upper(N, 0.5, 0.62)
             gaps.append(abs(math.log(xi) - math.log(upper)) / N)
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < gaps[0] / 100
