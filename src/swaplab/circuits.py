@@ -261,7 +261,8 @@ class PairMap:
     outcome maps to exactly one pair, and every unordered pair is reached by
     at least one outcome; multiplicities are not uniform, which is why
     per-pair probabilities carry a factor multiplicity/2^{d_n+1} rather than
-    a single constant.
+    a single constant.  ``multiplicity``'s keys, from np.unique, run in
+    reduce_by_pair's pair order, that of combinations(range(1, n + 1), 2).
 
     In closed form, multiplicity(i, j) = 1 when j - i is odd and
     2^(2*v2(j - i) - 1) otherwise, v2 the 2-adic valuation; they add up to

@@ -1,14 +1,14 @@
 """Point clouds, their quantum encodings, and epsilon-graph constructors.
 
 Three routes decide every pair: exact brute force over all n(n-1)/2
-distances, one tile of rows against every later point at a time, a kd-tree
-fixed-radius search (identical edge set, different work pattern,
-instrumented with visited-node counters), and the quantum pipeline.  Brute
-force and the kd leaf test take their squared distances from one kernel,
-``_sq_dists``, which adds the squared coordinate differences in axis order,
-so the two classical routes decide every pair, ties included, by the same
-arithmetic.  A graph holds its edges as one sorted int64 array of pair codes
-i*n + j with i < j.
+distances, one tile of rows at a time; a kd-tree fixed-radius search
+(identical edge set, different work pattern, instrumented with a
+visited-node counter); and the quantum pipeline.  Brute force and the kd
+leaf test take their squared distances from one kernel, ``_sq_dists``,
+which adds the squared coordinate differences in axis order, so the two
+classical routes decide every pair, ties included, by the same arithmetic.
+A graph holds its edges as one sorted int64 array of pair codes i*n + j
+with i < j.
 
 The quantum modes yield their pairs a tile at a time, each tile as its i
 and j columns, a stats.OverlapEstimate and an edge mask, from a value per
@@ -17,7 +17,7 @@ constant c; one rule decides every pair: edge iff
 p_hat > c * ((1 - eps^2/2)^2 + 1).  The standard and naive modes
 (per-pair swap tests, the naive battery) take c = 1/2 and read each pair's
 probability from the closed-form swap-test law p = (1 + |<a|b>|^2)/2 over
-the upper Gram rows of brute force's row tiles; the multi mode takes the
+the Gram rows of brute force's row tiles; the multi mode takes the
 pair's calibrated constant, still simulates the recursive multi-state
 circuit on the state vector, as do the ``swap-test`` and ``eq1-audit``
 runners, and yields one tile.
@@ -176,8 +176,11 @@ _TILE_ELEMENTS = 1 << 16
 
 def _row_tiles(n: int) -> list[tuple[int, int]]:
     """(first row, end row) of each tile of max(2, _TILE_ELEMENTS // n) rows
-    that holds a pair i < j.  A one-row Gram product would take numpy's
-    matrix-vector path, whose bits differ from the matrix product's."""
+    that holds a pair i < j.  A tile whose first row is point r0 is taken
+    against every point from r0 on: its entry (r, c) pairs r0 + r with
+    r0 + c, a pair i < j exactly when c > r.  A one-row Gram product would
+    take numpy's matrix-vector path, whose bits differ from the matrix
+    product's."""
     rows = max(2, _TILE_ELEMENTS // max(n, 1))
     return [(r0, min(r0 + rows, n)) for r0 in range(0, n - 1, rows)]
 
@@ -212,12 +215,10 @@ def _check_edges(n: int, eps: float, found: int) -> None:
 
 def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     """All n(n-1)/2 squared distances against eps^2, strict inequality, from
-    _sq_dists over the _row_tiles against every later point, so memory stays
-    bounded by a constant while n <= _TILE_ELEMENTS / 2 and linear in n
-    beyond.  Within a tile whose first row is point r0, entry (r, c) pairs
-    r0 + r with r0 + 1 + c, a pair i < j exactly when c >= r.  Hits come out
-    row by row, so the codes are sorted as emitted; the edges found are
-    checked in bytes after every tile."""
+    _sq_dists over the _row_tiles, so memory stays bounded by a constant
+    while n <= _TILE_ELEMENTS / 2 and linear in n beyond.  Hits come out row
+    by row, so the codes are sorted as emitted; the edges found are checked
+    in bytes after every tile."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     pts = cloud.points
@@ -226,9 +227,9 @@ def brute_force_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
     codes = [np.zeros(0, dtype=np.int64)]
     found = 0
     for r0, r1 in _row_tiles(n):
-        r, c = np.nonzero(_sq_dists(pts[r0:r1], pts[r0 + 1 :]) < eps_sq)
-        keep = c >= r
-        codes.append((r[keep] + r0) * n + (c[keep] + r0 + 1))
+        r, c = np.nonzero(_sq_dists(pts[r0:r1], pts[r0:]) < eps_sq)
+        keep = c > r
+        codes.append((r[keep] + r0) * n + (c[keep] + r0))
         found += codes[-1].size
         _check_edges(n, eps, found)
     return EpsilonGraph(n, eps, np.concatenate(codes))
@@ -251,21 +252,22 @@ class KDTree:
     """Bucketed kd-tree held in flat arrays.
 
     Median splits on cycling axes stop at leaves of at most ``LEAF_SIZE``
-    (64) points.  ``order`` permutes the point indices and ``pts`` is the
-    permuted copy of the points; each node owns a slice of ``pts`` and keeps
-    its bounding box.  Per query, ``last_visited`` counts the nodes whose
-    box was tested; ``queries`` and ``total_visited`` sum over queries.
+    (64) points.  ``order`` permutes the point indices; each node owns a
+    slice of it and keeps its bounding box, and a leaf holds its slice, the
+    indices of its points in ``points``, the cloud's own array, which the
+    tree does not copy.  ``last_visited`` counts the nodes whose box the
+    last query tested.
     """
 
     def __init__(self, cloud: PointCloud):
-        points = cloud.points
+        self.points = points = cloud.points
         self.dim = cloud.dim
         self.n = len(cloud)
         self.order = np.arange(self.n)
         self._depth = 0
         # per node (lo, hi, left, right, slots), node 0 the root, held as
         # Python values for the walk, which reads one node at a time; a leaf
-        # has children -1 and its slots, the indices of its rows in pts
+        # has children -1 and its slots, the indices of its points
         self._nodes: list[tuple] = []
 
         def build(start: int, stop: int, level: int) -> int:
@@ -281,7 +283,7 @@ class KDTree:
                 left = build(start, mid, level + 1)
                 right = build(mid, stop, level + 1)
             else:
-                slots = np.arange(start, stop)
+                slots = self.order[start:stop]
             box = points[self.order[start:stop]]
             lo, hi = box.min(axis=0).tolist(), box.max(axis=0).tolist()
             self._nodes[node] = (lo, hi, left, right, slots)
@@ -289,9 +291,6 @@ class KDTree:
 
         if self.n:
             build(0, self.n, 0)
-        self.pts = points[self.order]
-        self.queries = 0
-        self.total_visited = 0
         self.last_visited = 0
 
     def depth(self) -> int:
@@ -339,11 +338,9 @@ class KDTree:
                 stack.append(right)
                 stack.append(left)
         slots = np.concatenate(leaves) if leaves else np.zeros(0, dtype=np.intp)
-        hit = _sq_dists(c[None], self.pts[slots])[0] < r_sq
-        self.queries += 1
+        hit = _sq_dists(c[None], self.points[slots])[0] < r_sq
         self.last_visited = visited
-        self.total_visited += visited
-        return self.order[slots[hit]]
+        return slots[hit]
 
 
 def kdtree_egraph(cloud: PointCloud, eps: float) -> EpsilonGraph:
@@ -462,13 +459,13 @@ def _decide(tiles, n, eps, shots, scale):
 
 def _swap_test_values(encoded, shots, rng):
     """(i, j, values, 1/2) of each row tile's pairs i < j, in order, from
-    the swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over its upper Gram rows;
-    the clip catches duplicate points, whose |G|^2 can round a hair above 1.
+    the swap-test law p_ij = (1 + |<a_i|a_j>|^2)/2 over the tile's Gram rows
+    against amps[r0:], the _row_tiles convention; the clip catches duplicate
+    points, whose |G|^2 can round a hair above 1.
     A finite budget draws each tile's hit counts in one binomial call."""
     n = len(encoded)
     amps = np.stack([state.amplitudes for state in encoded])
     for r0, r1 in _row_tiles(n):
-        # entry (r, c) of the tile's Gram rows pairs r0 + r with r0 + c
         r, c = np.triu_indices(r1 - r0, 1, n - r0)
         gram = (amps[r0:r1].conj() @ amps[r0:].T)[r, c]
         values = np.clip((1.0 + np.abs(gram) ** 2) / 2.0, 0.0, 1.0)
@@ -494,12 +491,13 @@ def _multi_values(encoded, shots, rng):
         table = statevec.exact_marginal(state, measured)
     # the top ancilla is the most significant bit: top = 0 is the first half
     values = pair_map.reduce_by_pair(table[: table.size // 2])
-    real = np.triu_indices(m, 1)[1] < len(encoded)  # padding comes last
-    # each pair's pair_constant, multiplicity / 2^(d+1): the multiplicity is
-    # its count of outcomes, an exact small integer over a power of two
-    ones = np.ones(len(pair_map.pairs))
-    constants = pair_map.reduce_by_pair(ones)[real] / 2.0 ** (pair_map.d + 1)
-    return *np.triu_indices(len(encoded), 1), values[real], constants
+    i, j = np.triu_indices(m, 1)
+    real = j < len(encoded)  # padding comes last
+    # each pair's pair_constant, multiplicity / 2^(d+1), an exact small
+    # integer over a power of two; the keys run in reduce_by_pair's order
+    multiplicity = np.fromiter(pair_map.multiplicity.values(), float)
+    constants = multiplicity[real] / 2.0 ** (pair_map.d + 1)
+    return i[real], j[real], values[real], constants
 
 
 def compare_graphs(reference: EpsilonGraph, estimate: EpsilonGraph) -> GraphDiff:

@@ -141,11 +141,12 @@ def write_records(records: Sequence[dict] | Mapping[str, Sequence]
     per CSV block, one encoder call per JSON block, in the bytes of
     json.dump(indent=2).  ``records`` is a sequence of row dicts, a mapping
     from column name to an equal-length sequence or 1-D numpy array, or an
-    iterator of such mappings with the first one's keys, whose rows follow
-    one another; each gives the same bytes.  ``path_or_file`` may be a
-    filesystem path or an open text stream.  Rows take their header from
-    the first record; a record with other keys, or a column of another
-    length, raises ValueError naming it before its table is written."""
+    iterator of such mappings with the first one's keys, in its order, whose
+    rows follow one another; each gives the same bytes.  ``path_or_file``
+    may be a filesystem path or an open text stream.  Rows take their header
+    from the first record; a record or a streamed mapping with other keys,
+    or a column of another length, raises ValueError naming it before its
+    table is written."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
     one = isinstance(records, (Sequence, Mapping))  # checked before the file opens
@@ -162,6 +163,11 @@ def write_records(records: Sequence[dict] | Mapping[str, Sequence]
             fh.write('{\n  "metadata": ' + meta + ',\n  "records": [')
         written = 0
         for k, (header, columns, nrows) in enumerate(tables):
+            if k == 0:
+                first = header
+            elif header != first:
+                raise ValueError(f"{fmt.upper()} table {k} has the columns {header}, "
+                                 f"but table 0 has {first}")
             step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
             if fmt == "csv":
                 if k == 0 and header:
@@ -503,9 +509,6 @@ def run_scaling_curves(
     p_std = (1.0 + o2_ref) / 2.0
     n_std = stats.n_gamma(gamma, alpha_std, p_std)
     records = []
-    prev = None
-    prev_prop = None
-    prev_n = None
     for n in n_list:
         alpha_multi = stats.alpha_eps_multi(eps, n)
         p_min = 8.0 / float(n) ** 3
@@ -513,8 +516,7 @@ def run_scaling_curves(
         n_eq2 = stats.n_gamma(gamma, alpha_multi, p_max)
         prop = stats.proposition1_lower(n, gamma)
         thm1 = stats.theorem1_calls(n, gamma)
-        ratio = float("nan") if prev is None else n_eq2 / prev
-        prop_ratio = float("nan") if prev_prop is None else prop / prev_prop
+        # each ratio reads the previous row, still records[-1] here
         records.append(
             {
                 "n": n,
@@ -523,23 +525,20 @@ def run_scaling_curves(
                 "p0_max": p_max,
                 "kl_multi": stats.kl_bernoulli(alpha_multi, p_max),
                 "N_eq2": n_eq2,
-                "N_eq2_ratio": ratio,
+                "N_eq2_ratio": n_eq2 / records[-1]["N_eq2"] if records else math.nan,
                 "N_eq2_growth_exponent": (
-                    float("nan")
-                    if prev is None or n == prev_n
-                    else math.log2(n_eq2 / prev) / math.log2(n / prev_n)
+                    math.log2(n_eq2 / records[-1]["N_eq2"])
+                    / math.log2(n / records[-1]["n"])
+                    if records and n != records[-1]["n"] else math.nan
                 ),
                 "prop1_curve": prop,
-                "prop1_ratio": prop_ratio,
+                "prop1_ratio": prop / records[-1]["prop1_curve"] if records else math.nan,
                 "thm1_curve": thm1,
-                "thm1_ratio": float("nan") if prev_n is None else (n / prev_n) ** 6,
+                "thm1_ratio": (n / records[-1]["n"]) ** 6 if records else math.nan,
                 "naive_per_pair_N": math.ceil(n_std),
                 "naive_total_queries": n * (n - 1) // 2 * math.ceil(n_std),
             }
         )
-        prev = n_eq2
-        prev_prop = prop
-        prev_n = n
     metadata = {
         "alpha_multi": "((1-eps^2/2)^2 + 1) * 2^3 / n^3",
         "N_eq2": "ln(1/gamma) / KL(alpha_multi || p0_max)",

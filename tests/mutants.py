@@ -293,11 +293,25 @@ MUTANTS = (
         "tests/test_stats.py::TestFalseNegativeExact::test_near_alpha_matches_mpmath",
     ),
     Mutant(
-        "kd-queries-start-at-one",
+        "kd-leaf-slots-as-positions",
         "egraph.py",
-        "self.queries = 0",
-        "self.queries = 1",
-        "tests/test_egraph.py::TestKDTree::test_query_counters",
+        "slots = self.order[start:stop]",
+        "slots = np.arange(start, stop)",
+        "tests/test_egraph.py::TestKDTree::test_queries_read_the_cloud_and_return_tree_order",
+    ),
+    Mutant(
+        "streamed-table-keys-unchecked",
+        "harness.py",
+        "elif header != first:",
+        "elif False:",
+        "tests/test_harness.py::TestWriters::test_streamed_table_keys_checked_before_its_rows",
+    ),
+    Mutant(
+        "brute-tile-keeps-the-diagonal",
+        "egraph.py",
+        "keep = c > r",
+        "keep = c >= r",
+        "tests/test_egraph.py::TestBruteForceTiles::test_tiles_of_few_rows_match_pdist_and_a_pair_loop",
     ),
     Mutant(
         "edge-code-i-equals-j-accepted",

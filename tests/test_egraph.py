@@ -347,26 +347,35 @@ class TestKDTree:
         )
         cloud = eg.PointCloud(pts)
         tree = eg.KDTree(cloud)
+        visited = []
         for i in range(0, 1000, 37):
             tree.range_query(pts[i], 0.05)
-        avg_visited = tree.total_visited / tree.queries
+            visited.append(tree.last_visited)
+        avg_visited = sum(visited) / len(visited)
         # a ball that holds every box visits every node; the far cluster
         # alone is half of them
         tree.range_query(pts[0], 1e6)
         assert avg_visited < tree.last_visited / 2
 
-    def test_query_counters(self):
-        # queries counts the calls, and total_visited adds up last_visited
+    def test_queries_read_the_cloud_and_return_tree_order(self):
+        # the tree holds no copy of the points, and a query's hits are the
+        # cloud's indices of a brute scan, in the order tree.order lists them
         rng = np.random.default_rng(17)
-        pts = rng.uniform(0, 1, (300, 2))
-        tree = eg.KDTree(eg.PointCloud(pts))
-        assert (tree.queries, tree.total_visited, tree.last_visited) == (0, 0, 0)
-        seen = []
-        for i in range(0, 300, 23):
-            tree.range_query(pts[i], 0.1)
-            seen.append(tree.last_visited)
-        assert tree.queries == len(seen) == 14
-        assert tree.total_visited == sum(seen) and min(seen) > 0
+        pts = np.vstack([rng.normal(0, 0.05, (300, 3)), rng.normal(1, 0.05, (300, 3))])
+        pts = pts[rng.permutation(600)]
+        cloud = eg.PointCloud(pts)
+        tree = eg.KDTree(cloud)
+        assert np.shares_memory(tree.points, cloud.points)
+        floats = [v for v in vars(tree).values()
+                  if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
+        assert all(np.shares_memory(v, cloud.points) for v in floats)
+        sizes = []
+        for i in range(0, 600, 29):
+            hits = tree.range_query(pts[i], 0.08)
+            inside = eg._sq_dists(pts[i][None], pts)[0] < 0.08**2
+            assert hits.tolist() == tree.order[inside[tree.order]].tolist()
+            sizes.append(hits.size)
+        assert min(sizes) > 1 and max(sizes) > eg.LEAF_SIZE
 
     def test_nearest_pair_across_leaves_just_inside_eps(self):
         # two leaves on a line, the last point of the first at 1 and the

@@ -246,6 +246,19 @@ class TestWriters:
             harness.write_records(tables, got, fmt)
         assert "3" not in got.getvalue() and "2" in got.getvalue()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("later", [{"b": [3], "a": [4]}, {"x": [5.5]},
+                                       {"a": [3], "b": [4], "c": [5]}])
+    def test_streamed_table_keys_checked_before_its_rows(self, fmt, later):
+        # a later mapping's columns would land under the first one's header
+        got = io.StringIO(newline="")
+        tables = iter([{"a": [1], "b": [2]}, later])
+        named = (f"{fmt.upper()} table 1 has the columns {list(later)}, "
+                 f"but table 0 has ['a', 'b']")
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            harness.write_records(tables, got, fmt)
+        assert not {"3", "4", "5"} & set(got.getvalue()) and "2" in got.getvalue()
+
     def test_json_uneven_keys_rejected_before_writing(self):
         stream = io.StringIO()
         with pytest.raises(ValueError, match=r"JSON record 1 .* extra \['b'\], missing \[\]"):
